@@ -4,16 +4,15 @@ Dual-mode module, like ``bench_hotpath.py``/``bench_cluster_scenario.py``:
 
 * **Script / CI**: ``python benchmarks/bench_server_throughput.py
   [--quick]`` replays the same open-loop workload through every serving
-  mode — JSON vs binary (v2) framing crossed with per-row vs columnar
-  feature extraction, plus a uvloop variant of the headline mode when the
-  wheel is importable — prints the matrix and writes
+  mode — JSON vs binary (v2) framing, plus a uvloop variant of the
+  headline mode when the wheel is importable — prints the matrix and
+  writes
   ``BENCH_server_throughput.json`` (``"kind": "server_throughput"``) for
   the CI trend gate.  The run fails unless every mode finishes with zero
   errors and **bit-identical server state**: the same stats counters, the
   same write-ledger totals, and the same per-request denied mask, replay
   for replay.  ``--min-speedup`` additionally gates the headline
-  binary+columnar mode against the ``json-row`` baseline (the PR-7
-  serving path).
+  ``binary`` mode against the ``json`` baseline.
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs the quick matrix on the session trace and persists the
   table under ``results/``.
@@ -71,17 +70,11 @@ CONNECTIONS = 8
 #: noise shield for throughput numbers on shared machines.
 FULL_REPEATS = int(os.environ.get("REPRO_BENCH_SERVER_REPEATS", "3"))
 
-#: The serving matrix: wire protocol × feature-extraction batching.
-#: ``json-row`` is the PR-7 serving path and the speedup denominator;
-#: ``binary-columnar`` is the headline fast path.
-MODES = (
-    ("json-row", "json", False),
-    ("json-columnar", "json", True),
-    ("binary-row", "binary", False),
-    ("binary-columnar", "binary", True),
-)
-BASELINE_MODE = "json-row"
-HEADLINE_MODE = "binary-columnar"
+#: The serving matrix is the wire protocol (label == protocol): ``json``
+#: is the speedup denominator, ``binary`` the headline fast path.
+MODES = ("json", "binary")
+BASELINE_MODE = "json"
+HEADLINE_MODE = "binary"
 
 #: Stats keys that must match bit-for-bit across every mode — the server's
 #: entire admission outcome, excluding only wall-clock timings.
@@ -102,11 +95,8 @@ PARITY_STATS = (
 _ACCESSES_PER_OBJECT = 3.5
 
 
-async def _serve_and_replay(trace, *, protocol, columnar, requests, rate):
-    node = CacheNode(
-        trace,
-        NodeConfig(capacity_fraction=0.02, classifier=True, columnar=columnar),
-    )
+async def _serve_and_replay(trace, *, protocol, requests, rate):
+    node = CacheNode(trace, NodeConfig(capacity_fraction=0.02, classifier=True))
     server = CacheNodeServer(node, port=0, queue_depth=4096)
     await server.start()
     try:
@@ -125,17 +115,13 @@ async def _serve_and_replay(trace, *, protocol, columnar, requests, rate):
     return result, node.denied_mask.copy()
 
 
-def _run_mode(trace, *, protocol, columnar, requests, rate, uvloop=False):
+def _run_mode(trace, *, protocol, requests, rate, uvloop=False):
     """One replay; returns ``(result, parity_fingerprint)``."""
     installed = install_uvloop(uvloop)
     try:
         result, denied = asyncio.run(
             _serve_and_replay(
-                trace,
-                protocol=protocol,
-                columnar=columnar,
-                requests=requests,
-                rate=rate,
+                trace, protocol=protocol, requests=requests, rate=rate
             )
         )
     finally:
@@ -192,9 +178,9 @@ def run_throughput_bench(
     if uvloop_modes is None:
         uvloop_modes = uvloop_available()
 
-    runs = [(label, proto, col, False) for label, proto, col in MODES]
+    runs = [(proto, proto, False) for proto in MODES]
     if uvloop_modes:
-        runs.append((f"{HEADLINE_MODE}-uvloop", "binary", True, True))
+        runs.append((f"{HEADLINE_MODE}-uvloop", HEADLINE_MODE, True))
 
     modes: dict = {}
     fingerprints: dict = {}
@@ -205,14 +191,9 @@ def run_throughput_bench(
     # all modes symmetrically instead of biasing whichever mode it lands
     # on — best-of-rounds then compares like against like.
     for _ in range(max(1, repeats)):
-        for label, proto, col, uv in runs:
+        for label, proto, uv in runs:
             result, installed, fp = _run_mode(
-                trace,
-                protocol=proto,
-                columnar=col,
-                requests=requests,
-                rate=rate,
-                uvloop=uv,
+                trace, protocol=proto, requests=requests, rate=rate, uvloop=uv
             )
             prior = fingerprints.setdefault(label, fp)
             if prior is not fp and not _fingerprints_equal(prior, fp):
@@ -220,12 +201,11 @@ def run_throughput_bench(
             held = best.get(label)
             if held is None or result.achieved_rate > held[0].achieved_rate:
                 best[label] = (result, installed)
-    for label, proto, col, uv in runs:
+    for label, proto, _ in runs:
         result, installed = best[label]
         lat = result.latency
         modes[label] = {
             "protocol": proto,
-            "columnar": col,
             "loop": loop_label(installed),
             "requests_per_second": result.achieved_rate,
             "p50_ms": 1e3 * lat["p50"],
@@ -343,8 +323,8 @@ def main(argv: list[str] | None = None) -> int:
                     help=f"offered req/s (default: {RATE:,.0f})")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--min-speedup", type=float, default=None,
-                    help="floor for binary-columnar vs json-row "
-                         "(default: 3.0 full, 0 quick)")
+                    help="floor for binary vs json "
+                         "(default: 2.5 full, 0 quick)")
     ap.add_argument("--no-uvloop", action="store_true",
                     help="skip the uvloop variant even when importable")
     ap.add_argument("--repeats", type=int, default=None,
@@ -356,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
 
     min_speedup = args.min_speedup
     if min_speedup is None:
-        min_speedup = 0.0 if args.quick else 3.0
+        min_speedup = 0.0 if args.quick else 2.5
 
     report = run_throughput_bench(
         quick=args.quick,

@@ -272,7 +272,7 @@ def compare_server_reports(
 ) -> dict:
     """Diff per-mode achieved req/s between two throughput reports.
 
-    Modes are matched by label (``json-row``, ``binary-columnar``, …);
+    Modes are matched by label (``json``, ``binary``, …);
     labels present on only one side (a mode was added, or the uvloop
     wheel appeared/disappeared) are listed but never fail the gate.  A
     shared mode regresses when its rate *dropped* by more than
@@ -343,7 +343,7 @@ def format_server_markdown(result: dict) -> str:
         lines.append("| _no shared modes_ | | | | |")
     speed = result["speedup"]
     if speed["baseline"] is not None and speed["current"] is not None:
-        lines += ["", f"binary-columnar vs json-row: "
+        lines += ["", f"binary vs json: "
                   f"{speed['baseline']:.2f}× → {speed['current']:.2f}×"]
     if result["added"]:
         lines += ["", "New modes (no baseline): "

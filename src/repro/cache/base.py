@@ -226,6 +226,18 @@ class CacheStats:
         if denied:
             self.admissions_denied += 1
 
+    def __iadd__(self, other: "CacheStats") -> "CacheStats":
+        """Fold another counter set in (a phase, a micro-batch, a node)."""
+        self.requests += other.requests
+        self.hits += other.hits
+        self.bytes_requested += other.bytes_requested
+        self.bytes_hit += other.bytes_hit
+        self.files_written += other.files_written
+        self.bytes_written += other.bytes_written
+        self.evictions += other.evictions
+        self.admissions_denied += other.admissions_denied
+        return self
+
     # ------------------------------------------------------------- ratios
 
     @property

@@ -1,31 +1,45 @@
-"""Trace-driven cache simulation with a pluggable admission filter.
+"""Trace-driven cache simulation: the one request loop and its first driver.
 
-This is the measurement loop behind Figures 2 and 6–10: it replays a
-:class:`~repro.trace.records.Trace` against one
+This is the measurement loop behind Figures 2 and 6–10.
+:func:`replay_range` replays a run of trace positions against one
 :class:`~repro.cache.base.CachePolicy`, asking an optional
 :class:`~repro.cache.base.AdmissionPolicy` on every miss whether the object
 should be written to the SSD (the paper's Fig.-4 workflow), and accumulates
-:class:`~repro.cache.base.CacheStats`.
+:class:`~repro.cache.base.CacheStats`; :func:`request_step` is the same
+step for a single request.  They are the only place in the package where a
+request meets a cache: :func:`simulate` drives the loop over a whole
+:class:`~repro.trace.records.Trace`, and the scenario oracle
+(:mod:`repro.scenario.oracle`), the cluster node
+(:mod:`repro.cluster.node`) and the served node
+(:mod:`repro.server.node`) drive it per phase, per routed request and per
+micro-batch.
 
-The per-access loop is deliberately lean Python (locals bound outside the
-loop, one dict lookup per access in the common case) — profiling puts it at
-≈1–2 µs/access for LRU, which keeps the full benchmark grid tractable.  On
-top of that, ``use_segments=True`` (the default) routes *guaranteed-hit*
-runs nominated by a :class:`~repro.cache.segments.SegmentPlan` through the
-policy's vectorised :meth:`~repro.cache.base.CachePolicy.access_batch`,
-skipping the per-request loop entirely where no admission decision or
-eviction can alter observable state.  Segmenting is bit-exact — same hit/
-miss/write/eviction sequence as the loop — and ``use_segments=False``
-restores the original path untouched.
+The loop is deliberately lean Python (locals bound outside it, one dict
+lookup per access in the common case) — profiling puts it at ≈1–2
+µs/access for LRU, which keeps the full benchmark grid tractable.  On
+top of that, ``simulate(use_segments=True)`` (the default) routes
+*guaranteed-hit* runs nominated by a
+:class:`~repro.cache.segments.SegmentPlan` through the policy's vectorised
+:meth:`~repro.cache.base.CachePolicy.access_batch`, skipping the loop
+entirely where no admission decision or eviction can alter observable
+state.  Segmenting is bit-exact — same hit/miss/write/eviction sequence as
+the loop — and ``use_segments=False`` is the loop over the whole trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.cache.arc import ARCCache
-from repro.cache.base import AdmissionPolicy, CacheObserver, CachePolicy, CacheStats
+from repro.cache.base import (
+    AccessResult,
+    AdmissionPolicy,
+    CacheObserver,
+    CachePolicy,
+    CacheStats,
+)
 from repro.cache.belady import BeladyCache, compute_next_use
 from repro.cache.fifo import FIFOCache
 from repro.cache.gdsf import GDSFCache
@@ -44,6 +58,8 @@ from repro.trace.records import Trace
 __all__ = [
     "SimulationResult",
     "simulate",
+    "replay_range",
+    "request_step",
     "make_policy",
     "POLICY_REGISTRY",
     "MIN_SEGMENT_COVERAGE",
@@ -141,6 +157,100 @@ def _notify(observer: CacheObserver, oid: int, size: int, result) -> None:
         observer.on_insert(oid, size)
 
 
+def _on_hit_callback(admission: AdmissionPolicy | None):
+    """``admission.on_hit`` if the filter overrides the base no-op, else None.
+
+    Every stock grid admission (AlwaysAdmit/Oracle/Classifier) keeps the
+    no-op, so hits — looped or batched — cost them no call at all.
+    """
+    if admission is None or type(admission).on_hit is AdmissionPolicy.on_hit:
+        return None
+    return admission.on_hit
+
+
+def request_step(
+    policy: CachePolicy,
+    admission: AdmissionPolicy | None,
+    index: int,
+    oid: int,
+    size: int,
+) -> tuple[AccessResult, bool]:
+    """One Fig.-4 request → ``(result, denied)``.
+
+    The single-request form of :func:`replay_range`'s loop body, for
+    callers that route each request to a different stack (the cluster
+    tier); anything replaying a contiguous run should use the range form.
+    """
+    if admission is None:
+        return policy.access(oid, size), False
+    result = policy.access_if_present(oid, size)
+    if result is not None:
+        admission.on_hit(index, oid, size)
+        return result, False
+    ok = admission.should_admit(index, oid, size)
+    return policy.access(oid, size, admit=ok), not ok
+
+
+def replay_range(
+    policy: CachePolicy,
+    admission: AdmissionPolicy | None,
+    observer: CacheObserver | None,
+    stats: CacheStats,
+    oids,
+    sizes,
+    lo: int,
+    hi: int,
+    *,
+    warm_start: int = 0,
+    outcomes: list | None = None,
+) -> None:
+    """The request loop: replay trace positions ``[lo, hi)``, in order.
+
+    The repo's only copy of the paper's Fig.-4 step — lookup, on a miss
+    ask ``admission`` (its verdict already includes the §4.4.2 overrule),
+    then ``access(admit=)``; every replay path drives it (module
+    docstring).  ``oids``/``sizes`` are whole-trace columns (NumPy arrays
+    or lists) indexed by trace position; only ``[lo, hi)`` is materialised.
+    Positions at or past ``warm_start`` count into ``stats``; ``observer``
+    sees every mutation; ``admission`` is *not* reset — drivers own that.
+
+    ``outcomes``, when a driver passes a list, receives one
+    ``(result, denied)`` pair per request, so whatever the driver derives
+    per request happens after the loop and cannot feed back into it.
+    """
+    oid_l = oids[lo:hi]
+    size_l = sizes[lo:hi]
+    if hasattr(oid_l, "tolist"):  # plain ints iterate ~2× faster than NumPy scalars
+        oid_l = oid_l.tolist()
+        size_l = size_l.tolist()
+    access = policy.access
+    record = stats.record
+    if admission is None:
+        # No filter: ``access`` itself is a lookup that always resolves.
+        lookup, should_admit, on_hit = access, None, None
+    else:
+        # access_if_present folds the membership probe into the hit-side
+        # update (one hash lookup for LRU/FIFO instead of `oid in policy`
+        # + `access(...)` re-hashing the key); None means "miss — ask".
+        lookup, should_admit = policy.access_if_present, admission.should_admit
+        on_hit = _on_hit_callback(admission)
+    for i, oid, size in zip(range(lo, hi), oid_l, size_l):
+        result = lookup(oid, size)
+        denied = False
+        if result is None:
+            ok = should_admit(i, oid, size)
+            result = access(oid, size, admit=ok)
+            denied = not ok
+        elif on_hit is not None:
+            on_hit(i, oid, size)
+        if i >= warm_start:
+            record(size, result, denied)
+        if observer is not None and (result.inserted or result.evicted):
+            _notify(observer, oid, size, result)
+        if outcomes is not None:
+            outcomes.append((result, denied))
+
+
 def simulate(
     trace: Trace,
     policy: CachePolicy,
@@ -170,8 +280,8 @@ def simulate(
     replays.  Segmenting engages only when the plan's candidate runs cover
     at least :data:`MIN_SEGMENT_COVERAGE` of the trace (below that the
     bookkeeping wouldn't pay for itself).  Pass ``use_segments=False`` for
-    the original per-request path (useful for parity checks and
-    micro-benchmarks), or ``segment_plan`` to reuse a prebuilt
+    the plain :func:`replay_range` over the whole trace (useful for parity
+    checks and micro-benchmarks), or ``segment_plan`` to reuse a prebuilt
     :class:`~repro.cache.segments.SegmentPlan` — an explicit plan also
     bypasses the coverage gate.
     """
@@ -181,11 +291,16 @@ def simulate(
     if admission is not None:
         admission.reset()
 
+    oid_arr = trace.object_ids
+    size_arr = trace.catalog["size"][oid_arr]
     n = trace.n_accesses
     warm_start = int(warmup_fraction * n)
+    slow = partial(
+        replay_range, policy, admission, observer, stats, oid_arr, size_arr,
+        warm_start=warm_start,
+    )
 
     batches = None
-    plan = None
     if use_segments and policy.can_batch_hits():
         plan = segment_plan if segment_plan is not None else SegmentPlan.for_trace(trace)
         if (
@@ -194,58 +309,18 @@ def simulate(
         ):
             batches = plan.batches(policy.capacity)
 
+    pos = 0
     if batches:
-        # Segment-batching replay: it materialises only the trace regions
-        # the per-request path actually walks (the full-trace tolist below
-        # is itself ~10 % of a hit-dominated replay).
-        _simulate_segmented(
-            policy, admission, observer, stats, trace, plan, warm_start, batches
+        # Segment-batching replay: the loop between candidate runs, one
+        # access_batch inside them; trace columns are materialised only for
+        # the regions the loop actually walks (a full-trace tolist is itself
+        # ~10 % of a hit-dominated replay).
+        pos = _replay_batches(
+            policy, admission, observer, stats, oid_arr, size_arr,
+            plan.prefix_bytes, warm_start, batches, slow,
         )
-        return SimulationResult(
-            policy=policy_name or type(policy).__name__,
-            capacity_bytes=policy.capacity,
-            stats=stats,
-            admission=type(admission).__name__ if admission is not None else "always",
-        )
-
-    object_ids = trace.object_ids
-    sizes = trace.catalog["size"][object_ids]
-    # Plain int lists iterate ~2× faster than NumPy scalars in this loop.
-    oid_list = object_ids.tolist()
-    size_list = sizes.tolist()
-
-    access = policy.access
-    record = stats.record
-    # The original per-request loops, untouched: with segments off (or
-    # never engaging) behaviour is bit-for-bit the pre-segment path.
-    if admission is None:
-        for i, oid in enumerate(oid_list):
-            result = access(oid, size_list[i])
-            if i >= warm_start:
-                record(size_list[i], result, False)
-            if observer is not None and (result.inserted or result.evicted):
-                _notify(observer, oid, size_list[i], result)
-    else:
-        should_admit = admission.should_admit
-        on_hit = admission.on_hit
-        # access_if_present folds the membership probe into the hit-side
-        # update (one hash lookup for LRU/FIFO instead of the previous
-        # `oid in policy` + `access(oid, ...)` pair re-hashing the key).
-        access_if_present = policy.access_if_present
-        for i, oid in enumerate(oid_list):
-            size = size_list[i]
-            result = access_if_present(oid, size)
-            if result is not None:
-                on_hit(i, oid, size)
-                denied = False
-            else:
-                ok = should_admit(i, oid, size)
-                result = access(oid, size, admit=ok)
-                denied = not ok
-            if i >= warm_start:
-                record(size, result, denied)
-            if observer is not None and (result.inserted or result.evicted):
-                _notify(observer, oid, size, result)
+    if pos < n:
+        slow(pos, n)
 
     return SimulationResult(
         policy=policy_name or type(policy).__name__,
@@ -255,72 +330,27 @@ def simulate(
     )
 
 
-def _simulate_segmented(
+def _replay_batches(
     policy: CachePolicy,
     admission: AdmissionPolicy | None,
     observer: CacheObserver | None,
     stats: CacheStats,
-    trace: Trace,
-    plan: SegmentPlan,
+    oid_arr,
+    size_arr,
+    prefix,
     warm_start: int,
     batches,
-) -> None:
-    """The segment-batching replay: loop between runs, batch inside them.
+    slow,
+) -> int:
+    """Batch inside the candidate runs, ``slow(lo, hi)`` between them.
 
+    Returns the position after the last run (the caller replays the tail).
     Semantics contract (checked by the parity suite): the hit/miss/write/
     eviction sequence, the admission callback sequence, and the resulting
-    :class:`CacheStats` are bit-identical to the per-request loops above.
-
-    Trace columns are materialised lazily, region by region: batched runs
-    never need Python ints (the policy works off the precomputed distinct
-    list), so only the slow regions pay the ndarray→list conversion.
+    :class:`CacheStats` are bit-identical to ``slow(0, n)``.
     """
-    oid_arr = trace.object_ids
-    size_arr = trace.catalog["size"][oid_arr]
-    n = oid_arr.shape[0]
-    prefix = plan.prefix_bytes
-    record = stats.record
-    access = policy.access
     access_batch = policy.access_batch
-    if admission is not None:
-        should_admit = admission.should_admit
-        on_hit = admission.on_hit
-        access_if_present = policy.access_if_present
-        # The per-hit callback is only replayed when actually overridden —
-        # every stock grid admission (AlwaysAdmit/Oracle/Classifier) uses
-        # the base no-op, so batched hits cost nothing there.
-        batch_on_hit = type(admission).on_hit is not AdmissionPolicy.on_hit
-    else:
-        batch_on_hit = False
-
-    def slow(lo: int, hi: int) -> None:
-        """The exact per-request path over trace positions [lo, hi)."""
-        oid_l = oid_arr[lo:hi].tolist()
-        size_l = size_arr[lo:hi].tolist()
-        if admission is None:
-            for k, oid in enumerate(oid_l):
-                size = size_l[k]
-                result = access(oid, size)
-                if lo + k >= warm_start:
-                    record(size, result, False)
-                if observer is not None and (result.inserted or result.evicted):
-                    _notify(observer, oid, size, result)
-        else:
-            for k, oid in enumerate(oid_l):
-                i = lo + k
-                size = size_l[k]
-                result = access_if_present(oid, size)
-                if result is not None:
-                    on_hit(i, oid, size)
-                    denied = False
-                else:
-                    ok = should_admit(i, oid, size)
-                    result = access(oid, size, admit=ok)
-                    denied = not ok
-                if i >= warm_start:
-                    record(size, result, denied)
-                if observer is not None and (result.inserted or result.evicted):
-                    _notify(observer, oid, size, result)
+    on_hit = _on_hit_callback(admission)
 
     pos = 0
     for s, e, distinct in batches:
@@ -353,7 +383,7 @@ def _simulate_segmented(
                         stats.bytes_requested += nbytes
                         stats.bytes_hit += nbytes
                         stats.evictions += len(evicted)
-                    if batch_on_hit:
+                    if on_hit is not None:
                         oid_l = oid_arr[pos:end].tolist()
                         size_l = size_arr[pos:end].tolist()
                         for k, oid in enumerate(oid_l):
@@ -375,5 +405,4 @@ def _simulate_segmented(
                     break
                 slow(pos, pos + 1)
                 pos += 1
-    if pos < n:
-        slow(pos, n)
+    return pos

@@ -168,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-v", type=float, default=2.0)
     p.add_argument("--max-batch", type=int, default=256,
                    help="max requests per micro-batched inference call")
-    p.add_argument("--no-columnar", action="store_true",
-                   help="fill the feature matrix row by row instead of the "
-                        "vectorised columnar batch path (same verdicts)")
     p.add_argument("--no-uvloop", action="store_true",
                    help="stay on the stdlib asyncio loop even when uvloop "
                         "is installed")
@@ -527,7 +524,6 @@ def _cmd_serve(args) -> int:
             cost_v=args.cost_v,
             seed=args.seed,
             max_batch=args.max_batch,
-            columnar=not args.no_columnar,
         ),
         tracer=tracer,
         spans=spans,

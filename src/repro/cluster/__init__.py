@@ -18,7 +18,7 @@ The fault-injecting scenario orchestrator on top of this package lives in
 """
 
 from repro.cluster.hashing import ConsistentHashRing, stable_hash
-from repro.cluster.node import CacheNode, NodeStats
+from repro.cluster.node import CacheNode
 from repro.cluster.cluster import (
     ClusterLatency,
     ClusterResult,
@@ -31,7 +31,6 @@ __all__ = [
     "ConsistentHashRing",
     "stable_hash",
     "CacheNode",
-    "NodeStats",
     "ClusterLatency",
     "ClusterResult",
     "TwoTierCluster",

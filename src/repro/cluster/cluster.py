@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cache.base import CacheStats
 from repro.cluster.hashing import ConsistentHashRing
-from repro.cluster.node import CacheNode, NodeStats
+from repro.cluster.node import CacheNode
 from repro.config import DEFAULT_LATENCY, LatencyConstants
 from repro.trace.records import Trace
 
@@ -171,7 +172,7 @@ class TwoTierCluster:
         # cumulative cluster totals go backwards, so the departing node's
         # stats object is parked here (the node itself keeps a reference —
         # always build a *fresh* CacheNode when re-adding under a name).
-        self.retired_stats: list[NodeStats] = []
+        self.retired_stats: list[CacheStats] = []
 
     def instrument(self, registry) -> None:
         """Bind every node (OC tier + DC) into one metrics registry.
@@ -210,25 +211,16 @@ class TwoTierCluster:
         """SSD writes performed by OC nodes since removed from the ring."""
         return sum(s.files_written for s in self.retired_stats)
 
-    def oc_tier_totals(self) -> NodeStats:
+    def oc_tier_totals(self) -> CacheStats:
         """Cumulative OC-tier counters, *including* removed nodes.
 
         The live-node sum alone is not monotone across a kill — the dead
         node's history must keep counting toward cluster totals, exactly
         as a production fleet's cumulative telemetry would.
         """
-        total = NodeStats()
-        for stats in (
-            *(n.stats for n in self.oc_nodes.values()),
-            *self.retired_stats,
-        ):
-            total.requests += stats.requests
-            total.hits += stats.hits
-            total.bytes_requested += stats.bytes_requested
-            total.bytes_hit += stats.bytes_hit
-            total.files_written += stats.files_written
-            total.bytes_written += stats.bytes_written
-            total.admissions_denied += stats.admissions_denied
+        total = CacheStats()
+        for stats in (*(n.stats for n in self.oc_nodes.values()), *self.retired_stats):
+            total += stats
         return total
 
     def remove_node(self, name: str) -> CacheNode:
@@ -296,8 +288,9 @@ def simulate_cluster_with_events(
     bytes_to_dc = bytes_to_backend = 0
     latency_sum = 0.0
     per_node_requests: dict[str, int] = {name: 0 for name in oc_nodes}
-    window_hits = np.zeros(-(-n // window_size), dtype=np.int64)
-    window_reqs = np.zeros_like(window_hits)
+    # Plain int lists: a per-request NumPy scalar increment costs ~4× more.
+    window_hits = [0] * -(-n // window_size)
+    window_reqs = [0] * len(window_hits)
 
     classified_oc = any(nd.admission is not None for nd in oc_nodes.values())
     t_oc_hit = lat.oc_hit()
@@ -353,71 +346,13 @@ def simulate_cluster_with_events(
         per_node_requests=per_node_requests,
         retired_files_written=cluster.retired_files_written,
     )
-    with np.errstate(invalid="ignore"):
-        series = np.where(window_reqs > 0, window_hits / window_reqs, np.nan)
+    series = np.array(
+        [h / r if r else np.nan for h, r in zip(window_hits, window_reqs)]
+    )
     return result, series
 
 
 def simulate_cluster(trace: Trace, cluster: TwoTierCluster) -> ClusterResult:
-    """Replay a trace through the two-tier cluster."""
+    """Replay a trace through the two-tier cluster (counters reset first)."""
     cluster.reset()
-    lat = cluster.latency
-    dc = cluster.dc
-    ring = cluster.ring
-    oc_nodes = cluster.oc_nodes
-
-    # Precompute each object's home OC node once (objects don't migrate).
-    object_home = {}
-    oids = trace.object_ids
-    sizes = trace.catalog["size"][oids]
-    oid_list = oids.tolist()
-    size_list = sizes.tolist()
-
-    oc_hits = dc_hits = backend_reads = 0
-    bytes_to_dc = bytes_to_backend = 0
-    latency_sum = 0.0
-    per_node_requests: dict[str, int] = {name: 0 for name in oc_nodes}
-
-    classified_oc = any(n.admission is not None for n in oc_nodes.values())
-    classified_dc = dc.admission is not None
-    t_oc_hit = lat.oc_hit()
-    t_dc_hit = lat.dc_hit(classified_oc=classified_oc)
-    t_backend = lat.backend_read(
-        classified_oc=classified_oc, classified_dc=classified_dc
-    )
-
-    for i, oid in enumerate(oid_list):
-        size = size_list[i]
-        home = object_home.get(oid)
-        if home is None:
-            home = object_home[oid] = ring.lookup(oid)
-        node = oc_nodes[home]
-        per_node_requests[home] += 1
-
-        if node.request(i, oid, size):
-            oc_hits += 1
-            latency_sum += t_oc_hit
-            continue
-        bytes_to_dc += size
-        if dc.request(i, oid, size):
-            dc_hits += 1
-            latency_sum += t_dc_hit
-            continue
-        backend_reads += 1
-        bytes_to_backend += size
-        latency_sum += t_backend
-
-    n = len(oid_list)
-    return ClusterResult(
-        oc_nodes=oc_nodes,
-        dc=dc,
-        requests=n,
-        oc_hits=oc_hits,
-        dc_hits=dc_hits,
-        backend_reads=backend_reads,
-        bytes_total=int(sizes.sum()),
-        bytes_to_dc=bytes_to_dc,
-        bytes_to_backend=bytes_to_backend,
-        mean_latency=latency_sum / n if n else 0.0,
-        per_node_requests=per_node_requests,
-    )
+    return simulate_cluster_with_events(trace, cluster, ())[0]

@@ -2,39 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.cache.base import AccessResult, AdmissionPolicy, CachePolicy, CacheStats
+from repro.cache.simulator import request_step
 
-from repro.cache.base import AdmissionPolicy, CachePolicy
-
-__all__ = ["NodeStats", "CacheNode"]
-
-
-@dataclass
-class NodeStats:
-    """Per-node request counters."""
-
-    requests: int = 0
-    hits: int = 0
-    bytes_requested: int = 0
-    bytes_hit: int = 0
-    files_written: int = 0
-    bytes_written: int = 0
-    admissions_denied: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-    @property
-    def byte_hit_rate(self) -> float:
-        return self.bytes_hit / self.bytes_requested if self.bytes_requested else 0.0
+__all__ = ["CacheNode"]
 
 
 class CacheNode:
     """One cache server in the cluster.
 
-    ``request`` is the single entry point: it performs lookup, consults the
-    admission filter on a miss, and updates counters.  Returns True on hit.
+    ``request`` is the entry point (``fill`` its replica write-through
+    twin): both run the simulator's one Fig.-4 step and then count the
+    outcome into :class:`~repro.cache.base.CacheStats`.
     """
 
     def __init__(
@@ -46,7 +25,7 @@ class CacheNode:
         self.name = name
         self.policy = policy
         self.admission = admission
-        self.stats = NodeStats()
+        self.stats = CacheStats()
         # Pre-bound metric children (see :meth:`instrument`); None keeps the
         # per-request fast path branch-predictable for uninstrumented runs.
         self._m_hits = None
@@ -111,69 +90,13 @@ class CacheNode:
         stay warm across measurement windows.  Build a fresh node for a
         cold-start run.
         """
-        self.stats = NodeStats()
+        self.stats = CacheStats()
         if self.admission is not None:
             self.admission.reset()
 
     def request(self, index: int, oid: int, size: int) -> bool:
-        stats = self.stats
-        stats.requests += 1
-        stats.bytes_requested += size
-        if oid in self.policy:
-            result = self.policy.access(oid, size)
-            stats.hits += 1
-            stats.bytes_hit += size
-            if self.admission is not None:
-                self.admission.on_hit(index, oid, size)
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            if result.inserted:
-                # A staging tier can turn a DRAM hit into the flash write
-                # it deferred at miss time (the object crossed its
-                # flashiness bar).  Router-set causes (flood/rewarm) keep
-                # precedence — they explain why the request came.
-                stats.files_written += 1
-                stats.bytes_written += size
-                if self._m_writes is not None:
-                    self._m_writes.inc()
-                if self.ledger is not None:
-                    cause = self.write_cause
-                    if cause == "admission_accept":
-                        cause = "staging_promote"
-                    self.ledger.record_write(cause, size, model=self.model_label)
-            return True
-        admit = (
-            self.admission.should_admit(index, oid, size)
-            if self.admission is not None
-            else True
-        )
-        result = self.policy.access(oid, size, admit=admit)
-        if not admit:
-            stats.admissions_denied += 1
-            if self._m_denied is not None:
-                self._m_denied.inc()
-            if self.ledger is not None:
-                self.ledger.record_avoided(size, model=self.model_label)
-        if result.inserted:
-            stats.files_written += 1
-            stats.bytes_written += size
-            if self._m_writes is not None:
-                self._m_writes.inc()
-            if self.ledger is not None:
-                cause = self.write_cause
-                if cause == "admission_accept" and getattr(
-                    self.policy, "last_insert_was_churn", False
-                ):
-                    # A learned eviction policy re-admitted its own victim:
-                    # the flash write pays for an eviction misprediction,
-                    # not for new bytes.  Router-set causes (flood/rewarm)
-                    # keep precedence — they explain *why the request came*,
-                    # churn only refines the default.
-                    cause = "eviction_churn"
-                self.ledger.record_write(cause, size, model=self.model_label)
-        if self._m_misses is not None:
-            self._m_misses.inc()
-        return False
+        """Serve one request; returns True on hit."""
+        return self._step(index, oid, size, False).hit
 
     def fill(self, index: int, oid: int, size: int) -> bool:
         """Replica write-through: offer ``oid`` without serving a request.
@@ -183,46 +106,53 @@ class CacheNode:
         object so their copies stay warm for failover.  A resident copy is
         refreshed (recency touch); a non-resident one goes through this
         node's own admission filter.  No request/hit counters move — only
-        write counters when an insertion happens.  Returns True iff the
-        object was written.
+        the write-side ones.  Returns True iff the object was written.
         """
+        return self._step(index, oid, size, True).inserted
+
+    def _step(self, index: int, oid: int, size: int, fill: bool) -> AccessResult:
+        """:func:`~repro.cache.simulator.request_step` + this node's books.
+
+        Counters, metrics and the ledger cause are all derived from the
+        step's ``(result, denied)`` — nothing here feeds back into it.
+        """
+        result, denied = request_step(self.policy, self.admission, index, oid, size)
         stats = self.stats
-        if oid in self.policy:
-            result = self.policy.access(oid, size)
+        if fill:
+            # An offer, not a request: only the write-side counters move.
             if result.inserted:
-                # Staging tier: the replica touch pushed a staged object
-                # over its flashiness bar.  The write is still a replica-
-                # driven one, so it stays under ``replica_fill`` (keeps
-                # the phase-level replica_writes reconciliation exact).
                 stats.files_written += 1
                 stats.bytes_written += size
-                if self._m_writes is not None:
-                    self._m_writes.inc()
-                if self.ledger is not None:
-                    self.ledger.record_write(
-                        "replica_fill", size, model=self.model_label
-                    )
-                return True
-            return False
-        admit = (
-            self.admission.should_admit(index, oid, size)
-            if self.admission is not None
-            else True
-        )
-        result = self.policy.access(oid, size, admit=admit)
-        if not admit:
-            stats.admissions_denied += 1
+            stats.evictions += len(result.evicted)
+            if denied:
+                stats.admissions_denied += 1
+        else:
+            stats.record(size, result, denied)
+            served = self._m_hits if result.hit else self._m_misses
+            if served is not None:
+                served.inc()
+        if denied:
             if self._m_denied is not None:
                 self._m_denied.inc()
             if self.ledger is not None:
                 self.ledger.record_avoided(size, model=self.model_label)
         if result.inserted:
-            stats.files_written += 1
-            stats.bytes_written += size
             if self._m_writes is not None:
                 self._m_writes.inc()
             if self.ledger is not None:
-                self.ledger.record_write(
-                    "replica_fill", size, model=self.model_label
-                )
-        return result.inserted
+                # A replica-driven write stays ``replica_fill`` (keeps the
+                # phase-level replica_writes reconciliation exact), and
+                # router-set causes (flood/rewarm) keep precedence — they
+                # explain *why the request came*.  Only the default is
+                # refined: a hit that inserts is a staging tier paying the
+                # flash write it deferred at miss time, and a learned
+                # eviction policy re-admitting its own victim pays for an
+                # eviction misprediction, not for new bytes.
+                cause = "replica_fill" if fill else self.write_cause
+                if cause == "admission_accept":
+                    if result.hit:
+                        cause = "staging_promote"
+                    elif getattr(self.policy, "last_insert_was_churn", False):
+                        cause = "eviction_churn"
+                self.ledger.record_write(cause, size, model=self.model_label)
+        return result

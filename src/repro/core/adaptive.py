@@ -135,11 +135,10 @@ class AdaptiveThresholdAdmission(AdmissionPolicy):
         if self._scores[index] < self.tau:
             self._pending.append((index, False))
             return True
-        if self.history.rectify(oid, index, self.m_threshold):
+        if self.history.overrules(oid, index, self.m_threshold):
             self.rectified_admits += 1
             self._pending.append((index, False))
             return True
-        self.history.record(oid, index)
         self.denied += 1
         self._pending.append((index, True))
         return False

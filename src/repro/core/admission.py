@@ -116,7 +116,9 @@ class ClassifierAdmission(AdmissionPolicy):
         Boolean/int verdict per trace position (1 = predicted one-time).
         Predictions are computed up front (offline classification, §4.2) —
         they depend only on request-time features, so batching them does
-        not change semantics, only speed.
+        not change semantics, only speed.  A ``bool`` array is kept by
+        reference, not copied: the served node fills its column one
+        micro-batch ahead of the replay that reads it.
     m_threshold:
         The criterion window used by the history-table rectification.
     history_table:
@@ -161,10 +163,9 @@ class ClassifierAdmission(AdmissionPolicy):
         if not self._pred[index]:
             return True  # predicted to be re-accessed → cache it
         # Predicted one-time: the history table may overrule (§4.4.2).
-        if self.history.rectify(oid, index, self.m_threshold):
+        if self.history.overrules(oid, index, self.m_threshold):
             self.rectified_admits += 1
             return True
-        self.history.record(oid, index)
         self.denied += 1
         return False
 

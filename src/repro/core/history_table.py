@@ -66,6 +66,18 @@ class HistoryTable:
             return True
         return False
 
+    def overrules(self, oid: int, index: int, m_threshold: float) -> bool:
+        """The whole §4.4.2 rule for a miss the classifier judged one-time.
+
+        True — the table overrules the verdict (``oid`` was tabled within
+        ``m_threshold`` requests; admit it).  False — the verdict stands:
+        it is tabled at ``index`` and the caller denies admission.
+        """
+        if self.rectify(oid, index, m_threshold):
+            return True
+        self.record(oid, index)
+        return False
+
     def clear(self) -> None:
         self._entries.clear()
         self.rectifications = 0

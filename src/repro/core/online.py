@@ -410,10 +410,9 @@ class OnlineClassifierAdmission(AdmissionPolicy):
 
         if verdict != self.pos_label:
             return True
-        if self.history.rectify(oid, index, self.m_threshold):
+        if self.history.overrules(oid, index, self.m_threshold):
             self.rectified_admits += 1
             return True
-        self.history.record(oid, index)
         self.denied += 1
         return False
 

@@ -14,18 +14,19 @@ uniform workload almost losslessly), dipping when a fault is active.  CI
 tracks the gap over time (``benchmarks/bench_trend.py``): a commit that
 widens it regressed failover behaviour, not the workload.
 
-The replay mirrors :func:`repro.cache.simulator.simulate`'s admission
-branch exactly (``access_if_present`` then ``access(..., admit=ok)``), so
-oracle rates are directly comparable with every single-node figure in the
-repo.
+The replay *is* :func:`repro.cache.simulator.replay_range` — the loop
+behind :func:`~repro.cache.simulator.simulate` — called once per phase
+with a fresh :class:`~repro.cache.base.CacheStats`, so oracle rates are
+directly comparable with every single-node figure in the repo (hit-path
+inserts, i.e. staging promotions, included).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.base import AdmissionPolicy
-from repro.cache.simulator import make_policy
+from repro.cache.base import AdmissionPolicy, CacheStats
+from repro.cache.simulator import make_policy, replay_range
 from repro.core.admission import NoisyOracleAdmission, OracleAdmission
 from repro.scenario.spec import ScenarioSpec
 from repro.trace.records import Trace
@@ -83,37 +84,15 @@ def run_oracle(
 
     oids = merged.object_ids
     sizes = merged.catalog["size"][oids]
-    oid_list = oids.tolist()
-    size_list = sizes.tolist()
-
-    access = policy.access
-    if admission is not None:
-        should_admit = admission.should_admit
-        on_hit = admission.on_hit
-        access_if_present = policy.access_if_present
-
     phases: list[dict] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
-        hits = writes = 0
-        if admission is None:
-            for i in range(lo, hi):
-                result = access(oid_list[i], size_list[i])
-                if result.hit:
-                    hits += 1
-                elif result.inserted:
-                    writes += 1
-        else:
-            for i in range(lo, hi):
-                oid = oid_list[i]
-                size = size_list[i]
-                result = access_if_present(oid, size)
-                if result is not None:
-                    on_hit(i, oid, size)
-                    hits += 1
-                    continue
-                ok = should_admit(i, oid, size)
-                result = access(oid, size, admit=ok)
-                if result.inserted:
-                    writes += 1
-        phases.append({"requests": hi - lo, "hits": hits, "writes": writes})
+        stats = CacheStats()  # fresh per phase: the counters *are* the phase
+        replay_range(policy, admission, None, stats, oids, sizes, lo, hi)
+        phases.append(
+            {
+                "requests": stats.requests,
+                "hits": stats.hits,
+                "writes": stats.files_written,
+            }
+        )
     return phases

@@ -6,8 +6,9 @@ Two layers, deliberately separated:
   state (DRAM+SSD hierarchy, online feature tracker, classifier, history
   table, statistics).  Its only mutation entry point is
   :meth:`CacheNode.process_batch`, which replays a contiguous run of
-  trace positions exactly as :func:`repro.cache.simulator.simulate`
-  would — so a served replay is bit-identical to the offline simulation
+  trace positions through :func:`repro.cache.simulator.replay_range` —
+  the loop :func:`~repro.cache.simulator.simulate` itself runs — so a
+  served replay is bit-identical to the offline simulation
   (:func:`replay_offline` builds the reference stack; the equivalence is
   tested).
 * :class:`CacheNodeServer` — the asyncio TCP front end.  Connection
@@ -20,11 +21,15 @@ Two layers, deliberately separated:
 
 Micro-batching: classifier features depend only on the *request stream*
 (never on cache state), so the writer computes feature rows for a whole
-batch, runs **one** vectorised ``model.predict`` call, and only then
-applies verdicts + history-table rectification + cache accesses in strict
-trace order.  Admission semantics are unchanged — the verdict for a
-request that turns out to hit is simply discarded, exactly as the offline
-path never computes it.
+batch, runs **one** vectorised ``model.predict`` call, writes the verdicts
+into a prediction column, and only then replays the batch in strict trace
+order through a persistent
+:class:`~repro.core.admission.ClassifierAdmission` reading that column
+(verdict + §4.4.2 history table).  Admission semantics are unchanged —
+the verdict for a request that turns out to hit is simply never read,
+exactly as the offline path never computes it.  Replies, the denied mask,
+drift, decision-trace events and ledger deltas are all derived from the
+loop's per-request outcomes afterwards.
 
 The model reference is read **once per batch**, so
 :meth:`CacheNode.install_model` (the retrainer's atomic swap) can never
@@ -38,13 +43,14 @@ import contextlib
 import signal
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from repro.cache.base import CachePolicy, CacheStats
 from repro.cache.hierarchy import HierarchicalCache
-from repro.cache.simulator import SimulationResult, make_policy, simulate
-from repro.core.admission import AlwaysAdmit
+from repro.cache.simulator import SimulationResult, make_policy, replay_range, simulate
+from repro.core.admission import ClassifierAdmission
 from repro.core.criteria import Criteria, solve_criteria
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
@@ -105,11 +111,6 @@ class NodeConfig:
     min_train_samples: int = 50
     seed: int = 0
     max_batch: int = 256
-    #: Fill the micro-batch feature matrix with the tracker's vectorised
-    #: columnar gathers (``features_into_batch``).  Off = the per-row
-    #: ``features_into`` loop; verdicts, counters and ledger totals are
-    #: bit-identical either way (tested + asserted by the throughput bench).
-    columnar: bool = True
     #: Bound on every timing structure (t_classify / decision / service
     #: latency reservoirs): O(timing_capacity) memory however long the
     #: node runs, with exact counts and sampled percentiles.
@@ -187,25 +188,21 @@ def replay_offline(trace: Trace, cfg: NodeConfig, *, model=None) -> SimulationRe
     same trace (without retraining) must report the same hit/write
     counters — the acceptance test for the serving layer.
     """
-    cache = build_cache(trace, cfg)
-    if not cfg.classifier:
-        return simulate(
-            trace, cache, admission=AlwaysAdmit(), policy_name=cfg.policy
-        )
-    criteria = solve_node_criteria(trace, cfg)
-    if model is None:
-        model = train_seed_model(trace, cfg, criteria)
-    if model is None:
-        return simulate(
-            trace, cache, admission=AlwaysAdmit(), policy_name=cfg.policy
-        )
-    admission = OnlineClassifierAdmission(
-        model,
-        OnlineFeatureTracker(trace),
-        criteria.m_threshold,
-        HistoryTable(history_capacity(criteria)),
+    admission = None
+    if cfg.classifier:
+        criteria = solve_node_criteria(trace, cfg)
+        if model is None:
+            model = train_seed_model(trace, cfg, criteria)
+        if model is not None:
+            admission = OnlineClassifierAdmission(
+                model,
+                OnlineFeatureTracker(trace),
+                criteria.m_threshold,
+                HistoryTable(history_capacity(criteria)),
+            )
+    return simulate(
+        trace, build_cache(trace, cfg), admission=admission, policy_name=cfg.policy
     )
-    return simulate(trace, cache, admission=admission, policy_name=cfg.policy)
 
 
 class CacheNode:
@@ -246,7 +243,7 @@ class CacheNode:
         self._predictor = None  # compiled twin of self.model (fastpath)
         self.model_version = 0
         self.tracker: OnlineFeatureTracker | None = None
-        self.history: HistoryTable | None = None
+        self.admission: ClassifierAdmission | None = None
         self._rows: np.ndarray | None = None
         if self.cfg.classifier:
             self.criteria = solve_node_criteria(trace, self.cfg)
@@ -255,7 +252,16 @@ class CacheNode:
                 self.model_version = 1
                 self._predictor = fast_predictor(self.model)
                 self.tracker = OnlineFeatureTracker(trace)
-                self.history = HistoryTable(history_capacity(self.criteria))
+                # The node-owned prediction column: each micro-batch writes
+                # its verdicts here just before replaying itself through
+                # this persistent admission (which reads the column by
+                # reference and applies the §4.4.2 history table).
+                self._predicted = np.zeros(trace.n_accesses, dtype=bool)
+                self.admission = ClassifierAdmission(
+                    self._predicted,
+                    self.criteria.m_threshold,
+                    HistoryTable(history_capacity(self.criteria)),
+                )
                 # Reused micro-batch feature buffer; oversized batches
                 # (direct process_batch callers) fall back to a fresh array.
                 self._rows = np.empty(
@@ -380,7 +386,7 @@ class CacheNode:
 
     @property
     def rectified_admits(self) -> int:
-        return self.history.rectifications if self.history is not None else 0
+        return getattr(self.admission, "rectified_admits", 0)
 
     def expected_oid(self, index: int) -> int:
         """The object id the loaded trace holds at ``index`` (validation)."""
@@ -411,14 +417,6 @@ class CacheNode:
         """
         self.model = model
         self._predictor = fast_predictor(model) if model is not None else None
-        if (
-            self._rows is None
-            and model is not None
-            and self.tracker is not None
-        ):
-            self._rows = np.empty(
-                (max(1, self.cfg.max_batch), len(self.tracker.feature_names))
-            )
         self.model_version += 1
         self._m_model_version.set(self.model_version)
         logger.info(
@@ -436,8 +434,7 @@ class CacheNode:
         self.classify_timing.clear()
         if self.tracker is not None:
             self.tracker.reset()
-        if self.history is not None:
-            self.history.clear()
+            self.admission.reset()
         if self.tracer is not None:
             self.tracer.clear()
         if self.drift is not None:
@@ -471,39 +468,37 @@ class CacheNode:
 
     def _process_batch(self, indices: list[int], spans) -> list[dict]:
         n = len(indices)
-        if indices[0] != self.processed or indices[-1] != self.processed + n - 1:
+        lo = self.processed
+        hi = lo + n
+        if indices[0] != lo or indices[-1] != hi - 1:
             raise ValueError(
                 f"batch [{indices[0]}, {indices[-1]}] is not the contiguous "
-                f"run starting at {self.processed}"
+                f"run starting at {lo}"
             )
 
         predictor = self._predictor  # single read: the retrainer swap point
         tracker = self.tracker
+        admission = None
         verdicts = None
         rows = None
         t_classify = 0.0
         if predictor is not None and tracker is not None:
             t0 = time.perf_counter_ns()
-            buf = self._rows
             rows = (
-                buf[:n]
-                if buf is not None and n <= buf.shape[0]
+                self._rows[:n]
+                if n <= len(self._rows)
                 else np.empty((n, len(tracker.feature_names)))
             )
-            if self.cfg.columnar:
-                # One vectorised catalog gather per feature column; state
-                # advance included (bit-identical to the row loop below).
-                tracker.features_into_batch(indices, rows)
-            else:
-                features_into = tracker.features_into
-                observe = tracker.observe
-                for row, i in enumerate(indices):
-                    features_into(i, rows[row])
-                    observe(i)
+            # One vectorised catalog gather per feature column; state
+            # advance included (bit-identical to a per-row features_into +
+            # observe loop).
+            tracker.features_into_batch(indices, rows)
             t_feat = time.perf_counter_ns()
             # One vectorised call through the compiled tree's batch twin.
             verdicts = predictor.predict(rows)
             t_inf = time.perf_counter_ns()
+            np.equal(verdicts, ONE_TIME, out=self._predicted[lo:hi])
+            admission = self.admission
             t_classify = (t_inf - t0) * 1e-9 / n
             self.classify_timing.add_repeated(t_classify, n)
             self._m_classify.observe_many(t_classify, n)
@@ -514,113 +509,97 @@ class CacheNode:
                           args={"rows": n})
                 spans.add("batch_inference", "node", t_feat, t_inf)
 
-        stats = self.stats
-        hits0, bytes_hit0 = stats.hits, stats.bytes_hit
-        written0, bytes_written0 = stats.files_written, stats.bytes_written
-        denied0, evicted0 = stats.admissions_denied, stats.evictions
-        requests0, bytes_req0 = stats.requests, stats.bytes_requested
-        rectified0 = self.history.rectifications if self.history else 0
-
-        cache = self.cache
-        access = cache.access
-        history = self.history
-        tracer = self.tracer
-        drift = self.drift
-        stats_record = stats.record
-        m_threshold = self.criteria.m_threshold if self.criteria else 0.0
+        # The request loop is the simulator's, counted into a fresh
+        # CacheStats (the batch's own counters).  Everything below it is
+        # derived from those and the per-request outcomes it hands back,
+        # so none of it can feed back into cache state.
+        batch = CacheStats()
+        rectified0 = self.rectified_admits
         oid_list, size_list = self._oid_list, self._size_list
-        denied_bytes = 0
+        outcomes: list = []
         t_loop0 = time.perf_counter_ns()
-        out = []
-        for row, i in enumerate(indices):
-            oid = oid_list[i]
-            size = size_list[i]
-            rectified = False
-            if oid in cache:
-                result = access(oid, size)
-                denied = False
-            else:
-                if verdicts is None or verdicts[row] != ONE_TIME:
-                    admit = True
-                elif history.rectify(oid, i, m_threshold):
-                    admit = True
-                    rectified = True
-                else:
-                    history.record(oid, i)
-                    admit = False
-                result = access(oid, size, admit=admit)
-                denied = not admit
-            stats_record(size, result, denied)
-            if denied:
-                self.denied_mask[i] = True
-                denied_bytes += size
-            if drift is not None:
-                drift.observe(i, oid, denied)
-            if tracer is not None and tracer.should_sample(i):
-                tracer.record(
-                    {
-                        "index": i,
-                        "object_id": oid,
-                        "trace_time": float(self._ts[i]),
-                        "hit": result.hit,
-                        "verdict": int(verdicts[row]) if verdicts is not None else None,
-                        "denied": denied,
-                        "rectified": rectified,
-                        "features": rows[row].tolist() if rows is not None else None,
-                        "t_classify": t_classify,
-                    }
-                )
-            out.append(
-                {
-                    "ok": True,
-                    "op": "GET",
-                    "index": i,
-                    "hit": result.hit,
-                    "admitted": result.inserted,
-                    "denied": denied,
-                }
-            )
-        self.processed += n
+        replay_range(
+            self.cache, admission, None, batch, oid_list, size_list, lo, hi,
+            outcomes=outcomes,
+        )
+        self.stats += batch
+        self.processed = hi
+        out = [
+            {
+                "ok": True,
+                "op": "GET",
+                "index": i,
+                "hit": result.hit,
+                "admitted": result.inserted,
+                "denied": denied,
+            }
+            for i, (result, denied) in zip(indices, outcomes)
+        ]
+        denied_bytes = 0
+        if batch.admissions_denied:
+            denied = [d for _, d in outcomes]
+            self.denied_mask[lo:hi] = denied
+            denied_bytes = sum(compress(size_list[lo:hi], denied))
         t_loop1 = time.perf_counter_ns()
         self._m_stage_cache.observe((t_loop1 - t_loop0) * 1e-9)
         if spans is not None:
             spans.add("cache_ops", "node", t_loop0, t_loop1,
                       args={"requests": n})
 
-        # Registry counters advance by the batch's stats deltas: one inc per
+        drift = self.drift
+        if drift is not None:
+            for i, (_, denied) in zip(indices, outcomes):
+                drift.observe(i, oid_list[i], denied)
+        tracer = self.tracer
+        if tracer is not None:
+            for row, i in enumerate(indices):
+                if not tracer.should_sample(i):
+                    continue
+                result, denied = outcomes[row]
+                one_time = verdicts is not None and verdicts[row] == ONE_TIME
+                tracer.record(
+                    {
+                        "index": i,
+                        "object_id": oid_list[i],
+                        "trace_time": float(self._ts[i]),
+                        "hit": result.hit,
+                        "verdict": int(verdicts[row]) if verdicts is not None else None,
+                        "denied": denied,
+                        # A one-time verdict on a miss that was admitted
+                        # anyway: only the history table does that.
+                        "rectified": bool(one_time and not result.hit and not denied),
+                        "features": rows[row].tolist() if rows is not None else None,
+                        "t_classify": t_classify,
+                    }
+                )
+
+        # Registry counters advance by the batch's counters: one inc per
         # metric per batch keeps the request loop unchanged while STATS and
         # /metrics can never drift apart.
-        hits_d = stats.hits - hits0
-        self._m_hits.inc(hits_d)
-        self._m_misses.inc(stats.requests - requests0 - hits_d)
-        hit_bytes_d = stats.bytes_hit - bytes_hit0
-        self._m_hit_bytes.inc(hit_bytes_d)
-        self._m_miss_bytes.inc(stats.bytes_requested - bytes_req0 - hit_bytes_d)
-        self._m_writes.inc(stats.files_written - written0)
-        self._m_write_bytes.inc(stats.bytes_written - bytes_written0)
-        self._m_evictions.inc(stats.evictions - evicted0)
-        self._m_denied.inc(stats.admissions_denied - denied0)
-        if self.history is not None:
-            self._m_rectified.inc(self.history.rectifications - rectified0)
-        self._m_position.set(self.processed)
+        self._m_hits.inc(batch.hits)
+        self._m_misses.inc(batch.misses)
+        self._m_hit_bytes.inc(batch.bytes_hit)
+        self._m_miss_bytes.inc(batch.bytes_requested - batch.bytes_hit)
+        self._m_writes.inc(batch.files_written)
+        self._m_write_bytes.inc(batch.bytes_written)
+        self._m_evictions.inc(batch.evictions)
+        self._m_denied.inc(batch.admissions_denied)
+        self._m_rectified.inc(self.rectified_admits - rectified0)
+        self._m_position.set(hi)
 
-        # Write provenance (exact, batch-delta): on a single node every
+        # Write provenance (exact, per batch): on a single node every
         # insert is an admission accept by the model version that served
         # this batch — the model reference is read once per batch, so the
         # label can never straddle a swap.
-        writes_d = stats.files_written - written0
         model_label = f"v{self.model_version}"
-        if writes_d:
+        if batch.files_written:
             self.ledger.record_write(
-                "admission_accept",
-                stats.bytes_written - bytes_written0,
-                model=model_label,
-                n=writes_d,
+                "admission_accept", batch.bytes_written,
+                model=model_label, n=batch.files_written,
             )
-        denied_d = stats.admissions_denied - denied0
-        if denied_d:
+        if batch.admissions_denied:
             self.ledger.record_avoided(
-                denied_bytes, model=model_label, n=denied_d
+                denied_bytes, model=model_label, n=batch.admissions_denied
             )
 
         # Sampler-accounting gauges (cheap: once per batch).

@@ -7,7 +7,6 @@ from repro.cache import LRUCache
 from repro.cluster import (
     CacheNode,
     TwoTierCluster,
-    simulate_cluster,
     simulate_cluster_with_events,
 )
 from repro.trace import WorkloadConfig, generate_trace
@@ -120,13 +119,6 @@ class TestStatsRetirement:
 
 
 class TestEventSimulation:
-    def test_no_events_matches_plain_simulation(self, trace):
-        plain = simulate_cluster(trace, build(trace))
-        evented, series = simulate_cluster_with_events(trace, build(trace), [])
-        assert evented.oc_hits == plain.oc_hits
-        assert evented.dc_hits == plain.dc_hits
-        assert np.nansum(series * 1) >= 0
-
     def test_node_failure_dips_then_recovers(self, trace):
         """Compare against a no-failure run of the *same* trace: diurnal
         hit-rate swings are common-mode and cancel out."""

@@ -33,6 +33,19 @@ class TestHistoryTable:
         t = HistoryTable(capacity=10)
         assert t.rectify(1, 5, 100) is False
 
+    def test_overrules_is_rectify_else_table_the_verdict(self):
+        """The whole §4.4.2 rule: first one-time verdict is tabled and
+        stands; a renewed miss inside the window overrules it (and forgets
+        the entry); one outside the window re-tables at the new index."""
+        t = HistoryTable(capacity=10)
+        assert t.overrules(42, index=100, m_threshold=100) is False
+        assert 42 in t
+        assert t.overrules(42, index=150, m_threshold=100) is True
+        assert 42 not in t and t.rectifications == 1
+        assert t.overrules(42, index=200, m_threshold=100) is False
+        assert t.overrules(42, index=400, m_threshold=100) is False  # too late
+        assert t.overrules(42, index=450, m_threshold=100) is True   # vs 400
+
     def test_fifo_eviction(self):
         t = HistoryTable(capacity=3)
         for oid in (1, 2, 3):

@@ -2,10 +2,10 @@
 
 The serving hot path fills a whole micro-batch's feature matrix with one
 vectorised call instead of a per-row loop.  The contract is *bit-identical
-rows and end state*: any divergence would silently change admission
-verdicts between the columnar and row serving modes, which the throughput
-bench asserts never happens.  These are the unit-level twins of that
-assertion, property-tested over random batch partitions.
+rows and end state* against the per-row ``features_into`` + ``observe``
+pair — the path the offline replay still takes, kept here as the
+reference — so a served verdict can never differ from a replayed one.
+Property-tested over random batch partitions.
 """
 
 import numpy as np

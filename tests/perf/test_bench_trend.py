@@ -171,42 +171,44 @@ def server_report(*, quick=False, speedup=3.3, **rps_per_mode):
 
 class TestCompareServerReports:
     def test_rate_drop_beyond_threshold_fails(self):
-        base = server_report(**{"json-row": 30_000.0, "binary-columnar": 95_000.0})
-        cur = server_report(**{"json-row": 30_000.0, "binary-columnar": 70_000.0})
+        base = server_report(**{"json": 30_000.0, "binary": 95_000.0})
+        cur = server_report(**{"json": 30_000.0, "binary": 70_000.0})
         result = bench_trend.compare_server_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == ["binary-columnar"]
+        assert result["regressions"] == ["binary"]
 
     def test_drop_within_threshold_passes(self):
-        base = server_report(**{"binary-columnar": 100_000.0})
-        cur = server_report(**{"binary-columnar": 85_000.0})  # -15% > -20%
+        base = server_report(**{"binary": 100_000.0})
+        cur = server_report(**{"binary": 85_000.0})  # -15% > -20%
         result = bench_trend.compare_server_reports(base, cur, threshold=0.20)
         assert result["regressions"] == []
         assert result["rows"][0]["delta"] == pytest.approx(-0.15)
 
     def test_rate_gain_never_fails(self):
-        base = server_report(**{"binary-columnar": 50_000.0})
-        cur = server_report(**{"binary-columnar": 100_000.0})
+        base = server_report(**{"binary": 50_000.0})
+        cur = server_report(**{"binary": 100_000.0})
         result = bench_trend.compare_server_reports(base, cur)
         assert result["regressions"] == []
         assert result["rows"][0]["delta"] == pytest.approx(1.0)
 
     def test_added_and_removed_modes_reported_not_failed(self):
-        base = server_report(**{"json-row": 1.0, "binary-columnar-uvloop": 2.0})
-        cur = server_report(**{"json-row": 1.0, "binary-row": 3.0})
+        # e.g. the PR that dropped the row/columnar axis, on a host that
+        # gained the uvloop wheel: old labels go, new ones arrive.
+        base = server_report(**{"json": 1.0, "binary-columnar": 2.0})
+        cur = server_report(**{"json": 1.0, "binary-uvloop": 3.0})
         result = bench_trend.compare_server_reports(base, cur)
-        assert result["added"] == ["binary-row"]
-        assert result["removed"] == ["binary-columnar-uvloop"]
+        assert result["added"] == ["binary-uvloop"]
+        assert result["removed"] == ["binary-columnar"]
         assert result["regressions"] == []
 
     def test_zero_baseline_does_not_divide(self):
-        base = server_report(**{"json-row": 0.0})
-        cur = server_report(**{"json-row": 10.0})
+        base = server_report(**{"json": 0.0})
+        cur = server_report(**{"json": 10.0})
         result = bench_trend.compare_server_reports(base, cur)
         assert result["regressions"] == []
 
     def test_markdown_carries_speedup_and_status(self):
-        base = server_report(speedup=3.5, **{"binary-columnar": 100_000.0})
-        cur = server_report(speedup=2.0, **{"binary-columnar": 60_000.0})
+        base = server_report(speedup=3.5, **{"binary": 100_000.0})
+        cur = server_report(speedup=2.0, **{"binary": 60_000.0})
         table = bench_trend.format_server_markdown(
             bench_trend.compare_server_reports(base, cur)
         )
@@ -215,7 +217,7 @@ class TestCompareServerReports:
         assert "3.50× → 2.00×" in table
 
     def test_markdown_clean_run_says_so(self):
-        rep = server_report(**{"json-row": 10.0})
+        rep = server_report(**{"json": 10.0})
         table = bench_trend.format_server_markdown(
             bench_trend.compare_server_reports(rep, rep)
         )
@@ -456,7 +458,7 @@ class TestMain:
             tmp_path, "scn.json", scenario_report([(0.9, 0.9)])
         )
         server = self._write(
-            tmp_path, "srv.json", server_report(**{"json-row": 1.0})
+            tmp_path, "srv.json", server_report(**{"json": 1.0})
         )
         assert bench_trend.main(
             ["--baseline", hotpath, "--current", scenario]
@@ -514,17 +516,17 @@ class TestMain:
         base = self._write(
             tmp_path,
             "base.json",
-            server_report(**{"json-row": 30_000.0, "binary-columnar": 95_000.0}),
+            server_report(**{"json": 30_000.0, "binary": 95_000.0}),
         )
         clean = self._write(
             tmp_path,
             "clean.json",
-            server_report(**{"json-row": 31_000.0, "binary-columnar": 93_000.0}),
+            server_report(**{"json": 31_000.0, "binary": 93_000.0}),
         )
         worse = self._write(
             tmp_path,
             "worse.json",
-            server_report(**{"json-row": 30_000.0, "binary-columnar": 40_000.0}),
+            server_report(**{"json": 30_000.0, "binary": 40_000.0}),
         )
         assert bench_trend.main(["--baseline", base, "--current", clean]) == 0
         assert bench_trend.main(["--baseline", base, "--current", worse]) == 1

@@ -37,27 +37,19 @@ CFG = NodeConfig(capacity_fraction=0.02)
 
 
 class TestBatchParity:
+    """Batched inference (served) vs per-row inference (``replay_offline``).
+
+    Both sides share one request loop; what differs — and what these pin —
+    is how the verdicts get made.  Loop-vs-loop agreement (no classifier,
+    batch-size invariance) lives in ``tests/cache/test_request_loop.py``.
+    """
+
     def test_classified_node_matches_offline_simulate(self, tiny_trace):
         node = CacheNode(tiny_trace, CFG)
         assert node.model is not None  # the interesting path
         drive(node, batch_sizes=(1, 7, 64, 256, 13))
         ref = replay_offline(tiny_trace, CFG)
         assert_stats_equal(node.stats, ref.stats)
-
-    def test_unclassified_node_matches_offline_simulate(self, tiny_trace):
-        cfg = NodeConfig(capacity_fraction=0.02, classifier=False)
-        node = CacheNode(tiny_trace, cfg)
-        drive(node, batch_sizes=(32,))
-        ref = replay_offline(tiny_trace, cfg)
-        assert_stats_equal(node.stats, ref.stats)
-
-    def test_batch_size_invariance(self, tiny_trace):
-        one = CacheNode(tiny_trace, CFG)
-        drive(one, batch_sizes=(1,))
-        big = CacheNode(tiny_trace, CFG)
-        drive(big, batch_sizes=(256,))
-        assert_stats_equal(one.stats, big.stats)
-        assert one.rectified_admits == big.rectified_admits
 
     def test_plain_ssd_tier_without_dram(self, tiny_trace):
         cfg = NodeConfig(capacity_fraction=0.02, dram_fraction=0.0)
