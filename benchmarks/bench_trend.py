@@ -1,9 +1,9 @@
 """Bench-trend gate: diff two benchmark JSON reports in CI.
 
-The perf-smoke, scenario-smoke and server-throughput-smoke jobs upload
-their reports as artifacts on every run; on the next run they download
-the previous report and call this script to diff it against the fresh
-one.  Three report kinds are understood, dispatched on the reports'
+The perf-smoke, scenario-smoke, learned-eviction-smoke and staging-smoke
+jobs upload their reports as artifacts on every run; on the next run they
+download the previous report and call this script to diff it against the
+fresh one.  Four report kinds are understood, dispatched on the reports'
 ``"kind"`` field:
 
 * **hot-path reports** (``BENCH_hotpath.json``, no kind tag): ns/op per
@@ -16,10 +16,6 @@ one.  Three report kinds are understood, dispatched on the reports'
   single cache.  A phase whose absolute gap grew more than
   ``--threshold`` beyond a small absolute slack fails: the commit made
   failover behaviour worse, not the workload.
-* **server-throughput reports** (``BENCH_server_throughput.json``,
-  ``"kind": "server_throughput"``): achieved req/s per serving mode
-  (protocol × batching × loop).  A mode more than ``--threshold``
-  *slower* than its baseline fails; faster is always fine.
 * **learned-eviction reports** (``BENCH_learned_eviction.json``,
   ``"kind": "learned_eviction"``): Belady-gap closure per capacity
   point.  Replays are seeded and deterministic, so any drop is a real
@@ -62,12 +58,10 @@ __all__ = [
     "compare_eviction_reports",
     "compare_reports",
     "compare_scenario_reports",
-    "compare_server_reports",
     "compare_staging_reports",
     "format_eviction_markdown",
     "format_markdown",
     "format_scenario_markdown",
-    "format_server_markdown",
     "format_staging_markdown",
     "main",
 ]
@@ -75,7 +69,6 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.20
 
 SCENARIO_KIND = "cluster_scenario"
-SERVER_KIND = "server_throughput"
 EVICTION_KIND = "learned_eviction"
 #: Absolute slack added on top of the relative threshold when gating
 #: oracle gaps: a gap moving 0.001 → 0.002 is +100 % relative but pure
@@ -264,98 +257,6 @@ def format_scenario_markdown(result: dict) -> str:
                   + ", ".join(f"`{r}`" for r in result["regressions"])]
     else:
         lines += ["", "No phase's oracle gap regressed beyond the threshold."]
-    return "\n".join(lines)
-
-
-def compare_server_reports(
-    baseline: dict, current: dict, *, threshold: float = DEFAULT_THRESHOLD
-) -> dict:
-    """Diff per-mode achieved req/s between two throughput reports.
-
-    Modes are matched by label (``json``, ``binary``, …);
-    labels present on only one side (a mode was added, or the uvloop
-    wheel appeared/disappeared) are listed but never fail the gate.  A
-    shared mode regresses when its rate *dropped* by more than
-    ``threshold``: ``current < baseline * (1 - threshold)``.
-    """
-    base_modes = baseline.get("modes", {})
-    cur_modes = current.get("modes", {})
-    shared = sorted(set(base_modes) & set(cur_modes))
-    rows = []
-    regressions = []
-    for label in shared:
-        b = base_modes[label]["requests_per_second"]
-        c = cur_modes[label]["requests_per_second"]
-        delta = (c - b) / b if b > 0 else 0.0
-        rows.append(
-            {
-                "mode": label,
-                "baseline_rps": b,
-                "current_rps": c,
-                "delta": delta,
-            }
-        )
-        if delta < -threshold:
-            regressions.append(label)
-    return {
-        "rows": rows,
-        "added": sorted(set(cur_modes) - set(base_modes)),
-        "removed": sorted(set(base_modes) - set(cur_modes)),
-        "regressions": regressions,
-        "threshold": threshold,
-        "speedup": {
-            "baseline": baseline.get("speedup"),
-            "current": current.get("speedup"),
-        },
-        "modes": {
-            "baseline": "quick" if baseline.get("quick") else "full",
-            "current": "quick" if current.get("quick") else "full",
-        },
-    }
-
-
-def format_server_markdown(result: dict) -> str:
-    """GitHub-flavoured markdown for the serving-throughput trend."""
-    modes = result["modes"]
-    lines = [
-        "## Serving-throughput trend",
-        "",
-        f"Threshold: **{100 * result['threshold']:.0f}%** fewer req/s fails "
-        f"(baseline: {modes['baseline']} mode, current: {modes['current']} "
-        "mode).",
-        "",
-        "| mode | baseline req/s | current req/s | delta | status |",
-        "|---|---:|---:|---:|---|",
-    ]
-    for row in result["rows"]:
-        if row["delta"] < -result["threshold"]:
-            status = "REGRESSION"
-        elif row["delta"] > result["threshold"]:
-            status = "improved"
-        else:
-            status = "ok"
-        lines.append(
-            f"| `{row['mode']}` | {row['baseline_rps']:,.0f} "
-            f"| {row['current_rps']:,.0f} | {_fmt_delta(row['delta'])} "
-            f"| {status} |"
-        )
-    if not result["rows"]:
-        lines.append("| _no shared modes_ | | | | |")
-    speed = result["speedup"]
-    if speed["baseline"] is not None and speed["current"] is not None:
-        lines += ["", f"binary vs json: "
-                  f"{speed['baseline']:.2f}× → {speed['current']:.2f}×"]
-    if result["added"]:
-        lines += ["", "New modes (no baseline): "
-                  + ", ".join(f"`{m}`" for m in result["added"])]
-    if result["removed"]:
-        lines += ["", "Dropped modes: "
-                  + ", ".join(f"`{m}`" for m in result["removed"])]
-    if result["regressions"]:
-        lines += ["", "**FAILED** — throughput regressed beyond threshold: "
-                  + ", ".join(f"`{m}`" for m in result["regressions"])]
-    else:
-        lines += ["", "No mode's throughput regressed beyond the threshold."]
     return "\n".join(lines)
 
 
@@ -633,11 +534,6 @@ def main(argv: list[str] | None = None) -> int:
             baseline, current, threshold=args.threshold
         )
         table = format_scenario_markdown(result)
-    elif cur_kind == SERVER_KIND:
-        result = compare_server_reports(
-            baseline, current, threshold=args.threshold
-        )
-        table = format_server_markdown(result)
     elif cur_kind == EVICTION_KIND:
         result = compare_eviction_reports(
             baseline, current, threshold=args.threshold

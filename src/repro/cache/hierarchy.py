@@ -66,11 +66,11 @@ class HierarchicalCache(CachePolicy):
             self.dram.access(oid, size)
             self.l1_hits += 1
             # Keep L2 recency warm as well if resident there.  Some
-            # policies (e.g. S3LRU promotion overflow) can evict *other*
-            # objects on a hit — those must be propagated.
+            # policies change flash state on a hit — S3LRU promotion
+            # overflow evicts *other* objects, a StagingCache L2 pays a
+            # deferred write — so the L2's own hit result is the answer.
             if oid in self.ssd:
-                result = self.ssd.access(oid, size)
-                return AccessResult(hit=True, evicted=result.evicted)
+                return self.ssd.access(oid, size)
             return AccessResult(hit=True)
 
         if oid in self.ssd:
@@ -78,7 +78,7 @@ class HierarchicalCache(CachePolicy):
             result = self.ssd.access(oid, size)
             # Promote into DRAM (no SSD write involved).
             self.dram.access(oid, size)
-            return AccessResult(hit=True, evicted=result.evicted)
+            return result
 
         # Miss everywhere: DRAM always takes it; SSD only if admitted.
         self.dram.access(oid, size)
@@ -112,8 +112,8 @@ class HierarchicalCache(CachePolicy):
         return cls.with_lru_dram(LRUCache(capacity_bytes), dram_fraction=dram_fraction)
 
     def can_batch_hits(self) -> bool:
-        """Hierarchy hits never insert, so the default exact
-        ``access_batch`` loop is safe whenever the L2 tier batches."""
+        """A hierarchy hit inserts only when its L2 hit does, so the default
+        exact ``access_batch`` loop is safe whenever the L2 tier batches."""
         return self.ssd.can_batch_hits()
 
     # ------------------------------------------------------------ interface

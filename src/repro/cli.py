@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="lru")
     p.add_argument("--capacity-fraction", type=float, default=0.01,
                    help="capacity as a fraction of the trace footprint")
-    p.add_argument("--no-segments", action="store_true",
-                   help="disable vectorised hit-run batching (bit-identical "
-                        "results; for parity checks and timing comparisons)")
 
     p = sub.add_parser("experiment", help="Original/Proposal/Ideal/Belady comparison")
     _add_trace_args(p)
@@ -116,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="hit rate across the paper's capacity axis")
     _add_trace_args(p)
     p.add_argument("--policy", default="lru")
-    p.add_argument("--no-segments", action="store_true",
-                   help="disable vectorised hit-run batching")
 
     p = sub.add_parser(
         "grid",
@@ -141,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multiprocessing start method: inline, fork, spawn "
                         "or forkserver (default: $REPRO_START_METHOD, then "
                         "the platform default)")
-    p.add_argument("--no-segments", action="store_true",
-                   help="disable vectorised hit-run batching")
 
     p = sub.add_parser("analyze", help="workload analysis: Zipf, reuse, stack profile")
     _add_trace_args(p)
@@ -213,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--limit", type=int, default=None,
                    help="replay only the first LIMIT positions from --start")
-    p.add_argument("--protocol", choices=("json", "binary"), default="json",
-                   help="wire protocol for GET replay (binary = compact v2 "
-                        "frames; identical server verdicts and counters)")
     p.add_argument("--no-uvloop", action="store_true",
                    help="stay on the stdlib asyncio loop even when uvloop "
                         "is installed")
@@ -384,8 +374,7 @@ def _cmd_simulate(args) -> int:
     trace = _resolve_trace(args)
     cap = max(1, int(args.capacity_fraction * trace.footprint_bytes))
     result = simulate(
-        trace, make_policy(args.policy, cap, trace), policy_name=args.policy,
-        use_segments=not args.no_segments,
+        trace, make_policy(args.policy, cap, trace), policy_name=args.policy
     )
     s = result.stats
     print(f"policy={args.policy} capacity={cap / 2**20:.1f} MiB")
@@ -418,8 +407,7 @@ def _cmd_sweep(args) -> int:
     print(f"{'paper GB':>9s} {'capacity MiB':>13s} {'hit rate':>9s}")
     for frac in paper_capacity_fractions():
         sc = paper_equivalent_bytes(frac, trace.footprint_bytes)
-        r = simulate(trace, make_policy(args.policy, sc.bytes, trace),
-                     use_segments=not args.no_segments)
+        r = simulate(trace, make_policy(args.policy, sc.bytes, trace))
         print(f"{sc.paper_gb:9.0f} {sc.bytes / 2**20:13.1f} {r.hit_rate:9.4f}")
     return 0
 
@@ -438,7 +426,6 @@ def _cmd_grid(args) -> int:
         trace,
         fractions=args.fractions,
         policies=tuple(args.policies) if args.policies else POLICIES,
-        use_segments=not args.no_segments,
     )
     runner.precompute(max_workers=args.workers, start_method=start_method)
     print(
@@ -587,7 +574,6 @@ def _cmd_loadgen(args) -> int:
                 connections=args.connections,
                 start=args.start,
                 limit=args.limit,
-                protocol=args.protocol,
             ),
             tracer=tracer,
         )

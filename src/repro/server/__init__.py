@@ -2,8 +2,9 @@
 
 Turns the batch-simulation stack into a runnable service:
 
-* :mod:`repro.server.protocol`  — length-prefixed JSON wire format
-  (GET / STATS / RELOAD / RESET / TRACE / PING).
+* :mod:`repro.server.protocol`  — the wire format: binary GET frames,
+  length-prefixed JSON control verbs (STATS / RELOAD / RESET / TRACE /
+  SPANS / PING).
 * :mod:`repro.server.node`      — :class:`CacheNode` (single-writer cache
   state machine, micro-batched classifier inference) and
   :class:`CacheNodeServer` (asyncio TCP front end with a bounded request

@@ -15,13 +15,11 @@ Mechanics
 * Each connection runs an independent *sender* (fires at scheduled times,
   pipelining without waiting for replies) and *reader* (correlates
   responses by echoed ``index`` and records client-observed latency).
-* ``protocol="binary"`` replays through the compact v2 frames
+* GETs travel as ``BIN_GET`` frames
   (:func:`repro.server.protocol.pack_get_request`): the sender packs
   requests into one buffer flushed at schedule gaps, the reader parses
   chunked socket reads through a reused :class:`FrameDecoder` — the
-  client-side twin of the server's hot path.  ``"json"`` keeps the
-  original frame-at-a-time text path; server verdicts and counters are
-  bit-identical across the two.
+  client-side twin of the server's hot path.
 * After the replay, one extra connection fetches the server's STATS
   snapshot so the client report and the server's own counters travel
   together.
@@ -53,7 +51,7 @@ from repro.trace.records import Trace
 
 __all__ = ["LoadgenConfig", "LoadgenResult", "run_loadgen", "replay"]
 
-#: Flush the binary sender's request buffer at this size even without a
+#: Flush the sender's request buffer at this size even without a
 #: schedule gap — bounds client memory at unsustainable offered rates.
 _SEND_FLUSH_BYTES = 256 * 1024
 
@@ -82,7 +80,6 @@ class LoadgenConfig:
     start: int = 0              # first trace position to replay
     limit: int | None = None    # positions replayed: [start, start+limit)
     fetch_stats: bool = True
-    protocol: str = "json"      # "json" | "binary" (v2 frames)
 
     def __post_init__(self):
         if self.rate <= 0:
@@ -93,8 +90,6 @@ class LoadgenConfig:
             raise ValueError("start must be >= 0")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be >= 1")
-        if self.protocol not in ("json", "binary"):
-            raise ValueError(f"unknown protocol: {self.protocol!r}")
 
 
 @dataclass
@@ -160,7 +155,6 @@ async def _replay_connection(
     sizes = trace.sizes
     in_flight: dict[int, float] = {}
     expected = positions.shape[0]
-    binary = cfg.protocol == "binary"
 
     async def read_responses() -> None:
         done = 0
@@ -169,81 +163,46 @@ async def _replay_connection(
         # time and must not share a Chrome tid.
         with spans.span("recv", "loadgen", connection=conn_id) as rspan:
             try:
-                if binary:
-                    # Chunked reads through the incremental decoder: one
-                    # socket read yields every pipelined response frame.
-                    # Latency is stamped once per chunk — the arrival time
-                    # of the read that carried the frame — and counters
-                    # accumulate in locals, committed per chunk.
-                    decoder = FrameDecoder()
-                    pop = in_flight.pop
-                    append = latencies.append
-                    while done < expected:
-                        data = await reader.read(256 * 1024)
-                        if not data:
-                            break
-                        now = time.perf_counter()
-                        completed = hits = errors = 0
-                        for frame in decoder.feed(data):
-                            if type(frame) is dict:
-                                continue
-                            op = frame[0]
-                            if op == BIN_GET_OK:
-                                done += 1
-                                sent_at = pop(frame[1], None)
-                                completed += 1
-                                if frame[2] & FLAG_HIT:
-                                    hits += 1
-                                if sent_at is not None:
-                                    append(now - sent_at)
-                            elif op == BIN_GET_ERR:
-                                done += 1
-                                pop(frame[1], None)
-                                errors += 1
-                        result.completed += completed
-                        result.hits += hits
-                        result.errors += errors
-                else:
-                    while done < expected:
-                        msg = await read_message(reader)
-                        if msg is None:
-                            break
-                        if msg.get("op") != "GET":
+                # Chunked reads through the incremental decoder: one
+                # socket read yields every pipelined response frame.
+                # Latency is stamped once per chunk — the arrival time
+                # of the read that carried the frame — and counters
+                # accumulate in locals, committed per chunk.
+                decoder = FrameDecoder()
+                pop = in_flight.pop
+                append = latencies.append
+                while done < expected:
+                    data = await reader.read(256 * 1024)
+                    if not data:
+                        break
+                    now = time.perf_counter()
+                    completed = hits = errors = 0
+                    for frame in decoder.feed(data):
+                        if type(frame) is dict:
                             continue
-                        done += 1
-                        sent_at = in_flight.pop(msg.get("index"), None)
-                        if not msg.get("ok"):
-                            result.errors += 1
-                            continue
-                        result.completed += 1
-                        if msg.get("hit"):
-                            result.hits += 1
-                        if sent_at is not None:
-                            latencies.append(time.perf_counter() - sent_at)
+                        op = frame[0]
+                        if op == BIN_GET_OK:
+                            done += 1
+                            sent_at = pop(frame[1], None)
+                            completed += 1
+                            if frame[2] & FLAG_HIT:
+                                hits += 1
+                            if sent_at is not None:
+                                append(now - sent_at)
+                        elif op == BIN_GET_ERR:
+                            done += 1
+                            pop(frame[1], None)
+                            errors += 1
+                    result.completed += completed
+                    result.hits += hits
+                    result.errors += errors
             except (ConnectionError, OSError, ProtocolError):
                 pass  # server went away mid-stream
             rspan.annotate(responses=done)
         # Anything never answered (server death, early close) is an error.
         result.errors += expected - done
 
-    async def send_json(loop) -> None:
-        for pos, due in zip(positions.tolist(), send_times.tolist()):
-            delay = t0 + due - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            in_flight[pos] = time.perf_counter()
-            result.sent += 1
-            await write_message(
-                writer,
-                {
-                    "op": "GET",
-                    "index": pos,
-                    "oid": int(oids[pos]),
-                    "size": int(sizes[pos]),
-                },
-            )
-
-    async def send_binary(loop) -> None:
+    async def send_requests(loop) -> None:
         # The whole wire stream for this connection is packed up front in
         # one vectorised shot (the frames depend only on the trace), so
         # the timing loop schedules and stamps but never serialises.
@@ -290,7 +249,7 @@ async def _replay_connection(
             with spans.span(
                 "send", "loadgen", connection=conn_id, requests=expected
             ):
-                await (send_binary(loop) if binary else send_json(loop))
+                await send_requests(loop)
         except (ConnectionError, OSError):
             pass  # server gone; the reader accounts for the shortfall
         await reader_task

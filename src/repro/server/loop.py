@@ -5,11 +5,12 @@ typically buys 2–4× on socket-heavy workloads, but it is a compiled
 third-party wheel the runtime may not have.  The serving stack therefore
 treats it as a pure optimisation: :func:`install_uvloop` swaps the event
 loop policy when the import succeeds and reports what happened, and every
-caller (``repro serve``, ``repro loadgen``, the throughput bench) falls
-back to stdlib asyncio with identical semantics when it does not.
+caller (``repro serve``, ``repro loadgen``) falls back to stdlib asyncio
+with identical semantics when it does not.
 
-The CI matrix runs the server suite and throughput smoke both with and
-without uvloop installed, so both sides of the fallback stay exercised.
+One leg of the CI test matrix installs the wheel and the rest do not, so
+both sides of the fallback stay exercised (the served == offline parity
+test runs on each loop).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def install_uvloop(enable: bool = True) -> bool:
 def reset_loop_policy() -> None:
     """Restore the default asyncio policy (undo :func:`install_uvloop`).
 
-    Used by the throughput bench to measure uvloop on/off in one process;
+    Lets one process run on both loops in turn (the parity tests do);
     the policy only affects loops created afterwards.
     """
     asyncio.set_event_loop_policy(None)

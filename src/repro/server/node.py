@@ -285,9 +285,10 @@ class CacheNode:
         #: Optional span tracer shared with the serving layer/retrainer;
         #: ``None`` (the default) keeps the hot path span-free.
         self.spans = spans
-        #: Write provenance: on a single live node every insertion is an
-        #: admission accept labelled with the deciding model version, and
-        #: every denial is an avoided write (exact, batch-delta updates).
+        #: Write provenance: every insertion is an admission accept (or a
+        #: staging promote, when a hit inserts) labelled with the deciding
+        #: model version, and every denial is an avoided write (exact,
+        #: batch-delta updates).
         self.ledger = WriteLedger(registry=self.registry)
         self._bind_instruments()
 
@@ -526,8 +527,6 @@ class CacheNode:
         self.processed = hi
         out = [
             {
-                "ok": True,
-                "op": "GET",
                 "index": i,
                 "hit": result.hit,
                 "admitted": result.inserted,
@@ -587,16 +586,28 @@ class CacheNode:
         self._m_rectified.inc(self.rectified_admits - rectified0)
         self._m_position.set(hi)
 
-        # Write provenance (exact, per batch): on a single node every
-        # insert is an admission accept by the model version that served
-        # this batch — the model reference is read once per batch, so the
-        # label can never straddle a swap.
+        # Write provenance (exact, per batch), labelled with the model
+        # version that served this batch — the model reference is read once
+        # per batch, so the label can never straddle a swap.  A hit that
+        # inserts is a staging tier paying the flash write it deferred at
+        # miss time; every other insert is an admission accept.
         model_label = f"v{self.model_version}"
         if batch.files_written:
-            self.ledger.record_write(
-                "admission_accept", batch.bytes_written,
-                model=model_label, n=batch.files_written,
-            )
+            promoted = [
+                size
+                for size, (result, _) in zip(size_list[lo:hi], outcomes)
+                if result.inserted and result.hit
+            ]
+            n_promoted, promoted_bytes = len(promoted), sum(promoted)
+            for cause, n_writes, nbytes in (
+                ("staging_promote", n_promoted, promoted_bytes),
+                ("admission_accept", batch.files_written - n_promoted,
+                 batch.bytes_written - promoted_bytes),
+            ):
+                if n_writes:
+                    self.ledger.record_write(
+                        cause, nbytes, model=model_label, n=n_writes
+                    )
         if batch.admissions_denied:
             self.ledger.record_avoided(
                 denied_bytes, model=model_label, n=batch.admissions_denied
@@ -633,7 +644,6 @@ class _Request:
     index: int
     conn: "_Connection"
     t_enqueue: int  # perf_counter_ns at enqueue (queue-wait / latency base)
-    binary: bool = False  # reply with a binary frame instead of JSON
 
 
 #: Coalesce at most this many outbound bytes into one socket write before
@@ -741,7 +751,7 @@ class CacheNodeServer:
         self.retrainer = retrainer
         self.retrain_on_drift = retrain_on_drift
         self._queue: asyncio.Queue = asyncio.Queue(queue_depth)
-        self._queued_requests = 0  # requests inside _queue (items may be lists)
+        self._queued_requests = 0  # requests inside _queue (items are lists)
         self._pending: dict[int, _Request] = {}
         self._connections: set[_Connection] = set()
         self._server: asyncio.AbstractServer | None = None
@@ -868,18 +878,22 @@ class CacheNodeServer:
         stopping = False
 
         def absorb(item) -> None:
-            # Queue items are single requests (JSON path) or whole lists
-            # (one per decoded chunk on the binary path).
+            # One list of validated GETs per decoded chunk.  The sequencer
+            # owns ``pending``, so this is the one place a repeated index is
+            # caught — whether its twin is already served, parked, or
+            # earlier in this very list — and every frame gets one reply.
             nonlocal stopping
             if item is _SHUTDOWN:
                 stopping = True
-            elif type(item) is list:
-                for req in item:
-                    pending[req.index] = req
-                self._queued_requests -= len(item)
-            else:
-                pending[item.index] = item
-                self._queued_requests -= 1
+                return
+            processed = node.processed
+            for req in item:
+                if (
+                    req.index < processed
+                    or pending.setdefault(req.index, req) is not req
+                ):
+                    self._send_get_error(req, "index already served")
+            self._queued_requests -= len(item)
 
         while True:
             if not stopping and node.processed not in pending:
@@ -925,10 +939,7 @@ class CacheNodeServer:
 
     @staticmethod
     def _send_get_error(req: _Request, error: str) -> None:
-        if req.binary:
-            req.conn.send_bytes(pack_get_error(req.index, error))
-        else:
-            req.conn.send(error_response("GET", error, index=req.index))
+        req.conn.send_bytes(pack_get_error(req.index, error))
 
     def _process(self, batch: list[_Request]) -> None:
         node = self.node
@@ -969,27 +980,18 @@ class CacheNodeServer:
             self._m_stage_queue.observe_many(
                 (t_dequeue * n - total_enqueue) * 1e-9 / n, n
             )
-            # Binary frames for one connection coalesce into a single
+            # Reply frames for one connection coalesce into a single
             # buffer flushed once per micro-batch — one writer-queue put
-            # per connection instead of per request.  A JSON response on a
-            # connection with a pending buffer flushes the buffer first,
-            # so mixed-protocol clients still see responses in order.
-            bin_bufs: dict[_Connection, bytearray] = {}
+            # per connection instead of per request.
+            bufs: dict[_Connection, bytearray] = {}
             for req, res in zip(batch, results):
-                conn = req.conn
-                if req.binary:
-                    buf = bin_bufs.get(conn)
-                    if buf is None:
-                        bin_bufs[conn] = buf = bytearray()
-                    buf += pack_get_response(
-                        req.index, res["hit"], res["admitted"], res["denied"]
-                    )
-                else:
-                    pending_bin = bin_bufs.pop(conn, None)
-                    if pending_bin is not None:
-                        conn.send_bytes(bytes(pending_bin))
-                    conn.send(res)
-            for conn, buf in bin_bufs.items():
+                buf = bufs.get(req.conn)
+                if buf is None:
+                    bufs[req.conn] = buf = bytearray()
+                buf += pack_get_response(
+                    req.index, res["hit"], res["admitted"], res["denied"]
+                )
+            for conn, buf in bufs.items():
                 conn.send_bytes(bytes(buf))
             t_reply1 = time.perf_counter_ns()
             self._m_stage_reply.observe((t_reply1 - t_reply0) * 1e-9)
@@ -1036,8 +1038,8 @@ class CacheNodeServer:
         try:
             while True:
                 # Chunked reads through the incremental decoder: one socket
-                # read yields every pipelined frame it carried (JSON and
-                # binary interleave freely on the same connection).
+                # read yields every pipelined frame it carried (binary GETs
+                # and JSON control verbs interleave freely on a connection).
                 data = await reader.read(_READ_CHUNK_BYTES)
                 if not data:
                     if decoder.pending:
@@ -1050,8 +1052,7 @@ class CacheNodeServer:
                 except ProtocolError as exc:
                     # Frames parsed ahead of the violation are still valid
                     # requests; serve them, then report and hang up.
-                    for frame in exc.frames:
-                        await self._dispatch_frame(frame, conn)
+                    await self._dispatch_frames(exc.frames, conn)
                     conn.send(error_response("", f"protocol error: {exc}"))
                     break
                 await self._dispatch_frames(frames, conn)
@@ -1063,27 +1064,23 @@ class CacheNodeServer:
             await conn.close()
 
     async def _dispatch_frames(self, frames: list, conn: _Connection) -> None:
-        """Dispatch one decoded chunk, batch-enqueueing binary GET runs.
+        """Dispatch one decoded chunk, batch-enqueueing GET runs.
 
-        Consecutive binary GETs — the open-loop pipelining case, where one
-        socket read carries thousands of 16-byte frames — validate
-        together and enter the sequencer queue as a single list item: one
-        ``put`` per chunk instead of per request.  Any other frame flushes
-        the run first, so queue order still matches wire order.
+        Consecutive GETs — the open-loop pipelining case, where one socket
+        read carries thousands of 16-byte frames — validate together and
+        enter the sequencer queue as a single list item: one ``put`` per
+        chunk instead of per request.  Any other frame flushes the run
+        first, so queue order still matches wire order.
         """
-        batch: list[_Request] | None = None
+        batch: list[_Request] = []
         t_ns = time.perf_counter_ns()
-        validate = self._validate_get
         # Validation state is loop-invariant between awaits (the event loop
-        # is single-threaded), so hoist it and inline the happy path; any
-        # check that fails falls back to _validate_get for the error reply.
-        # Re-hoisted after every await — processed/draining advance there.
-        node = self.node
-        pending = self._pending
-        expected_oid = node.expected_oid
+        # is single-threaded), so hoist it and inline the happy path; a
+        # failed check asks _get_error for the reply.  ``draining`` is
+        # re-read after every await — it can flip there.
+        expected_oid = self.node.expected_oid
+        n_accesses = self.node.trace.n_accesses
         request = _Request
-        n_accesses = node.trace.n_accesses
-        processed = node.processed
         draining = self._draining
         for frame in frames:
             if type(frame) is not dict and frame[0] == BIN_GET:
@@ -1091,47 +1088,44 @@ class CacheNodeServer:
                 oid = frame[2]
                 if (
                     not draining
-                    and processed <= index < n_accesses
-                    and index not in pending
+                    and index < n_accesses
                     and (oid is None or oid == expected_oid(index))
                 ):
-                    req = request(index, conn, t_ns, True)
+                    batch.append(request(index, conn, t_ns))
                 else:
-                    req = validate(index, oid, conn, binary=True, t_ns=t_ns)
-                    if req is None:
-                        continue
-                if batch is None:
-                    batch = [req]
-                else:
-                    batch.append(req)
+                    conn.send_bytes(
+                        pack_get_error(index, self._get_error(index, oid))
+                    )
                 continue
-            if batch is not None:
-                self._queued_requests += len(batch)
-                await self._queue.put(batch)
-                batch = None
-            await self._dispatch_frame(frame, conn)
-            processed = node.processed
+            if batch:
+                await self._enqueue(batch)
+                batch = []
+            if type(frame) is dict:
+                await self._dispatch(frame, conn)
+            else:  # a response op (BIN_GET_OK / BIN_GET_ERR) sent by a client
+                conn.send_bytes(
+                    pack_get_error(frame[1], "unexpected binary response op")
+                )
             draining = self._draining
-        if batch is not None:
-            self._queued_requests += len(batch)
-            await self._queue.put(batch)
+        if batch:
+            await self._enqueue(batch)
 
-    async def _dispatch_frame(self, frame, conn: _Connection) -> None:
-        if type(frame) is dict:
-            await self._dispatch(frame, conn)
-        elif frame[0] == BIN_GET:
-            _, index, oid, _size = frame
-            await self._enqueue_get(index, oid, conn, binary=True)
-        else:  # a response op (BIN_GET_OK / BIN_GET_ERR) sent by a client
-            conn.send_bytes(
-                pack_get_error(frame[1], "unexpected binary response op")
-            )
+    async def _enqueue(self, batch: list[_Request]) -> None:
+        self._queued_requests += len(batch)
+        await self._queue.put(batch)
+
+    def _get_error(self, index: int, oid) -> str:
+        """Why a GET frame cannot be queued (a repeated index is the
+        sequencer's call — see ``absorb``)."""
+        if self._draining:
+            return "server is draining"
+        if index >= self.node.trace.n_accesses:
+            return "index out of range"
+        return "oid does not match the server's trace at this index"
 
     async def _dispatch(self, message: dict, conn: _Connection) -> None:
         op = str(message.get("op", "")).upper()
-        if op == "GET":
-            await self._dispatch_get(message, conn)
-        elif op == "STATS":
+        if op == "STATS":
             from repro.server.metrics import metrics_snapshot
 
             conn.send(
@@ -1221,45 +1215,6 @@ class CacheNodeServer:
                 "capacity": spans.capacity,
             }
         )
-
-    async def _dispatch_get(self, message: dict, conn: _Connection) -> None:
-        index = message.get("index")
-        if not isinstance(index, int) or isinstance(index, bool):
-            conn.send(error_response("GET", "GET requires an integer index"))
-            return
-        await self._enqueue_get(index, message.get("oid"), conn, binary=False)
-
-    def _validate_get(
-        self, index: int, oid, conn: _Connection, *, binary: bool, t_ns: int
-    ) -> _Request | None:
-        """Validate one GET (JSON or binary); error the client on failure."""
-        node = self.node
-        if self._draining:
-            error = "server is draining"
-        elif not 0 <= index < node.trace.n_accesses:
-            error = "index out of range"
-        elif index < node.processed or index in self._pending:
-            error = "index already served"
-        elif oid is not None and int(oid) != node.expected_oid(index):
-            error = "oid does not match the server's trace at this index"
-        else:
-            return _Request(index, conn, t_ns, binary)
-        if binary:
-            conn.send_bytes(pack_get_error(index, error))
-        else:
-            conn.send(error_response("GET", error, index=index))
-        return None
-
-    async def _enqueue_get(
-        self, index: int, oid, conn: _Connection, *, binary: bool
-    ) -> None:
-        """Validate one GET and hand it to the sequencer."""
-        req = self._validate_get(
-            index, oid, conn, binary=binary, t_ns=time.perf_counter_ns()
-        )
-        if req is not None:
-            self._queued_requests += 1
-            await self._queue.put(req)
 
 
 async def run_server(

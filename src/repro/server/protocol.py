@@ -1,17 +1,39 @@
-"""Length-prefixed JSON wire protocol for the cache-node service.
+"""Wire protocol for the cache-node service: binary GET frames, JSON control.
 
-Framing is a 4-byte big-endian unsigned length followed by a UTF-8 JSON
-object — the simplest self-delimiting format that supports pipelining
-(many requests in flight per connection) and stays debuggable with
-``nc``/``xxd``.  A production node would speak a binary protocol; JSON
-keeps the reproduction inspectable without changing the system's shape.
+One connection carries two frame kinds, discriminated by their first byte:
 
-Operations (client → server)
-----------------------------
-``GET``     ``{"op": "GET", "index": i, "oid": ..., "size": ...}`` —
-            one replayed trace request.  ``index`` is the trace position
-            (the server sequences requests by it), ``oid``/``size`` are
-            validated against the server's catalog.
+* **GET data path** — fixed-layout binary frames (``BIN_MAGIC`` first).
+  Per-request overhead has to stay negligible next to the SSD (Eq. 6), so
+  a replayed request is 16 bytes and its reply 9, packed and parsed with
+  one ``struct`` call (or one vectorised pass per socket read).
+* **Control verbs** — a 4-byte big-endian length followed by a UTF-8 JSON
+  object.  They are rare, their payloads are open-ended (a STATS snapshot,
+  a span dump), and they stay debuggable with ``nc``/``xxd``.  The length
+  always starts with byte ``0x00`` (``MAX_MESSAGE_BYTES`` is far below
+  2^24), which is what makes the first byte a discriminator.
+
+Both kinds pipeline (many frames in flight per connection) and interleave
+freely.
+
+GET frames
+----------
+::
+
+    magic  u8   BIN_MAGIC (0xB2)
+    op     u8   BIN_GET / BIN_GET_OK / BIN_GET_ERR
+    length u16  payload bytes (big-endian)
+    payload     op-specific struct
+
+``BIN_GET`` (client → server) carries ``index/oid/size`` as three ``u32``:
+``index`` is the trace position (the server sequences requests by it),
+``oid`` is validated against the server's trace (``BIN_NO_OID`` skips the
+check).  ``BIN_GET_OK`` echoes the ``u32`` index — the correlation key for
+pipelined, out-of-order replies — plus one flags byte (hit / admitted /
+denied); ``BIN_GET_ERR`` echoes the index followed by UTF-8 error text.
+Every ``BIN_GET`` is answered by exactly one of the two.
+
+Control verbs (client → server, JSON)
+-------------------------------------
 ``STATS``   metrics snapshot (:mod:`repro.server.metrics`).
 ``RELOAD``  force an immediate classifier retrain + atomic model swap.
 ``RESET``   clear cache/statistics state and rewind the replay cursor.
@@ -23,30 +45,9 @@ Operations (client → server)
             started without span tracing (``repro serve --spans``).
 ``PING``    liveness check.
 
-Every response carries ``"ok"`` (bool) and echoes ``"op"``; GET responses
-echo ``"index"`` so pipelined responses can be correlated out of order.
-Errors are in-band: ``{"ok": false, "op": ..., "error": "..."}``.
-
-Binary protocol (v2)
---------------------
-The GET hot path additionally speaks a compact binary framing that
-coexists with JSON *on the same connection*: a JSON frame's 4-byte
-big-endian length always starts with byte ``0x00`` (``MAX_MESSAGE_BYTES``
-is far below 2^24), so the first byte of every frame discriminates the
-two formats.  A binary frame is::
-
-    magic  u8   BIN_MAGIC (0xB2)
-    op     u8   BIN_GET / BIN_GET_OK / BIN_GET_ERR
-    length u16  payload bytes (big-endian)
-    payload     length-prefixed struct, op-specific
-
-``BIN_GET`` carries ``index/oid/size`` as three ``u32`` (``oid`` may be
-``BIN_NO_OID`` to skip catalog validation); ``BIN_GET_OK`` echoes the
-``u32`` index — the pipelining correlation key, exactly like the JSON
-``"index"`` echo — plus one flags byte (hit / admitted / denied);
-``BIN_GET_ERR`` echoes the index followed by UTF-8 error text.  Control
-verbs (STATS, RESET, ...) have no binary form: they stay JSON frames,
-interleaved freely with binary GETs.
+Every JSON response carries ``"ok"`` (bool) and echoes ``"op"``.  Errors
+are in-band: ``{"ok": false, "op": ..., "error": "..."}`` — which is also
+what any other op gets, a JSON ``GET`` included: GETs have no JSON form.
 
 :class:`FrameDecoder` is the incremental parser both the server and the
 load generator use: chunks read off the socket are fed into one reused
@@ -89,7 +90,8 @@ _HEADER = struct.Struct(">I")
 #: this limit indicates a corrupt or hostile frame, not a real message.
 MAX_MESSAGE_BYTES = 4 * 2**20
 
-OPS = ("GET", "STATS", "RELOAD", "RESET", "TRACE", "SPANS", "PING")
+#: The JSON control verbs (GETs are binary frames, below).
+OPS = ("STATS", "RELOAD", "RESET", "TRACE", "SPANS", "PING")
 
 #: First byte of every binary frame.  JSON frames always start 0x00 (their
 #: big-endian length is capped well below 2^24), so one byte discriminates.
@@ -99,8 +101,7 @@ BIN_GET = 0x01      # client → server: index u32, oid u32, size u32
 BIN_GET_OK = 0x02   # server → client: index u32, flags u8
 BIN_GET_ERR = 0x03  # server → client: index u32, UTF-8 error text
 
-#: ``oid`` sentinel in a BIN_GET meaning "skip catalog validation" (the
-#: binary analogue of omitting ``"oid"`` from a JSON GET).
+#: ``oid`` sentinel in a BIN_GET meaning "skip catalog validation".
 BIN_NO_OID = 0xFFFFFFFF
 
 # Response flag bits (BIN_GET_OK).
@@ -148,8 +149,7 @@ class ProtocolError(ValueError):
 
     ``frames`` carries any frames that were completely parsed from the
     same buffer *before* the violation, so a server can still serve them
-    before closing the connection — matching the frame-at-a-time JSON
-    reader, where valid frames ahead of the garbage were always handled.
+    before closing the connection.
     """
 
     def __init__(self, message: str, *, frames=()):
@@ -211,7 +211,7 @@ def error_response(op: str, error: str, **extra) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Binary protocol (v2)
+# GET frames
 # --------------------------------------------------------------------------
 
 

@@ -42,6 +42,19 @@ from repro.server.node import NodeConfig, history_capacity
 BATCH_SIZES = (1, 7, 256)
 
 
+def serve_all(node) -> list[dict]:
+    """Drive a served node over its whole trace in rotating batch sizes."""
+    n = node.trace.n_accesses
+    replies = []
+    lo = 0
+    for batch in cycle(BATCH_SIZES):
+        if lo >= n:
+            break
+        replies += node.process_batch(list(range(lo, min(lo + batch, n))))
+        lo += batch
+    return replies
+
+
 def scenario_spec(trace, policy):
     return ScenarioSpec(
         nodes=1, requests=trace.n_accesses, policy=policy, oc_capacity_fraction=0.05
@@ -143,13 +156,7 @@ def test_all_drivers_agree(
         monkeypatch.setattr(node, "admission", fresh_admission())
     node.reset()
     node.cache = fresh_policy()
-    replies = []
-    lo = 0
-    for batch in cycle(BATCH_SIZES):
-        if lo >= n:
-            break
-        replies += node.process_batch(list(range(lo, min(lo + batch, n))))
-        lo += batch
+    replies = serve_all(node)
     assert node.stats == ref
     # Everything derived from the loop's outcomes tells the same story.
     assert sum(r["hit"] for r in replies) == ref.hits
@@ -158,3 +165,34 @@ def test_all_drivers_agree(
     assert int(node.denied_mask.sum()) == ref.admissions_denied
     assert node.ledger.total_writes == ref.files_written
     assert node.ledger.avoided_writes == ref.admissions_denied
+
+
+@pytest.mark.parametrize("dram_fraction", [0.05, 0.0])
+@pytest.mark.parametrize("classifier", [False, True])
+def test_served_staging_counts_and_attributes_deferred_writes(
+    tiny_trace, capacity, classifier, dram_fraction
+):
+    """A staging L2 pays some flash writes on a *hit* (the promotion it
+    deferred at miss time).  Behind the node's DRAM tier or bare, every one
+    of them reaches the stats and the ledger, under its own cause."""
+    node = ServedNode(
+        tiny_trace,
+        NodeConfig(
+            policy="staging",
+            capacity_fraction=None,
+            capacity_bytes=capacity,
+            dram_fraction=dram_fraction,
+            classifier=classifier,
+        ),
+    )
+    replies = serve_all(node)
+    staging = node.cache.ssd if dram_fraction else node.cache
+    assert staging.promotions > 0
+    assert node.stats.files_written == staging.promotions + staging.direct_admits
+    causes = node.ledger.writes_by_cause()
+    assert causes.get("staging_promote", 0) == staging.promotions
+    assert causes.get("admission_accept", 0) == staging.direct_admits
+    assert node.ledger.total_writes == node.stats.files_written
+    assert node.ledger.total_bytes == node.stats.bytes_written
+    # The replies tell the same story: a promotion is a hit that admitted.
+    assert sum(r["hit"] and r["admitted"] for r in replies) == staging.promotions

@@ -156,74 +156,6 @@ class TestCompareScenarioReports:
         assert "No phase's oracle gap regressed" in table
 
 
-def server_report(*, quick=False, speedup=3.3, **rps_per_mode):
-    """Minimal serving-throughput report: per-mode achieved req/s."""
-    return {
-        "kind": "server_throughput",
-        "quick": quick,
-        "speedup": speedup,
-        "modes": {
-            label: {"requests_per_second": rps}
-            for label, rps in rps_per_mode.items()
-        },
-    }
-
-
-class TestCompareServerReports:
-    def test_rate_drop_beyond_threshold_fails(self):
-        base = server_report(**{"json": 30_000.0, "binary": 95_000.0})
-        cur = server_report(**{"json": 30_000.0, "binary": 70_000.0})
-        result = bench_trend.compare_server_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == ["binary"]
-
-    def test_drop_within_threshold_passes(self):
-        base = server_report(**{"binary": 100_000.0})
-        cur = server_report(**{"binary": 85_000.0})  # -15% > -20%
-        result = bench_trend.compare_server_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == []
-        assert result["rows"][0]["delta"] == pytest.approx(-0.15)
-
-    def test_rate_gain_never_fails(self):
-        base = server_report(**{"binary": 50_000.0})
-        cur = server_report(**{"binary": 100_000.0})
-        result = bench_trend.compare_server_reports(base, cur)
-        assert result["regressions"] == []
-        assert result["rows"][0]["delta"] == pytest.approx(1.0)
-
-    def test_added_and_removed_modes_reported_not_failed(self):
-        # e.g. the PR that dropped the row/columnar axis, on a host that
-        # gained the uvloop wheel: old labels go, new ones arrive.
-        base = server_report(**{"json": 1.0, "binary-columnar": 2.0})
-        cur = server_report(**{"json": 1.0, "binary-uvloop": 3.0})
-        result = bench_trend.compare_server_reports(base, cur)
-        assert result["added"] == ["binary-uvloop"]
-        assert result["removed"] == ["binary-columnar"]
-        assert result["regressions"] == []
-
-    def test_zero_baseline_does_not_divide(self):
-        base = server_report(**{"json": 0.0})
-        cur = server_report(**{"json": 10.0})
-        result = bench_trend.compare_server_reports(base, cur)
-        assert result["regressions"] == []
-
-    def test_markdown_carries_speedup_and_status(self):
-        base = server_report(speedup=3.5, **{"binary": 100_000.0})
-        cur = server_report(speedup=2.0, **{"binary": 60_000.0})
-        table = bench_trend.format_server_markdown(
-            bench_trend.compare_server_reports(base, cur)
-        )
-        assert "Serving-throughput trend" in table
-        assert "REGRESSION" in table and "**FAILED**" in table
-        assert "3.50× → 2.00×" in table
-
-    def test_markdown_clean_run_says_so(self):
-        rep = server_report(**{"json": 10.0})
-        table = bench_trend.format_server_markdown(
-            bench_trend.compare_server_reports(rep, rep)
-        )
-        assert "No mode's throughput regressed" in table
-
-
 def eviction_report(closures, *, quick=True, ns=5_000.0):
     points = [
         {
@@ -457,8 +389,9 @@ class TestMain:
         scenario = self._write(
             tmp_path, "scn.json", scenario_report([(0.9, 0.9)])
         )
-        server = self._write(
-            tmp_path, "srv.json", server_report(**{"json": 1.0})
+        staging = self._write(
+            tmp_path, "stg.json",
+            staging_report({0.02: {"composed": (0.33, 400)}}),
         )
         assert bench_trend.main(
             ["--baseline", hotpath, "--current", scenario]
@@ -467,10 +400,10 @@ class TestMain:
             ["--baseline", scenario, "--current", hotpath]
         ) == 0
         assert bench_trend.main(
-            ["--baseline", hotpath, "--current", server]
+            ["--baseline", hotpath, "--current", staging]
         ) == 0
         assert bench_trend.main(
-            ["--baseline", server, "--current", scenario]
+            ["--baseline", staging, "--current", scenario]
         ) == 0
 
     def test_eviction_kind_dispatch(self, tmp_path, monkeypatch):
@@ -510,23 +443,3 @@ class TestMain:
         # Kind mismatch is a pipeline change, not a regression.
         assert bench_trend.main(["--baseline", hotpath, "--current", base]) == 0
         assert bench_trend.main(["--baseline", base, "--current", hotpath]) == 0
-
-    def test_server_kind_dispatch(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        base = self._write(
-            tmp_path,
-            "base.json",
-            server_report(**{"json": 30_000.0, "binary": 95_000.0}),
-        )
-        clean = self._write(
-            tmp_path,
-            "clean.json",
-            server_report(**{"json": 31_000.0, "binary": 93_000.0}),
-        )
-        worse = self._write(
-            tmp_path,
-            "worse.json",
-            server_report(**{"json": 30_000.0, "binary": 40_000.0}),
-        )
-        assert bench_trend.main(["--baseline", base, "--current", clean]) == 0
-        assert bench_trend.main(["--baseline", base, "--current", worse]) == 1

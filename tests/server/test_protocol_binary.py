@@ -1,5 +1,4 @@
-"""Binary (v2) wire protocol: frame packing, the incremental decoder, and
-end-to-end parity against the JSON path on a live server.
+"""Binary GET frames: packing, the incremental decoder, and a live server.
 
 The load-bearing properties:
 
@@ -7,9 +6,8 @@ The load-bearing properties:
   of how the byte stream is chunked (the decoder is incremental);
 * the vectorised run parser (homogeneous bursts of BIN_GET / BIN_GET_OK)
   decodes bit-identically to the frame-at-a-time path;
-* JSON and binary frames interleave freely on one connection, and a
-  binary replay leaves the server in exactly the state a JSON replay
-  does — same stats, same ledger.
+* binary GETs and JSON control verbs interleave freely on one connection,
+  and every BIN_GET frame is answered by exactly one reply frame.
 """
 
 import asyncio
@@ -17,7 +15,6 @@ import struct
 
 import pytest
 
-from repro.server.loadgen import LoadgenConfig, run_loadgen
 from repro.server.node import CacheNode, CacheNodeServer, NodeConfig
 from repro.server.protocol import (
     BIN_GET,
@@ -35,6 +32,7 @@ from repro.server.protocol import (
     pack_get_request,
     pack_get_response,
 )
+from tests.server.wire import Client
 
 CFG = NodeConfig(capacity_fraction=0.02)
 
@@ -94,13 +92,13 @@ class TestIncrementalDecoding:
 
     def test_json_and_binary_interleave(self):
         wire = b"".join(
-            pack_get_request(i, i, 10) + encode_message({"op": "GET", "index": i})
+            pack_get_request(i, i, 10) + encode_message({"op": "TRACE", "limit": i})
             for i in range(5)
         )
         frames = decode_all(wire)
         assert len(frames) == 10
         assert frames[0] == (BIN_GET, 0, 0, 10)
-        assert frames[1] == {"op": "GET", "index": 0}
+        assert frames[1] == {"op": "TRACE", "limit": 0}
 
     def test_pending_counts_partial_frame(self):
         decoder = FrameDecoder()
@@ -205,35 +203,56 @@ async def start_server(trace):
 
 
 class TestBinaryServing:
-    def test_binary_replay_matches_json_replay(self, tiny_trace):
-        """Same trace, both protocols: bit-identical server outcome."""
+    def test_in_flight_duplicate_in_one_chunk_gets_its_own_reply(self, tiny_trace):
+        """Two GETs for index 0 in one write: the second is a duplicate of
+        a request that is queued but not yet sequenced.  Three frames in,
+        three frames out — the duplicate as an error, nobody left waiting."""
 
-        def replay(protocol):
-            async def run():
-                node, server = await start_server(tiny_trace)
-                result = await run_loadgen(
-                    tiny_trace,
-                    LoadgenConfig(
-                        port=server.port,
-                        rate=50_000,
-                        connections=6,
-                        protocol=protocol,
-                    ),
-                )
-                await server.shutdown()
-                return node, result
+        async def run():
+            node, server = await start_server(tiny_trace)
+            client = await Client.connect(server.port)
+            frames = await asyncio.wait_for(client.get([0, 0, 1]), 5.0)
+            await client.close()
+            await server.shutdown()
+            return node, frames
 
-            return asyncio.run(run())
+        node, frames = asyncio.run(run())
+        assert sorted(f[:2] for f in frames) == sorted(
+            [(BIN_GET_OK, 0), (BIN_GET_ERR, 0), (BIN_GET_OK, 1)]
+        )
+        (err,) = (f for f in frames if f[0] == BIN_GET_ERR)
+        assert "already served" in err[2]
+        assert node.processed == 2 and node.stats.requests == 2
 
-        node_j, res_j = replay("json")
-        node_b, res_b = replay("binary")
-        assert res_b.errors == 0
-        assert res_b.completed == tiny_trace.n_accesses
-        assert res_b.hits == res_j.hits
-        for key in ("hits", "files_written", "bytes_written", "evictions"):
-            assert res_b.server_stats[key] == res_j.server_stats[key], key
-        assert res_b.server_stats["ledger"] == res_j.server_stats["ledger"]
-        assert (node_b.denied_mask == node_j.denied_mask).all()
+    def test_in_flight_duplicate_across_connections_gets_its_own_reply(
+        self, tiny_trace
+    ):
+        """The same race across two connections: both ask for index 1
+        while it is parked behind the missing index 0."""
+
+        async def run():
+            node, server = await start_server(tiny_trace)
+            c1 = await Client.connect(server.port)
+            c2 = await Client.connect(server.port)
+            # One event-loop turn carries both writes to the server, so
+            # the second GET validates while the first is still queued.
+            c1.writer.write(pack_get_request(1, None, 1))
+            c2.writer.write(pack_get_request(1, None, 1))
+            await asyncio.sleep(0.05)
+            await c1.send_gets([0])
+            replies = await asyncio.wait_for(
+                asyncio.gather(c1.recv(2), c2.recv(1)), 5.0
+            )
+            await c1.close()
+            await c2.close()
+            await server.shutdown()
+            return node, replies[0] + replies[1]
+
+        node, frames = asyncio.run(run())
+        assert sorted(f[:2] for f in frames) == sorted(
+            [(BIN_GET_OK, 0), (BIN_GET_OK, 1), (BIN_GET_ERR, 1)]
+        )
+        assert node.processed == 2 and node.stats.requests == 2
 
     def test_pipelined_out_of_order_binary_gets(self, tiny_trace):
         """The sequencer reassembles binary GETs sent in reverse order."""

@@ -12,7 +12,7 @@ from repro.obs.spans import Tracer, validate_chrome_trace
 from repro.server.loadgen import LoadgenConfig, run_loadgen
 from repro.server.metrics import format_metrics, metrics_snapshot
 from repro.server.node import CacheNode, CacheNodeServer, NodeConfig, replay_offline
-from repro.server.protocol import read_message, write_message
+from tests.server.wire import Client
 
 CFG = NodeConfig(capacity_fraction=0.02)
 
@@ -108,17 +108,12 @@ class TestNodeLedger:
             node = CacheNode(tiny_trace, CFG, spans=spans)
             server = CacheNodeServer(node, port=0)
             await server.start()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            for i in range(40):
-                await write_message(writer, {"op": "GET", "index": i})
-                await read_message(reader)
+            client = await Client.connect(server.port)
+            await client.get(range(40))
             assert node.ledger.total_writes > 0 and len(spans) > 0
-            await write_message(writer, {"op": "RESET"})
-            msg = await read_message(reader)
+            msg = await client.ask({"op": "RESET"})
             assert msg["ok"]
-            writer.close()
+            await client.close()
             await server.shutdown()
             return node, spans
 
@@ -129,12 +124,9 @@ class TestNodeLedger:
 
 class TestSpansVerb:
     async def _ask(self, server, message):
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", server.port
-        )
-        await write_message(writer, message)
-        msg = await read_message(reader)
-        writer.close()
+        client = await Client.connect(server.port)
+        msg = await client.ask(message)
+        await client.close()
         return msg
 
     def test_spans_drains_and_reports_ring_accounting(self, tiny_trace):
@@ -143,15 +135,11 @@ class TestSpansVerb:
             node = CacheNode(tiny_trace, CFG, spans=spans)
             server = CacheNodeServer(node, port=0)
             await server.start()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            for i in range(20):
-                await write_message(writer, {"op": "GET", "index": i})
-                await read_message(reader)
+            client = await Client.connect(server.port)
+            await client.get(range(20))
             first = await self._ask(server, {"op": "SPANS", "clear": True})
             second = await self._ask(server, {"op": "SPANS"})
-            writer.close()
+            await client.close()
             await server.shutdown()
             return spans, first, second
 
@@ -172,15 +160,11 @@ class TestSpansVerb:
             node = CacheNode(tiny_trace, CFG, spans=Tracer())
             server = CacheNodeServer(node, port=0)
             await server.start()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            for i in range(20):
-                await write_message(writer, {"op": "GET", "index": i})
-                await read_message(reader)
+            client = await Client.connect(server.port)
+            await client.get(range(20))
             limited = await self._ask(server, {"op": "SPANS", "limit": 2})
             bad = await self._ask(server, {"op": "SPANS", "limit": -1})
-            writer.close()
+            await client.close()
             await server.shutdown()
             return limited, bad
 

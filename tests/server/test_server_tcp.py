@@ -11,9 +11,11 @@ import asyncio
 import pytest
 
 from repro.server.loadgen import LoadgenConfig, fetch_stats, run_loadgen
+from repro.server.loop import install_uvloop, reset_loop_policy
 from repro.server.node import CacheNode, CacheNodeServer, NodeConfig, replay_offline
-from repro.server.protocol import read_message, write_message
+from repro.server.protocol import BIN_GET_ERR, BIN_GET_OK
 from repro.server.retrainer import Retrainer, RetrainerConfig
+from tests.server.wire import Client
 
 CFG = NodeConfig(capacity_fraction=0.02)
 
@@ -27,6 +29,19 @@ async def start_server(trace, cfg=CFG, **kwargs) -> tuple[CacheNode, CacheNodeSe
 
 class TestReplayParity:
     def test_concurrent_replay_matches_offline_simulate(self, tiny_trace):
+        self.check_replay_matches_offline(tiny_trace)
+
+    def test_concurrent_replay_matches_offline_simulate_on_uvloop(self, tiny_trace):
+        """The loop implementation is invisible to server state."""
+        pytest.importorskip("uvloop")
+        assert install_uvloop()
+        try:
+            self.check_replay_matches_offline(tiny_trace)
+        finally:
+            reset_loop_policy()
+
+    @staticmethod
+    def check_replay_matches_offline(tiny_trace):
         async def run():
             node, server = await start_server(tiny_trace)
             result = await run_loadgen(
@@ -76,50 +91,66 @@ class TestSequencing:
 
         async def run():
             node, server = await start_server(tiny_trace)
-            r1, w1 = await asyncio.open_connection("127.0.0.1", server.port)
-            r2, w2 = await asyncio.open_connection("127.0.0.1", server.port)
-            await write_message(w1, {"op": "GET", "index": 1})
+            c1 = await Client.connect(server.port)
+            c2 = await Client.connect(server.port)
+            await c1.send_gets([1])
             await asyncio.sleep(0.05)
             assert node.processed == 0  # parked, waiting for index 0
-            await write_message(w2, {"op": "GET", "index": 0})
-            first = await read_message(r2)
-            second = await read_message(r1)
-            for w in (w1, w2):
-                w.close()
-                await w.wait_closed()
+            (first,) = await c2.get([0])
+            (second,) = await c1.recv()
+            await c1.close()
+            await c2.close()
             await server.shutdown()
             return node, first, second
 
         node, first, second = asyncio.run(run())
-        assert first["ok"] and first["index"] == 0
-        assert second["ok"] and second["index"] == 1
+        assert first[:2] == (BIN_GET_OK, 0)
+        assert second[:2] == (BIN_GET_OK, 1)
         assert node.processed == 2
 
     def test_duplicate_and_out_of_range_indices_are_rejected(self, tiny_trace):
         async def run():
             node, server = await start_server(tiny_trace)
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            await write_message(writer, {"op": "GET", "index": 0})
-            ok = await read_message(reader)
-            await write_message(writer, {"op": "GET", "index": 0})  # duplicate
-            dup = await read_message(reader)
-            await write_message(
-                writer, {"op": "GET", "index": tiny_trace.n_accesses}
-            )
-            oob = await read_message(reader)
-            await write_message(writer, {"op": "GET", "index": 1, "oid": -1})
-            mismatch = await read_message(reader)
-            await write_message(writer, {"op": "NOPE"})
-            unknown = await read_message(reader)
-            writer.close()
-            await writer.wait_closed()
+            client = await Client.connect(server.port)
+            (ok,) = await client.get([0])
+            (dup,) = await client.get([0])  # duplicate
+            (oob,) = await client.get([tiny_trace.n_accesses])
+            wrong = int(tiny_trace.object_ids[1]) + 10_000
+            (mismatch,) = await client.get([1], oid=wrong)
+            unknown = await client.ask({"op": "NOPE"})
+            await client.close()
             await server.shutdown()
             return ok, dup, oob, mismatch, unknown
 
         ok, dup, oob, mismatch, unknown = asyncio.run(run())
-        assert ok["ok"]
-        for resp in (dup, oob, mismatch, unknown):
-            assert not resp["ok"] and "error" in resp
+        assert ok[0] == BIN_GET_OK
+        assert dup[0] == BIN_GET_ERR and "already served" in dup[2]
+        assert oob[0] == BIN_GET_ERR and "out of range" in oob[2]
+        assert mismatch[0] == BIN_GET_ERR and "oid" in mismatch[2]
+        assert not unknown["ok"] and "error" in unknown
+
+    def test_json_get_is_an_unknown_op(self, tiny_trace):
+        """GETs have no JSON form: the frame gets the in-band unknown-op
+        error, never reaches the sequencer, and the connection keeps
+        serving binary GETs and control verbs."""
+
+        async def run():
+            node, server = await start_server(tiny_trace)
+            client = await Client.connect(server.port)
+            refused = await client.ask({"op": "GET", "index": 0})
+            queued = server.queue_depth
+            (served,) = await client.get([0])
+            ping = await client.ask({"op": "PING"})
+            await client.close()
+            await server.shutdown()
+            return node, refused, queued, served, ping
+
+        node, refused, queued, served, ping = asyncio.run(run())
+        assert not refused["ok"] and "unknown op" in refused["error"]
+        assert queued == 0
+        assert served[:2] == (BIN_GET_OK, 0)
+        assert ping == {"ok": True, "op": "PING"}
+        assert node.processed == 1
 
 
 class TestGracefulShutdown:
@@ -129,24 +160,18 @@ class TestGracefulShutdown:
 
         async def run():
             node, server = await start_server(tiny_trace)
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            for i in range(k):
-                await write_message(writer, {"op": "GET", "index": i})
+            client = await Client.connect(server.port)
+            await client.send_gets(range(k))
             await asyncio.sleep(0.05)  # let the handler accept them all
             shutdown = asyncio.ensure_future(server.shutdown())
-            responses = []
-            while len(responses) < k:
-                msg = await read_message(reader)
-                if msg is None:
-                    break
-                responses.append(msg)
+            responses = await client.recv(k)
             await shutdown
-            writer.close()
+            await client.close()
             return node, responses
 
         node, responses = asyncio.run(run())
         assert len(responses) == k
-        assert all(r["ok"] for r in responses)
+        assert all(r[0] == BIN_GET_OK for r in responses)
         assert node.processed == k
         # And the drained prefix still matches the offline replay.
         ref = replay_offline(tiny_trace, CFG)
@@ -155,36 +180,34 @@ class TestGracefulShutdown:
     def test_new_requests_rejected_while_draining(self, tiny_trace):
         async def run():
             node, server = await start_server(tiny_trace)
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            client = await Client.connect(server.port)
             await server.shutdown()
             # The connection stays open through the drain; late GETs get an
             # in-band error (written before the server closes it).
-            await write_message(writer, {"op": "GET", "index": 0})
-            msg = await read_message(reader)
-            writer.close()
-            return msg
+            try:
+                frames = await client.get([0])
+            except ConnectionError:
+                frames = []
+            await client.close()
+            return frames
 
-        msg = asyncio.run(run())
-        assert msg is None or (not msg["ok"] and "drain" in msg["error"])
+        frames = asyncio.run(run())
+        assert not frames or (
+            frames[0][0] == BIN_GET_ERR and "drain" in frames[0][2]
+        )
 
 
 class TestOps:
     def test_ping_stats_reset(self, tiny_trace):
         async def run():
             node, server = await start_server(tiny_trace)
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            await write_message(writer, {"op": "PING"})
-            ping = await read_message(reader)
-            for i in range(100):
-                await write_message(writer, {"op": "GET", "index": i})
-            for _ in range(100):
-                await read_message(reader)
+            client = await Client.connect(server.port)
+            ping = await client.ask({"op": "PING"})
+            await client.get(range(100))
             stats = await fetch_stats("127.0.0.1", server.port)
-            await write_message(writer, {"op": "RESET"})
-            reset = await read_message(reader)
+            reset = await client.ask({"op": "RESET"})
             stats_after = await fetch_stats("127.0.0.1", server.port)
-            writer.close()
-            await writer.wait_closed()
+            await client.close()
             await server.shutdown()
             return ping, stats, reset, stats_after
 
@@ -198,11 +221,9 @@ class TestOps:
     def test_reload_without_retrainer_errors(self, tiny_trace):
         async def run():
             node, server = await start_server(tiny_trace)
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            await write_message(writer, {"op": "RELOAD"})
-            msg = await read_message(reader)
-            writer.close()
-            await writer.wait_closed()
+            client = await Client.connect(server.port)
+            msg = await client.ask({"op": "RELOAD"})
+            await client.close()
             await server.shutdown()
             return msg
 
@@ -227,13 +248,9 @@ class TestAtomicModelSwap:
 
             async def reload_midway():
                 await asyncio.sleep(0.1)
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                await write_message(writer, {"op": "RELOAD"})
-                msg = await read_message(reader)
-                writer.close()
-                await writer.wait_closed()
+                client = await Client.connect(server.port)
+                msg = await client.ask({"op": "RELOAD"})
+                await client.close()
                 return msg
 
             result, reload_resp = await asyncio.gather(
