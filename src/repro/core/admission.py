@@ -6,8 +6,11 @@ Four implementations of :class:`repro.cache.base.AdmissionPolicy`:
 * :class:`NeverAdmit`  — degenerate bound, useful in tests;
 * :class:`OracleAdmission` — the "Ideal" 100 %-accurate classifier: admits
   exactly the accesses whose ground-truth label is *not* one-time;
-* :class:`ClassifierAdmission` — the deployed system: a (daily-retrained)
-  classifier's per-access verdicts, softened by the §4.4.2 history table.
+* :class:`ClassifierAdmission` — the proposal over *precomputed*
+  verdicts: a (daily-retrained) classifier's per-access predictions,
+  softened by the §4.4.2 history table.  The experiment grid uses it; the
+  offline node replay and the served node decide at miss time instead
+  (:class:`repro.core.online.OnlineClassifierAdmission`).
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class NoisyOracleAdmission(AdmissionPolicy):
 
 
 class ClassifierAdmission(AdmissionPolicy):
-    """Classifier + history table: the deployed Fig.-4 workflow.
+    """Classifier + history table: the Fig.-4 workflow over a verdict column.
 
     Parameters
     ----------
@@ -116,9 +119,7 @@ class ClassifierAdmission(AdmissionPolicy):
         Boolean/int verdict per trace position (1 = predicted one-time).
         Predictions are computed up front (offline classification, §4.2) —
         they depend only on request-time features, so batching them does
-        not change semantics, only speed.  A ``bool`` array is kept by
-        reference, not copied: the served node fills its column one
-        micro-batch ahead of the replay that reads it.
+        not change semantics, only speed.
     m_threshold:
         The criterion window used by the history-table rectification.
     history_table:
@@ -137,7 +138,7 @@ class ClassifierAdmission(AdmissionPolicy):
             raise ValueError("predicted_one_time must be 1-D")
         if m_threshold <= 0:
             raise ValueError("m_threshold must be positive")
-        self._pred = pred == ONE_TIME if pred.dtype != bool else pred
+        self._pred = pred == ONE_TIME
         self.m_threshold = float(m_threshold)
         # Explicit None check: HistoryTable defines __len__, so an empty
         # (freshly sized) table would be falsy under `or`.

@@ -123,37 +123,51 @@ class DriftMonitor:
 
     def observe(self, index: int, oid: int, denied: bool) -> None:
         """Record one request (trace order; hits pass ``denied=False``)."""
-        prev = self._open.get(oid)
-        if prev is not None:
-            # This access settles the previous verdict for the object:
-            # within M requests -> reused, otherwise one-time forever.
-            prev[3] = (index - prev[0]) <= self.m_threshold
-        entry = [index, oid, denied, False]
-        self._open[oid] = entry
-        self._pending.append(entry)
-        self._n_obs += 1
+        self.observe_range(index, (oid,), (denied,))
 
-        pending = self._pending
-        while pending and pending[0][0] + self.horizon < self._n_obs:
-            self._mature(pending.popleft())
+    def observe_range(self, lo: int, oids, denied) -> None:
+        """Record the consecutive requests at trace positions ``lo, lo+1, …``.
+
+        One call per micro-batch: verdicts mature inside the loop, windows
+        complete once after it.  Completing late cannot change a window's
+        counts — a window closes only when every position below its end has
+        matured — so any partition of a stream into ranges scores alike.
+        """
+        open_verdicts, pending, counts = self._open, self._pending, self._counts
+        m_threshold, horizon = self.m_threshold, self.horizon
+        window_size = self.window_size
+        n_obs = self._n_obs
+        matured = 0
+        for index, (oid, was_denied) in enumerate(zip(oids, denied), lo):
+            prev = open_verdicts.get(oid)
+            if prev is not None:
+                # This access settles the previous verdict for the object:
+                # within M requests -> reused, otherwise one-time forever.
+                prev[3] = (index - prev[0]) <= m_threshold
+            entry = [index, oid, was_denied, False]
+            open_verdicts[oid] = entry
+            pending.append(entry)
+            n_obs += 1
+            while pending and pending[0][0] + horizon < n_obs:
+                entry = pending.popleft()
+                at, entry_oid, entry_denied, reused = entry
+                if open_verdicts.get(entry_oid) is entry:
+                    # Never re-accessed inside the observed stream: one-time.
+                    del open_verdicts[entry_oid]
+                window = counts.get(at // window_size)
+                if window is None:
+                    window = counts[at // window_size] = [0, 0, 0, 0]
+                if entry_denied:
+                    window[_FP if reused else _TP] += 1
+                else:
+                    window[_TN if reused else _FN] += 1
+                matured += 1
+        self._n_obs = n_obs
+        if matured:
+            self.matured += matured
+            if self._c_matured is not None:
+                self._c_matured.inc(matured)
         self._complete_windows()
-
-    def _mature(self, entry: list) -> None:
-        index, oid, denied, reused = entry
-        if self._open.get(oid) is entry:
-            # Never re-accessed inside the observed stream: one-time.
-            del self._open[oid]
-        one_time = not reused
-        counts = self._counts.get(index // self.window_size)
-        if counts is None:
-            counts = self._counts[index // self.window_size] = [0, 0, 0, 0]
-        if denied:
-            counts[_TP if one_time else _FP] += 1
-        else:
-            counts[_FN if one_time else _TN] += 1
-        self.matured += 1
-        if self._c_matured is not None:
-            self._c_matured.inc()
 
     def _complete_windows(self) -> None:
         frontier = self._pending[0][0] if self._pending else self._n_obs

@@ -17,9 +17,13 @@ Event schema (all keys always present)::
       "verdict":    int | null,   # classifier output (null: hit / no model)
       "denied":     bool,         # admission refused
       "rectified":  bool,         # history-table override (§4.4.2)
-      "features":   [float] | null,   # classifier input row
-      "t_classify": float,        # amortised per-decision seconds
+      "features":   [float] | null,   # classifier input row (null with verdict)
+      "t_classify": float,        # this decision's gather + tree-walk seconds
     }
+
+The classifier is consulted on a miss and on nothing else (Fig. 4), so a hit
+carries ``verdict: null, features: null, t_classify: 0.0``; a miss carries
+what the admission captured at decision time.
 
 The buffer is drained over the TCP ``TRACE`` verb (``repro trace-dump``)
 as JSON lines via :func:`repro.obs.structlog.json_line` — the same

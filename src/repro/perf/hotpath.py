@@ -2,11 +2,12 @@
 
 Measures ns/decision for each layer of the per-miss admission stack —
 feature construction, single-row tree inference, end-to-end admission —
-for both the *reference* path (dict-dispatch tracker +
-``model.predict(x.reshape(1, -1))[0]``) and the *fast* path
-(:meth:`~repro.core.online.OnlineFeatureTracker.features_into` +
-:func:`~repro.ml.fastpath.fast_predictor`), and verifies the two paths
-make **bit-identical admission decisions** over a full trace replay.
+for both the *reference* path (``tracker.features(i)`` into a fresh
+ndarray + ``model.predict(x.reshape(1, -1))[0]``) and the *fast* path (the
+generated gather of :class:`~repro.core.online.OnlineFeatureTracker` fused
+with :func:`~repro.ml.fastpath.fast_predictor` into one decision
+callable), and verifies the two paths make **bit-identical admission
+decisions** over a full trace replay.
 
 Since the vectorised-segments PR it also measures the *simulator* itself:
 a hit-dominated replay through ``simulate()`` with segment batching on vs
@@ -363,9 +364,9 @@ def run_hotpath_bench(
         )
 
     if "tracker" in groups:
-        # ---- feature tracker: dict-dispatch + ndarray vs plan + reused
-        # buffer.  Replayed over a trace prefix so recency/recent-requests
-        # state is real.
+        # ---- feature tracker: a fresh ndarray per row vs the generated
+        # gather into a reused buffer.  Replayed over a trace prefix so the
+        # recency state is real.
         prefix = min(trace.n_accesses, 4096)
         tracker_ref = OnlineFeatureTracker(trace)
         indices = list(range(prefix))

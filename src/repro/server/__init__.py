@@ -6,7 +6,8 @@ Turns the batch-simulation stack into a runnable service:
   length-prefixed JSON control verbs (STATS / RELOAD / RESET / TRACE /
   SPANS / PING).
 * :mod:`repro.server.node`      — :class:`CacheNode` (single-writer cache
-  state machine, micro-batched classifier inference) and
+  state machine; micro-batches replayed through the offline loop, the
+  classifier asked at miss time) and
   :class:`CacheNodeServer` (asyncio TCP front end with a bounded request
   queue, trace-order sequencing and graceful drain);
   :func:`replay_offline` builds the bit-identical simulator reference.

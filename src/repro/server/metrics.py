@@ -1,7 +1,7 @@
 """STATS snapshots for the serving node.
 
 :func:`metrics_snapshot` collapses the node's counters — cache statistics,
-admission verdicts, micro-batched ``t_classify`` timing, service latency,
+admission verdicts, per-decision ``t_classify`` timing, service latency,
 drift-monitor state and the full metrics-registry contents — into one
 JSON-able dict.  It is the *single* source for both observation surfaces:
 the TCP ``STATS`` verb and the HTTP ``/statsz`` endpoint call this same

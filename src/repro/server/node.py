@@ -5,7 +5,8 @@ Two layers, deliberately separated:
 * :class:`CacheNode` — a *synchronous* state machine owning all cache
   state (DRAM+SSD hierarchy, online feature tracker, classifier, history
   table, statistics).  Its only mutation entry point is
-  :meth:`CacheNode.process_batch`, which replays a contiguous run of
+  :meth:`CacheNode.apply_batch` (:meth:`~CacheNode.process_batch` is its
+  reply-dict form), which replays a contiguous run of
   trace positions through :func:`repro.cache.simulator.replay_range` —
   the loop :func:`~repro.cache.simulator.simulate` itself runs — so a
   served replay is bit-identical to the offline simulation
@@ -19,21 +20,20 @@ Two layers, deliberately separated:
   every cache mutation flows through that one task, no locking is needed
   and concurrent clients cannot interleave partial updates.
 
-Micro-batching: classifier features depend only on the *request stream*
-(never on cache state), so the writer computes feature rows for a whole
-batch, runs **one** vectorised ``model.predict`` call, writes the verdicts
-into a prediction column, and only then replays the batch in strict trace
-order through a persistent
-:class:`~repro.core.admission.ClassifierAdmission` reading that column
-(verdict + §4.4.2 history table).  Admission semantics are unchanged —
-the verdict for a request that turns out to hit is simply never read,
-exactly as the offline path never computes it.  Replies, the denied mask,
-drift, decision-trace events and ledger deltas are all derived from the
-loop's per-request outcomes afterwards.
+Micro-batching: the writer applies every currently-available request as
+one :func:`~repro.cache.simulator.replay_range` call.  Classification is
+*not* batched: the loop asks the node's
+:class:`~repro.core.online.OnlineClassifierAdmission` — the very object
+:func:`replay_offline` builds — on a miss and on nothing else (Fig. 4;
+Eq. 6 charges ``t_classify`` to the miss path), so served == offline by
+construction and a hit costs one timestamp store.  Replies, the denied
+mask, drift, decision-trace events, timing and ledger deltas are all
+derived from the loop's per-request outcomes and the admission's counters
+afterwards, once per batch.
 
-The model reference is read **once per batch**, so
-:meth:`CacheNode.install_model` (the retrainer's atomic swap) can never
-split a batch across two models.
+The compiled model is read **once per batch** and bound into the admission
+before the loop starts, so :meth:`CacheNode.install_model` (the
+retrainer's atomic swap) can never split a batch across two models.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ from itertools import compress
 
 import numpy as np
 
-from repro.cache.base import CachePolicy, CacheStats
+from repro.cache.base import AccessResult, AdmissionPolicy, CachePolicy, CacheStats
 from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.simulator import SimulationResult, make_policy, replay_range, simulate
-from repro.core.admission import ClassifierAdmission
 from repro.core.criteria import Criteria, solve_criteria
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
@@ -86,6 +85,7 @@ __all__ = [
     "build_cache",
     "solve_node_criteria",
     "train_seed_model",
+    "classifier_admission",
     "replay_offline",
     "run_server",
 ]
@@ -179,14 +179,28 @@ def train_seed_model(trace: Trace, cfg: NodeConfig, criteria: Criteria):
     return model.fit(fm.X[mask], y)
 
 
+def classifier_admission(
+    trace: Trace, criteria: Criteria, model
+) -> OnlineClassifierAdmission:
+    """The Fig.-4 filter of one node: the per-miss decision over a fresh
+    tracker plus the §4.4.2 history table at its paper sizing.  The served
+    node and :func:`replay_offline` both build theirs here."""
+    return OnlineClassifierAdmission(
+        model,
+        OnlineFeatureTracker(trace),
+        criteria.m_threshold,
+        HistoryTable(history_capacity(criteria)),
+    )
+
+
 def replay_offline(trace: Trace, cfg: NodeConfig, *, model=None) -> SimulationResult:
     """The offline reference: ``simulate()`` over the identical stack.
 
     Builds the same cache, criterion, seed model (unless one is passed in)
-    and history table as :class:`CacheNode` and replays through the
-    simulator's per-request admission path.  A server that replays the
-    same trace (without retraining) must report the same hit/write
-    counters — the acceptance test for the serving layer.
+    and admission as :class:`CacheNode` and replays the whole trace in one
+    loop.  A server that replays the same trace (without retraining) must
+    report the same hit/write counters — the acceptance test for the
+    serving layer.
     """
     admission = None
     if cfg.classifier:
@@ -194,12 +208,7 @@ def replay_offline(trace: Trace, cfg: NodeConfig, *, model=None) -> SimulationRe
         if model is None:
             model = train_seed_model(trace, cfg, criteria)
         if model is not None:
-            admission = OnlineClassifierAdmission(
-                model,
-                OnlineFeatureTracker(trace),
-                criteria.m_threshold,
-                HistoryTable(history_capacity(criteria)),
-            )
+            admission = classifier_admission(trace, criteria, model)
     return simulate(
         trace, build_cache(trace, cfg), admission=admission, policy_name=cfg.policy
     )
@@ -208,7 +217,7 @@ def replay_offline(trace: Trace, cfg: NodeConfig, *, model=None) -> SimulationRe
 class CacheNode:
     """Single-writer cache-node state machine over a loaded trace.
 
-    All mutation goes through :meth:`process_batch` with a *contiguous*
+    All mutation goes through :meth:`apply_batch` with a *contiguous*
     ascending run of trace positions starting at :attr:`processed` — the
     serving layer's sequencer guarantees that even when concurrent
     connections deliver requests out of order.
@@ -243,38 +252,29 @@ class CacheNode:
         self._predictor = None  # compiled twin of self.model (fastpath)
         self.model_version = 0
         self.tracker: OnlineFeatureTracker | None = None
-        self.admission: ClassifierAdmission | None = None
-        self._rows: np.ndarray | None = None
+        #: The filter the request loop asks on a miss (None: admit all).
+        self.admission: AdmissionPolicy | None = None
         if self.cfg.classifier:
             self.criteria = solve_node_criteria(trace, self.cfg)
             self.model = train_seed_model(trace, self.cfg, self.criteria)
             if self.model is not None:
                 self.model_version = 1
-                self._predictor = fast_predictor(self.model)
-                self.tracker = OnlineFeatureTracker(trace)
-                # The node-owned prediction column: each micro-batch writes
-                # its verdicts here just before replaying itself through
-                # this persistent admission (which reads the column by
-                # reference and applies the §4.4.2 history table).
-                self._predicted = np.zeros(trace.n_accesses, dtype=bool)
-                self.admission = ClassifierAdmission(
-                    self._predicted,
-                    self.criteria.m_threshold,
-                    HistoryTable(history_capacity(self.criteria)),
+                self.admission = classifier_admission(
+                    trace, self.criteria, self.model
                 )
-                # Reused micro-batch feature buffer; oversized batches
-                # (direct process_batch callers) fall back to a fresh array.
-                self._rows = np.empty(
-                    (max(1, self.cfg.max_batch), len(self.tracker.feature_names))
-                )
+                self._predictor = self.admission.predictor
+                self.tracker = self.admission.tracker
+        # Where the admission captures each decision while a tracer is set.
+        self._captured: dict[int, tuple] = {}
 
         self.cache = build_cache(trace, self.cfg)
         self.stats = CacheStats()
         self.processed = 0
         self.denied_mask = np.zeros(trace.n_accesses, dtype=bool)
-        # Micro-batched t_classify telemetry: each inference batch of n
-        # decisions contributes n amortised ``seconds / n`` observations to
-        # a bounded reservoir (exact count/mean/max, sampled percentiles).
+        # Per-decision t_classify telemetry (misses only): the admission
+        # sums gather + tree-walk nanoseconds; each micro-batch enters its
+        # k decisions as k observations of their mean into a bounded
+        # reservoir (exact count/mean, sampled percentiles).
         self.classify_timing = Reservoir(
             capacity=self.cfg.timing_capacity, seed=self.cfg.seed
         )
@@ -322,7 +322,8 @@ class CacheNode:
         self._m_rectified = verdicts.labels(verdict="rectified")
         self._m_classify = reg.histogram(
             "repro_classify_seconds",
-            "Amortised per-decision classification time (Eq.-6 t_classify).",
+            "Per-decision classification time on misses (Eq.-6 t_classify; "
+            "each micro-batch's decisions at their mean).",
             buckets=latency_buckets(),
         )
         self._m_position = reg.gauge(
@@ -332,9 +333,11 @@ class CacheNode:
             "repro_model_version", "Version of the installed classifier."
         )
         self._m_model_version.set(self.model_version)
-        # Request-lifecycle stage timing: feature_build / batch_inference /
-        # cache_ops land here once per micro-batch, queue_wait and reply are
-        # bound by the serving layer against the same family.
+        # Request-lifecycle stage timing, one observation per micro-batch:
+        # feature_build / batch_inference are the batch's summed per-miss
+        # gather / tree-walk time, cache_ops the rest of the request loop;
+        # queue_wait and reply are bound by the serving layer against the
+        # same family.
         stage = reg.histogram(
             "repro_stage_seconds",
             "Request-lifecycle stage wall time (one observation per "
@@ -394,11 +397,10 @@ class CacheNode:
         return self._oid_list[index]
 
     def classify_times(self) -> np.ndarray:
-        """Retained amortised per-decision classification seconds.
+        """Retained per-decision classification seconds (misses only).
 
-        Each micro-batch contributes ``size`` equal entries of
-        ``seconds / size`` — the per-decision cost actually paid under
-        batched inference (the served analogue of
+        Each micro-batch contributes one entry per decision it made, all
+        at the batch's mean gather + tree-walk time (the served analogue of
         :attr:`repro.core.online.OnlineClassifierAdmission.decision_times`).
         Bounded by ``cfg.timing_capacity``; exact totals live on
         :attr:`classify_timing`.
@@ -410,11 +412,11 @@ class CacheNode:
     def install_model(self, model) -> int:
         """Atomically swap the admission classifier; returns the version.
 
-        A plain attribute assignment: the processing loop binds the model
-        reference once per batch, so a swap takes effect at the next batch
-        boundary and can never split a batch.  The compiled fast-path twin
-        is rebuilt here (off the hot path) so inference always matches the
-        installed model.
+        A plain attribute assignment: the processing loop reads the
+        compiled twin once per batch and binds it into the admission before
+        its loop starts, so a swap takes effect at the next batch boundary
+        and can never split a batch — not even when called from inside a
+        running one.  The tree is compiled here, off the hot path.
         """
         self.model = model
         self._predictor = fast_predictor(model) if model is not None else None
@@ -449,10 +451,25 @@ class CacheNode:
     def process_batch(self, indices: list[int]) -> list[dict]:
         """Apply a contiguous run of trace requests; returns GET responses.
 
-        Semantics per request are identical to the simulator loop with
-        :class:`~repro.core.online.OnlineClassifierAdmission`; only the
-        *timing* of classifier inference differs (one vectorised call per
-        batch instead of one per miss).
+        :meth:`apply_batch` with each ``(result, denied)`` outcome spelled
+        out as an ``index`` / ``hit`` / ``admitted`` / ``denied`` dict.
+        """
+        return [
+            {
+                "index": i,
+                "hit": result.hit,
+                "admitted": result.inserted,
+                "denied": denied,
+            }
+            for i, (result, denied) in zip(indices, self.apply_batch(indices))
+        ]
+
+    def apply_batch(self, indices: list[int]) -> list[tuple[AccessResult, bool]]:
+        """Apply a contiguous run of trace requests, in order.
+
+        Returns the request loop's ``(result, denied)`` outcome per request.
+        Semantics are those of the simulator loop over the same admission —
+        it *is* that loop, one ``replay_range`` call per batch.
         """
         if not indices:
             return []
@@ -467,7 +484,9 @@ class CacheNode:
         ):
             return self._process_batch(indices, spans)
 
-    def _process_batch(self, indices: list[int], spans) -> list[dict]:
+    def _process_batch(
+        self, indices: list[int], spans
+    ) -> list[tuple[AccessResult, bool]]:
         n = len(indices)
         lo = self.processed
         hi = lo + n
@@ -477,43 +496,31 @@ class CacheNode:
                 f"run starting at {lo}"
             )
 
-        predictor = self._predictor  # single read: the retrainer swap point
-        tracker = self.tracker
-        admission = None
-        verdicts = None
-        rows = None
-        t_classify = 0.0
-        if predictor is not None and tracker is not None:
-            t0 = time.perf_counter_ns()
-            rows = (
-                self._rows[:n]
-                if n <= len(self._rows)
-                else np.empty((n, len(tracker.feature_names)))
+        # The retrainer swap point: one read of the compiled model (and of
+        # the version label), bound into the admission before the loop
+        # takes its callables, so neither can straddle a swap.
+        predictor = self._predictor
+        model_label = f"v{self.model_version}"
+        tracer = self.tracer
+        admission = self.admission if predictor is not None else None
+        # Any other filter sitting in ``admission`` is asked as is, untimed.
+        classifier = (
+            admission if isinstance(admission, OnlineClassifierAdmission) else None
+        )
+        if classifier is not None:
+            classifier.bind(
+                predictor,
+                model=self.model,
+                capture=self._captured if tracer is not None else None,
             )
-            # One vectorised catalog gather per feature column; state
-            # advance included (bit-identical to a per-row features_into +
-            # observe loop).
-            tracker.features_into_batch(indices, rows)
-            t_feat = time.perf_counter_ns()
-            # One vectorised call through the compiled tree's batch twin.
-            verdicts = predictor.predict(rows)
-            t_inf = time.perf_counter_ns()
-            np.equal(verdicts, ONE_TIME, out=self._predicted[lo:hi])
-            admission = self.admission
-            t_classify = (t_inf - t0) * 1e-9 / n
-            self.classify_timing.add_repeated(t_classify, n)
-            self._m_classify.observe_many(t_classify, n)
-            self._m_stage_feature.observe((t_feat - t0) * 1e-9)
-            self._m_stage_inference.observe((t_inf - t_feat) * 1e-9)
-            if spans is not None:
-                spans.add("feature_build", "node", t0, t_feat,
-                          args={"rows": n})
-                spans.add("batch_inference", "node", t_feat, t_inf)
+            decisions0 = classifier.decisions
+            feature0, inference0 = classifier.feature_ns, classifier.inference_ns
 
         # The request loop is the simulator's, counted into a fresh
         # CacheStats (the batch's own counters).  Everything below it is
-        # derived from those and the per-request outcomes it hands back,
-        # so none of it can feed back into cache state.
+        # derived from those, the admission's counters and the per-request
+        # outcomes it hands back, so none of it can feed back into cache
+        # state.
         batch = CacheStats()
         rectified0 = self.rectified_admits
         oid_list, size_list = self._oid_list, self._size_list
@@ -525,52 +532,63 @@ class CacheNode:
         )
         self.stats += batch
         self.processed = hi
-        out = [
-            {
-                "index": i,
-                "hit": result.hit,
-                "admitted": result.inserted,
-                "denied": denied,
-            }
-            for i, (result, denied) in zip(indices, outcomes)
-        ]
+        drift = self.drift
         denied_bytes = 0
-        if batch.admissions_denied:
+        if batch.admissions_denied or drift is not None:
             denied = [d for _, d in outcomes]
+        if batch.admissions_denied:
             self.denied_mask[lo:hi] = denied
             denied_bytes = sum(compress(size_list[lo:hi], denied))
         t_loop1 = time.perf_counter_ns()
-        self._m_stage_cache.observe((t_loop1 - t_loop0) * 1e-9)
+
+        # Classification happened inside the loop, on misses only: the
+        # batch's k decisions enter the per-decision instruments at their
+        # mean, and the stage histograms get one observation each, with
+        # cache_ops the remainder so the three still partition the loop.
+        decisions = feature_ns = inference_ns = 0
+        if classifier is not None:
+            decisions = classifier.decisions - decisions0
+            feature_ns = classifier.feature_ns - feature0
+            inference_ns = classifier.inference_ns - inference0
+            t_classify = (feature_ns + inference_ns) * 1e-9 / max(1, decisions)
+            self.classify_timing.add_repeated(t_classify, decisions)
+            self._m_classify.observe_many(t_classify, decisions)
+            self._m_stage_feature.observe(feature_ns * 1e-9)
+            self._m_stage_inference.observe(inference_ns * 1e-9)
+        self._m_stage_cache.observe(
+            (t_loop1 - t_loop0 - feature_ns - inference_ns) * 1e-9
+        )
         if spans is not None:
             spans.add("cache_ops", "node", t_loop0, t_loop1,
-                      args={"requests": n})
+                      args={"requests": n, "decisions": decisions,
+                            "feature_ns": feature_ns,
+                            "inference_ns": inference_ns})
 
-        drift = self.drift
         if drift is not None:
-            for i, (_, denied) in zip(indices, outcomes):
-                drift.observe(i, oid_list[i], denied)
-        tracer = self.tracer
+            drift.observe_range(lo, oid_list[lo:hi], denied)
         if tracer is not None:
-            for row, i in enumerate(indices):
+            captured = self._captured
+            for i, (result, was_denied) in zip(indices, outcomes):
                 if not tracer.should_sample(i):
                     continue
-                result, denied = outcomes[row]
-                one_time = verdicts is not None and verdicts[row] == ONE_TIME
+                # Fig. 4 never asks on a hit: no verdict, no feature row.
+                verdict, features, spent_ns = captured.get(i, (None, None, 0))
                 tracer.record(
                     {
                         "index": i,
                         "object_id": oid_list[i],
                         "trace_time": float(self._ts[i]),
                         "hit": result.hit,
-                        "verdict": int(verdicts[row]) if verdicts is not None else None,
-                        "denied": denied,
+                        "verdict": None if verdict is None else int(verdict),
+                        "denied": was_denied,
                         # A one-time verdict on a miss that was admitted
                         # anyway: only the history table does that.
-                        "rectified": bool(one_time and not result.hit and not denied),
-                        "features": rows[row].tolist() if rows is not None else None,
-                        "t_classify": t_classify,
+                        "rectified": bool(verdict == ONE_TIME and not was_denied),
+                        "features": features,
+                        "t_classify": spent_ns * 1e-9,
                     }
                 )
+            captured.clear()
 
         # Registry counters advance by the batch's counters: one inc per
         # metric per batch keeps the request loop unchanged while STATS and
@@ -587,11 +605,9 @@ class CacheNode:
         self._m_position.set(hi)
 
         # Write provenance (exact, per batch), labelled with the model
-        # version that served this batch — the model reference is read once
-        # per batch, so the label can never straddle a swap.  A hit that
-        # inserts is a staging tier paying the flash write it deferred at
-        # miss time; every other insert is an admission accept.
-        model_label = f"v{self.model_version}"
+        # version that served this batch.  A hit that inserts is a staging
+        # tier paying the flash write it deferred at miss time; every other
+        # insert is an admission accept.
         if batch.files_written:
             promoted = [
                 size
@@ -625,7 +641,7 @@ class CacheNode:
             self._m_spans_recorded.set(spans.recorded)
             self._m_spans_buffered.set(len(spans))
             self._m_spans_dropped.set(spans.dropped)
-        return out
+        return outcomes
 
 
 # --------------------------------------------------------------------------
@@ -958,7 +974,7 @@ class CacheNodeServer:
             spans.add("queue_wait", "server", root.start_ns, t_dequeue)
         try:
             try:
-                results = node.process_batch([req.index for req in batch])
+                outcomes = node.apply_batch([req.index for req in batch])
             except Exception as exc:  # defensive: fail the batch, keep serving
                 logger.exception("batch of %d request(s) failed", len(batch))
                 for req in batch:
@@ -980,16 +996,17 @@ class CacheNodeServer:
             self._m_stage_queue.observe_many(
                 (t_dequeue * n - total_enqueue) * 1e-9 / n, n
             )
-            # Reply frames for one connection coalesce into a single
-            # buffer flushed once per micro-batch — one writer-queue put
-            # per connection instead of per request.
+            # Reply frames, packed straight from the loop's outcomes, for
+            # one connection coalesce into a single buffer flushed once per
+            # micro-batch — one writer-queue put per connection instead of
+            # per request.
             bufs: dict[_Connection, bytearray] = {}
-            for req, res in zip(batch, results):
+            for req, (result, denied) in zip(batch, outcomes):
                 buf = bufs.get(req.conn)
                 if buf is None:
                     bufs[req.conn] = buf = bytearray()
                 buf += pack_get_response(
-                    req.index, res["hit"], res["admitted"], res["denied"]
+                    req.index, result.hit, result.inserted, denied
                 )
             for conn, buf in bufs.items():
                 conn.send_bytes(bytes(buf))

@@ -9,25 +9,33 @@ pins them to one another: for every registry policy × admission kind,
 * ``scenario.oracle.run_oracle``              — the loop once per phase,
 * ``cluster.CacheNode.request`` (one-node tier) — the single-request step,
 * ``server.node.CacheNode.process_batch``     — the loop once per
-  micro-batch (sizes 1, 7 and 256 in rotation), verdicts handed over in
-  a column,
+  micro-batch (sizes 1, 7 and 256 in rotation), asking the same per-miss
+  admission the offline replay asks,
 
 produce identical :class:`~repro.cache.base.CacheStats`.
 
-Comparisons between genuinely different code stay where they were: served
-vs ``replay_offline`` (batched vs per-row inference) in
-``tests/server/test_node.py``, segmented vs loop (``access_batch`` vs the
-loop) in ``tests/cache/test_segments.py``, fast vs reference
-classification in ``tests/core/test_online.py``.
+The served node classifies inside that loop, at miss time, so nothing about
+a batch is decided before it runs.  ``test_served_batch_boundaries_are_invisible``
+pins the two cases a look-ahead over the batch would get wrong — an object
+resident when the batch starts that is evicted and re-requested inside it,
+and one inserted and hit inside it — on a hand-built trace, at batch sizes
+1, 3, 7 and 256.
+
+Comparisons between genuinely different code stay where they were:
+segmented vs loop (``access_batch`` vs the loop) in
+``tests/cache/test_segments.py``, fast vs reference classification in
+``tests/core/test_online.py``.
 """
 
 from itertools import cycle
 
+import numpy as np
 import pytest
 
 import repro.scenario.oracle as oracle_module
+from repro.cache.base import CacheStats
 from repro.cache.lru import LRUCache
-from repro.cache.simulator import POLICY_REGISTRY, make_policy, simulate
+from repro.cache.simulator import POLICY_REGISTRY, make_policy, replay_range, simulate
 from repro.cluster import CacheNode as ClusterNode
 from repro.cluster import TwoTierCluster, simulate_cluster
 from repro.core.admission import OracleAdmission
@@ -37,7 +45,14 @@ from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
 from repro.scenario import ScenarioSpec
 from repro.scenario.oracle import node_capacity_bytes, run_oracle
 from repro.server.node import CacheNode as ServedNode
-from repro.server.node import NodeConfig, history_capacity
+from repro.server.node import (
+    NodeConfig,
+    build_cache,
+    classifier_admission,
+    history_capacity,
+    replay_offline,
+)
+from repro.trace.records import ACCESS_DTYPE, CATALOG_DTYPE, Trace
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -152,7 +167,7 @@ def test_all_drivers_agree(
     node = served[kind != "none"]
     if kind == "oracle":
         # The node replays through whatever filter sits here; its own
-        # classifier still runs and its verdict column goes unread.
+        # classifier is simply never asked.
         monkeypatch.setattr(node, "admission", fresh_admission())
     node.reset()
     node.cache = fresh_policy()
@@ -196,3 +211,100 @@ def test_served_staging_counts_and_attributes_deferred_writes(
     assert node.ledger.total_bytes == node.stats.bytes_written
     # The replies tell the same story: a promotion is a hit that admitted.
     assert sum(r["hit"] and r["admitted"] for r in replies) == staging.promotions
+
+
+# -- batch boundaries: nothing about a batch is decided before it runs -----
+
+CHURN_CYCLE, CHURN_BURSTS, CHURN_BLOCKS = 11, 4, 40
+CHURN_CFG = NodeConfig(
+    capacity_fraction=None, capacity_bytes=10_000, dram_fraction=0.0
+)
+
+
+@pytest.fixture(scope="module")
+def churn_trace():
+    """Hand-built churn over a ten-object LRU (every object is 1000 bytes).
+
+    Each block requests an 11-object cycle twice — one more than fits, so
+    every one of them misses and, second time round, evicts exactly the
+    object requested next — then
+    one "burst" object twice in a row (inserted, then hit), then four new
+    objects of a cold owner and the first of them again: three in four never
+    return, so they are denied on sight, and the one that does is the
+    history table's to rectify.
+    """
+    seq = []
+    cold = CHURN_CYCLE + CHURN_BURSTS
+    for block in range(CHURN_BLOCKS):
+        seq += 2 * list(range(CHURN_CYCLE))
+        seq += [CHURN_CYCLE + block % CHURN_BURSTS] * 2
+        seq += [cold, cold + 1, cold + 2, cold + 3, cold]
+        cold += 4
+    accesses = np.zeros(len(seq), dtype=ACCESS_DTYPE)
+    accesses["timestamp"] = 2.0 * np.arange(len(seq))
+    accesses["object_id"] = seq
+    catalog = np.zeros(cold, dtype=CATALOG_DTYPE)
+    catalog["size"] = 1000
+    catalog["owner_id"] = np.arange(cold) >= CHURN_CYCLE + CHURN_BURSTS
+    catalog["upload_time"] = -5000.0
+    return Trace(
+        accesses,
+        catalog,
+        owner_active_friends=np.array([40.0, 2.0]),
+        owner_avg_views=np.array([60.0, 1.0]),
+        duration=2.0 * len(seq),
+    )
+
+
+def boundary_cases(oids, outcomes, batch: int) -> tuple[bool, bool]:
+    """Does a partition into ``batch``-sized runs contain (an object resident
+    at a run's start that misses inside it, an object inserted and then hit
+    inside one run)?  Residency is rebuilt from the outcomes alone."""
+    resident: set[int] = set()
+    evicted_and_rerequested = inserted_and_hit = False
+    for lo in range(0, len(oids), batch):
+        at_start, inserted_here = set(resident), set()
+        for oid, (result, _) in zip(oids[lo:lo + batch], outcomes[lo:lo + batch]):
+            evicted_and_rerequested |= not result.hit and oid in at_start
+            inserted_and_hit |= result.hit and oid in inserted_here
+            resident.difference_update(result.evicted)
+            if result.inserted:
+                resident.add(oid)
+                inserted_here.add(oid)
+    return evicted_and_rerequested, inserted_and_hit
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7, 256])
+def test_served_batch_boundaries_are_invisible(churn_trace, batch):
+    trace = churn_trace
+    n = trace.n_accesses
+    node = ServedNode(trace, CHURN_CFG)
+    assert node.model is not None
+
+    # The offline replay, keeping what replay_offline() throws away: the
+    # admission (for its counters) and the per-request outcomes.
+    admission = classifier_admission(trace, node.criteria, node.model)
+    ref, outcomes = CacheStats(), []
+    replay_range(
+        build_cache(trace, CHURN_CFG), admission, None, ref,
+        trace.object_ids, trace.sizes, 0, n, outcomes=outcomes,
+    )
+    assert ref == replay_offline(trace, CHURN_CFG).stats
+    assert ref.hits and ref.admissions_denied and admission.rectified_admits
+    # The trace does what it was built for, at every size that can show it.
+    cases = boundary_cases(trace.object_ids.tolist(), outcomes, batch)
+    assert cases == ((True, True) if batch > 1 else (False, False))
+
+    replies = []
+    for lo in range(0, n, batch):
+        replies += node.process_batch(list(range(lo, min(lo + batch, n))))
+    assert node.stats == ref
+    assert node.rectified_admits == admission.rectified_admits
+    assert [r["hit"] for r in replies] == [result.hit for result, _ in outcomes]
+    assert [r["admitted"] for r in replies] == [r.inserted for r, _ in outcomes]
+    assert node.denied_mask.tolist() == [denied for _, denied in outcomes]
+    assert node.ledger.total_writes == ref.files_written
+    assert node.ledger.total_bytes == ref.bytes_written
+    assert node.ledger.avoided_writes == ref.admissions_denied
+    # One decision per miss, none for a hit.
+    assert node.classify_timing.count == admission.decisions == n - ref.hits

@@ -7,6 +7,8 @@ with only past state, the offline pipeline is provably causal.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import LRUCache, simulate
 from repro.core.admission import ClassifierAdmission
@@ -16,6 +18,7 @@ from repro.core.labeling import one_time_labels
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
 from repro.ml import DecisionTreeClassifier
 from repro.trace import WorkloadConfig, generate_trace
+from repro.trace.records import ACCESS_DTYPE, CATALOG_DTYPE, Trace
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,132 @@ class TestTrackerEquivalence:
         tracker.reset()
         assert tracker._last_access == {}
         assert len(tracker._recent) == 0
+
+
+@pytest.fixture(scope="module")
+def edge_trace():
+    """Hand-built: every branch of the generated gather, in 40 requests.
+
+    Object 0 was uploaded 100 days before the trace (age and first recency
+    clamp at ``_MAX_BUCKET``), object 1 is uploaded *after* its first two
+    requests (``d <= 0``), object 2 is requested twice at one timestamp
+    (recency ``d == 0``); bursts inside one minute and gaps of several
+    minutes exercise the trailing-minute window both ways.
+    """
+    ts, oids = [], []
+    t = 5.0
+    for k in range(40):
+        t += (0.0, 0.5, 7.0, 45.0, 400.0, 1234.5)[k % 6]
+        ts.append(t)
+        oids.append((0, 1, 2, 2, 1, 0, 3)[k % 7])
+    accesses = np.zeros(len(ts), dtype=ACCESS_DTYPE)
+    accesses["timestamp"] = ts
+    accesses["object_id"] = oids
+    accesses["terminal"] = np.arange(len(ts)) % 2
+    catalog = np.zeros(4, dtype=CATALOG_DTYPE)
+    catalog["size"] = [1000, 25_000, 300, 4096]
+    catalog["photo_type"] = [0, 5, 11, 3]
+    catalog["owner_id"] = [0, 1, 1, 2]
+    catalog["upload_time"] = [-100 * 86400.0, ts[5] + 1.0, 2.0, -4000.0]
+    return Trace(
+        accesses,
+        catalog,
+        owner_active_friends=np.array([3.0, 120.0, 41.0]),
+        owner_avg_views=np.array([0.25, 17.5, 4.0]),
+        duration=ts[-1] + 1.0,
+    )
+
+
+class TestGeneratedGather:
+    """The tracker's ``features_into`` is generated per feature plan."""
+
+    def test_edge_trace_reaches_the_clamp_and_the_floor(self, edge_trace):
+        fm = extract_features(edge_trace)
+        age = fm.X[:, FEATURE_NAMES.index("photo_age")]
+        recency = fm.X[:, FEATURE_NAMES.index("recency")]
+        assert age.max() == recency.max() == 90 * 144 - 1      # _MAX_BUCKET
+        upload = edge_trace.catalog["upload_time"][edge_trace.object_ids]
+        assert (edge_trace.timestamps < upload).any()          # d < 0
+        assert (np.diff(edge_trace.timestamps) == 0).any()     # d == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        names=st.permutations(FEATURE_NAMES).flatmap(
+            lambda order: st.integers(1, len(order)).map(
+                lambda k: tuple(order[:k])
+            )
+        ),
+        batch=st.integers(1, 9),
+    )
+    def test_any_plan_matches_offline_rows_and_the_batch_twin(
+        self, edge_trace, names, batch
+    ):
+        """Every non-empty subset, in every order: the generated function,
+        ``extract_features`` and ``features_into_batch`` fill equal rows."""
+        n = edge_trace.n_accesses
+        offline = extract_features(edge_trace).select(names).X
+        columnar = np.empty((n, len(names)))
+        twin = OnlineFeatureTracker(edge_trace, feature_names=names)
+        for lo in range(0, n, batch):
+            hi = min(lo + batch, n)
+            twin.features_into_batch(list(range(lo, hi)), columnar[lo:hi])
+        assert np.array_equal(columnar, offline)
+
+        tracker = OnlineFeatureTracker(edge_trace, feature_names=names)
+        buf = [0.0] * len(names)
+        for i in range(n):
+            assert tracker.features_into(i, buf) is buf
+            assert buf == offline[i].tolist(), (i, names)
+            tracker.observe(i)
+        assert tracker._last_access == twin._last_access
+        assert list(tracker._recent) == list(twin._recent)
+
+    def test_no_plan_interpretation_left_in_the_hot_path(self, trace):
+        """One straight-line function per plan: only the configured
+        features appear in its source, each exactly once."""
+        tracker = OnlineFeatureTracker(trace, ("recency", "photo_size"))
+        gather = tracker.source.split("def observe")[0]
+        assert gather.count("out[") == 3 and "out[2]" not in gather
+        assert "_recent" not in tracker.source and "86400" not in gather
+
+
+class TestTrailingMinuteWindow:
+    """The 60-second window exists only for a plan that reads it."""
+
+    def test_default_plan_keeps_no_window(self, trace, fitted_model):
+        # Regression: every request's timestamp used to be appended and —
+        # with ``recent_requests`` outside the plan — never pruned, so a
+        # long-running node held its whole history in the deque.
+        assert "recent_requests" not in PAPER_FEATURE_NAMES
+        model, _ = fitted_model
+        tracker = OnlineFeatureTracker(trace)
+        adm = OnlineClassifierAdmission(model, tracker, 300.0, HistoryTable(64))
+        simulate(trace, LRUCache(trace.footprint_bytes // 50), admission=adm)
+        assert len(tracker._last_access) > 0     # the replay did observe
+        assert len(tracker._recent) == 0
+
+        scalar, columnar = OnlineFeatureTracker(trace), OnlineFeatureTracker(trace)
+        rows = np.empty((256, len(PAPER_FEATURE_NAMES)))
+        for lo in range(0, trace.n_accesses, 256):
+            indices = list(range(lo, min(lo + 256, trace.n_accesses)))
+            columnar.features_into_batch(indices, rows)
+            for i in indices:
+                scalar.observe(i)
+        assert len(scalar._recent) == len(columnar._recent) == 0
+
+    def test_window_is_pruned_on_every_read(self, trace):
+        names = PAPER_FEATURE_NAMES + ("recent_requests",)
+        offline = extract_features(trace).select(names).X
+        tracker = OnlineFeatureTracker(trace, feature_names=names)
+        ts = trace.timestamps
+        buf = [0.0] * len(names)
+        for i in range(trace.n_accesses):
+            tracker.features_into(i, buf)
+            assert buf == offline[i].tolist()
+            window = tracker._recent
+            assert len(window) == buf[-1]
+            assert not window or window[0] >= ts[i] - 60.0
+            tracker.observe(i)
 
 
 class TestOnlineAdmission:

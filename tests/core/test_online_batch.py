@@ -1,11 +1,12 @@
 """Columnar feature extraction (``features_into_batch``) parity.
 
-The serving hot path fills a whole micro-batch's feature matrix with one
+``features_into_batch`` fills a whole run's feature matrix with one
 vectorised call instead of a per-row loop.  The contract is *bit-identical
 rows and end state* against the per-row ``features_into`` + ``observe``
-pair — the path the offline replay still takes, kept here as the
-reference — so a served verdict can never differ from a replayed one.
-Property-tested over random batch partitions.
+pair — the path every replay, offline and served, takes — kept here as
+the reference.  Property-tested over random batch partitions.  (Nothing in
+``src/`` calls the columnar form since the served node classifies at miss
+time; ``benchmarks/e2e`` still probes its per-row cost.)
 """
 
 import numpy as np

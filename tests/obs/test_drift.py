@@ -35,6 +35,40 @@ class TestOfflineParity:
         np.testing.assert_allclose(got.precision, ref.precision, equal_nan=True)
         np.testing.assert_allclose(got.recall, ref.recall, equal_nan=True)
 
+    def test_any_partition_into_ranges_scores_alike(self):
+        """The node feeds one range per micro-batch: ranges of 1, 5 and 256
+        reproduce the offline scorer — and each other's state — exactly."""
+        rng = np.random.default_rng(7)
+        n, m, window = 3000, 40.0, 250
+        oids = rng.integers(0, 300, size=n).tolist()
+        denied = (rng.random(n) < 0.4).tolist()
+        ref = evaluate_admission_decisions(
+            np.array(oids), np.array(denied), m, window_size=window
+        )
+        states = []
+        for size in (1, 5, 256):
+            reg = MetricsRegistry()
+            fired = []
+            mon = DriftMonitor(
+                m, window_size=window, alarm_threshold=0.55, registry=reg,
+                on_alarm=[lambda _, w, acc: fired.append((w, acc))],
+            )
+            for lo in range(0, n, size):
+                mon.observe_range(lo, oids[lo:lo + size], denied[lo:lo + size])
+            streamed = (mon.last_accuracy, mon.worst_accuracy, mon.alarms)
+            assert reg.get("repro_matured_verdicts_total").value == mon.matured
+            mon.finish()
+            got = mon.quality(n_total=n)
+            np.testing.assert_array_equal(got.n_scored, ref.n_scored)
+            np.testing.assert_array_equal(got.accuracy, ref.accuracy)
+            np.testing.assert_array_equal(got.precision, ref.precision)
+            np.testing.assert_array_equal(got.recall, ref.recall)
+            states.append((
+                mon._counts, mon.matured, streamed, fired,
+                mon.last_accuracy, mon.worst_accuracy, mon.snapshot(),
+            ))
+        assert fired and states[0] == states[1] == states[2]
+
     def test_integral_threshold_boundary(self):
         # Re-access at distance exactly M counts as reused; M+1 is one-time.
         m = 3.0

@@ -162,6 +162,61 @@ class TestTraceVerb:
         assert msg["sample_rate"] == 0.25
 
 
+class TestDecisionEvents:
+    """What a sampled event carries: the decision as it was made, if one was."""
+
+    def test_misses_carry_the_decision_and_hits_carry_none(self, tiny_trace):
+        from repro.core.online import OnlineFeatureTracker
+
+        tracer = DecisionTrace(capacity=10_000, sample_rate=1.0)
+        node = CacheNode(tiny_trace, CFG, tracer=tracer)
+        n = 1500
+        for lo in range(0, n, 7):
+            node.process_batch(list(range(lo, min(lo + 7, n))))
+        events = tracer.events()
+        assert [e["index"] for e in events] == list(range(n))
+
+        # The rows an independent tracker builds at the same positions.
+        reference = OnlineFeatureTracker(tiny_trace)
+        spent = 0.0
+        for e in events:
+            row = reference.features(e["index"]).tolist()
+            reference.observe(e["index"])
+            if e["hit"]:
+                # Fig. 4 never asks on a hit.
+                assert e["verdict"] is None and e["features"] is None
+                assert e["t_classify"] == 0.0
+                assert not e["denied"] and not e["rectified"]
+            else:
+                assert e["verdict"] in (0, 1) and e["features"] == row
+                assert e["t_classify"] > 0
+                assert e["rectified"] == (e["verdict"] == ONE_TIME and not e["denied"])
+                assert e["verdict"] == ONE_TIME or not e["denied"]
+                spent += e["t_classify"]
+        misses = [e for e in events if not e["hit"]]
+        assert len(misses) == n - node.stats.hits == node.classify_timing.count
+        assert sum(e["denied"] for e in events) == node.stats.admissions_denied
+        assert sum(e["rectified"] for e in events) == node.rectified_admits > 0
+        # Captured at decision time: the per-decision times are the
+        # admission's own clock reads, so they add up to its total.
+        assert spent == pytest.approx(node.admission.decision_seconds)
+        assert not node._captured    # drained with every batch
+
+    def test_capture_code_exists_only_while_a_tracer_is_attached(self, tiny_trace):
+        node = CacheNode(tiny_trace, CFG)
+        node.process_batch(list(range(100)))
+        assert "_capture" not in node.admission.source
+        assert node.admission.capture is None and not node._captured
+
+        node.tracer = DecisionTrace(sample_rate=0.0)   # attached, samples nothing
+        node.process_batch(list(range(100, 200)))
+        assert "_capture[index]" in node.admission.source
+        node.tracer = None
+        node.process_batch(list(range(200, 300)))
+        assert "_capture" not in node.admission.source
+        assert not node._captured
+
+
 class TestStatszParity:
     def test_statsz_equals_tcp_stats(self, tiny_trace):
         async def run():
@@ -236,7 +291,8 @@ class TestStatszParity:
         assert samples["repro_trace_position"] == 800
         assert samples["repro_model_version"] == node.model_version
         assert samples["repro_service_latency_seconds_count"] == 800
-        assert samples["repro_classify_seconds_count"] == 800
+        # t_classify is paid per decision, and Fig. 4 decides on misses only.
+        assert samples["repro_classify_seconds_count"] == 800 - node.stats.hits
         # Exposition is structurally valid: HELP/TYPE pairs precede samples.
         assert "# TYPE repro_requests_total counter" in text
         assert "# TYPE repro_service_latency_seconds histogram" in text
@@ -325,13 +381,16 @@ class TestBoundedTiming:
         replay_node(node, chunk=512)
 
         assert node.processed == n
-        assert node.classify_timing.count == n
+        # One observation per decision: the misses, never the hits.
+        decisions = n - node.stats.hits
+        assert 0 < decisions < n
+        assert node.classify_timing.count == decisions
         assert node.classify_timing.retained <= cap
         assert node.classify_times().shape[0] <= cap
         # Exact aggregates survive the bound.
         assert node.classify_timing.max_value > 0
         snap_count = node.classify_timing.summary()["count"]
-        assert snap_count == n
+        assert snap_count == decisions
 
     def test_service_latency_reservoir_bounded_over_tcp(self, tiny_trace):
         cap = 100

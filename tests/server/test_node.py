@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from repro.cache.base import CacheStats
-from repro.server.node import CacheNode, NodeConfig, replay_offline
+from repro.cache.lru import LRUCache
+from repro.cache.simulator import replay_range
+from repro.core.labeling import ONE_TIME
+from repro.ml.fastpath import fast_predictor
+from repro.server.node import (
+    CacheNode,
+    NodeConfig,
+    build_cache,
+    classifier_admission,
+    replay_offline,
+    solve_node_criteria,
+)
 
 
 def drive(node: CacheNode, batch_sizes=(1,)) -> CacheStats:
@@ -37,11 +48,12 @@ CFG = NodeConfig(capacity_fraction=0.02)
 
 
 class TestBatchParity:
-    """Batched inference (served) vs per-row inference (``replay_offline``).
+    """The served node vs ``replay_offline``, end to end.
 
-    Both sides share one request loop; what differs — and what these pin —
-    is how the verdicts get made.  Loop-vs-loop agreement (no classifier,
-    batch-size invariance) lives in ``tests/cache/test_request_loop.py``.
+    Both sides drive one request loop over one admission built by one
+    function; these pin the whole served stack (DRAM tier included) to the
+    offline run.  Loop-vs-loop agreement per policy and the batch-boundary
+    cases live in ``tests/cache/test_request_loop.py``.
     """
 
     def test_classified_node_matches_offline_simulate(self, tiny_trace):
@@ -79,10 +91,12 @@ class TestSequencing:
 
 class TestTelemetry:
     def test_classify_times_cover_every_request(self, tiny_trace):
+        """Every request that *needed* a decision — each miss, no hit."""
         node = CacheNode(tiny_trace, CFG)
         drive(node, batch_sizes=(64,))
         times = node.classify_times()
-        assert times.shape[0] == tiny_trace.n_accesses
+        assert 0 < node.stats.hits < tiny_trace.n_accesses
+        assert times.shape[0] == tiny_trace.n_accesses - node.stats.hits
         assert (times > 0).all()
 
     def test_trace_clock_advances(self, tiny_trace):
@@ -125,6 +139,77 @@ class TestModelSwap:
         denied = sum(r["denied"] for r in out)
         assert node.stats.admissions_denied == before + denied
         assert denied > 0
+
+    CFG = NodeConfig(capacity_fraction=0.02, dram_fraction=0.0)
+
+    class DenyAll:
+        def predict(self, X):
+            return np.full(X.shape[0], ONE_TIME)
+
+    def segment_reference(self, trace, seed_model, swapped_model, cut):
+        """The offline replay, one admission, rebound at ``cut``."""
+        criteria = solve_node_criteria(trace, self.CFG)
+        admission = classifier_admission(trace, criteria, seed_model)
+        cache, oids, sizes = build_cache(trace, self.CFG), trace.object_ids, trace.sizes
+        outcomes: list = []
+        replay_range(cache, admission, None, CacheStats(), oids, sizes, 0, cut,
+                     outcomes=outcomes)
+        admission.bind(fast_predictor(swapped_model), model=swapped_model)
+        replay_range(cache, admission, None, CacheStats(), oids, sizes, cut,
+                     trace.n_accesses, outcomes=outcomes)
+        return [denied for _, denied in outcomes], admission.rectified_admits
+
+    @pytest.mark.parametrize("reentrant", [False, True])
+    def test_swap_takes_effect_at_the_batch_boundary_only(self, tiny_trace, reentrant):
+        """Installed between two batches — or from inside the first one,
+        standing in for another thread — the new model decides from the
+        next batch on and never inside a running one."""
+        trace, n, cut, swap_at = tiny_trace, tiny_trace.n_accesses, 600, 300
+        node = CacheNode(trace, self.CFG)
+        seed_model, swapped = node.model, self.DenyAll()
+
+        class SwapsMidBatch(LRUCache):
+            """Calls install_model from inside the request loop."""
+
+            lookups = 0
+
+            def access_if_present(self, oid, size):
+                if self.lookups == swap_at:
+                    node.install_model(swapped)
+                self.lookups += 1
+                return super().access_if_present(oid, size)
+
+        if reentrant:
+            node.cache = SwapsMidBatch(node.cache.capacity)
+        first = node.process_batch(list(range(cut)))
+        if reentrant:
+            assert node.cache.lookups == cut and node.model is swapped
+        else:
+            node.install_model(swapped)
+        assert node.model_version == 2
+        rest = node.process_batch(list(range(cut, n)))
+
+        denied, rectified = self.segment_reference(trace, seed_model, swapped, cut)
+        assert [r["denied"] for r in first + rest] == denied
+        assert node.rectified_admits == rectified
+        # The first batch is the seed model's to the last request, so it is
+        # a prefix of the whole-trace offline replay ...
+        seed_only = self.segment_reference(trace, seed_model, seed_model, cut)[0]
+        assert [r["denied"] for r in first] == seed_only[:cut]
+        assert denied[cut:] != seed_only[cut:]
+        # ... and written under the seed model's label, not the swapped one.
+        assert node.ledger.writes_by_model()["v1"] == sum(r["admitted"] for r in first)
+
+    def test_node_swapped_before_the_first_batch_equals_offline_with_that_model(
+        self, tiny_trace
+    ):
+        node = CacheNode(tiny_trace, self.CFG)
+        swapped = self.DenyAll()
+        node.install_model(swapped)
+        drive(node, batch_sizes=(5, 256))
+        ref = replay_offline(tiny_trace, self.CFG, model=swapped)
+        assert_stats_equal(node.stats, ref.stats)
+        assert node.admission.model is swapped
 
 
 class TestConfigValidation:

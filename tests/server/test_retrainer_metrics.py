@@ -175,7 +175,7 @@ class TestSnapshot:
         snap = metrics_snapshot(node)
         assert snap["processed"] == snap["requests"] == 1000
         assert snap["classifier"] is True
-        assert snap["t_classify"]["count"] == 1000
+        assert snap["t_classify"]["count"] == 1000 - snap["hits"]  # per miss
         assert 0.0 <= snap["hit_rate"] <= 1.0
         assert "l1_hits" in snap  # hierarchical default
         table = format_metrics(snap)

@@ -45,10 +45,24 @@ class TestBatchSpanTree:
         for ev in events:
             by_name.setdefault(ev["name"], []).append(ev)
         expected = {
-            "request_batch", "queue_wait", "process_batch",
-            "feature_build", "batch_inference", "cache_ops", "reply",
+            "request_batch", "queue_wait", "process_batch", "cache_ops", "reply",
         }
         assert expected <= set(by_name)
+        # Classification runs inside the request loop, miss by miss, so it
+        # is no contiguous span: cache_ops carries its count and its summed
+        # gather / tree-walk time as args instead.
+        assert not {"feature_build", "batch_inference"} & set(by_name)
+        ops = [ev["args"] for ev in by_name["cache_ops"]]
+        assert sum(a["requests"] for a in ops) == tiny_trace.n_accesses
+        assert sum(a["decisions"] for a in ops) == (
+            tiny_trace.n_accesses - node.stats.hits
+        )
+        for ev in by_name["cache_ops"]:
+            a = ev["args"]
+            assert (a["feature_ns"] > 0) == (a["inference_ns"] > 0) == (
+                a["decisions"] > 0
+            )
+            assert a["feature_ns"] + a["inference_ns"] <= ev["end_ns"] - ev["start_ns"]
 
         # Every request_batch root owns exactly one batch's children on
         # its own track, and the children nest inside it in time.

@@ -65,7 +65,8 @@ class TestReplayParity:
         assert snap["requests"] == tiny_trace.n_accesses
         assert snap["hit_rate"] == pytest.approx(ref.stats.hit_rate)
         assert snap["files_written"] == ref.stats.files_written
-        assert snap["t_classify"]["count"] == tiny_trace.n_accesses
+        # One t_classify observation per decision: misses only (Fig. 4).
+        assert snap["t_classify"]["count"] == tiny_trace.n_accesses - ref.stats.hits
         assert snap["service_latency"]["count"] == tiny_trace.n_accesses
 
     def test_client_observed_hits_match_server(self, tiny_trace):
