@@ -11,21 +11,19 @@ Dual-mode module:
 
       (learned − lru) / (belady − lru)
 
-  plus the SSD file-write rates and the timed per-eviction decision
-  cost, writes ``BENCH_learned_eviction.json`` (``"kind":
+  plus the SSD file-write rates, the timed per-eviction decision cost
+  and the refit cost (``fit_seconds``, its share of the replay, ms per
+  fit), writes ``BENCH_learned_eviction.json`` (``"kind":
   "learned_eviction"`` for ``bench_trend.py`` dispatch) and exits
   non-zero when a floor is missed.  Full-mode floors: mean closure
-  ≥ 25 % of the LRU→Belady gap, a compiled single prediction in the ns
-  range (< 1 µs), and a mean eviction decision within its budget.  The
-  decision budget is the 2 µs reference figure hardware-normalised:
-  ``max(2 µs, 16 × the same-run LRU cost per replayed access)``.  On
-  the reference core where an LRU replay access is ~125 ns the two
-  bounds coincide at 2 µs; on slower or noisier runners the relative
-  form keeps the gate measuring the *policy* (a decision may cost at
-  most 16 plain-LRU accesses) instead of the machine.  Both modes
-  always verify that every pre-existing registry policy stays
-  bit-identical under segmented replay — the learned policy must not
-  disturb the nine incumbents.
+  ≥ 25 % of the LRU→Belady gap and a compiled single prediction in the
+  ns range (< 1 µs).  The policy's *time* is not gated here: it is
+  judged by ``replay_learned``'s ``cpu_us_per_req`` bound in
+  ``benchmarks/e2e``, on interleaved parent/change runs; the decision
+  and refit timings in this report are information.  Both modes always
+  verify that every pre-existing registry policy stays bit-identical
+  under segmented replay — the learned policy must not disturb the
+  nine incumbents.
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs quick mode and persists the table under ``results/``.
 
@@ -69,11 +67,6 @@ SEED = 7
 #: Full-mode floors (quick mode reports but never gates — the tiny trace
 #: under-trains the head, that's expected).
 MIN_MEAN_CLOSURE = 0.25
-#: Reference-hardware absolute decision budget (ns).
-MAX_MEAN_DECISION_NS = 2_000.0
-#: Machine-independent form of the same budget: a decision may cost at
-#: most this many plain-LRU replay accesses, measured in the same run.
-DECISION_BUDGET_LRU_MULTIPLE = 16.0
 #: The compiled fast path itself must stay in the ns range everywhere.
 MAX_PREDICT_NS = 1_000.0
 
@@ -125,10 +118,7 @@ def run_learned_eviction_bench(
     points = []
     for fraction in _point_fractions():
         cap = max(1, int(fraction * footprint))
-        t0 = time.perf_counter()
         lru = simulate(trace, make_policy("lru", cap), policy_name="lru")
-        lru_wall = time.perf_counter() - t0
-        lru_ns = 1e9 * lru_wall / max(1, lru.stats.requests)
         belady = simulate(
             trace, make_policy("belady", cap, trace), policy_name="belady"
         )
@@ -151,8 +141,13 @@ def run_learned_eviction_bench(
                 "learned_file_write_rate": learned.file_write_rate,
                 "belady_file_write_rate": belady.file_write_rate,
                 "mean_decision_ns": stats["mean_decision_ns"],
-                "lru_access_ns": lru_ns,
                 "predict_ns": _time_predict(policy),
+                "fit_seconds": stats["fit_seconds"],
+                "fit_share": stats["fit_seconds"] / wall,
+                "ms_per_fit": (
+                    1e3 * stats["fit_seconds"] / stats["fits"]
+                    if stats["fits"] else None
+                ),
                 "decision_stats": {
                     k: stats[k]
                     for k in (
@@ -162,6 +157,7 @@ def run_learned_eviction_bench(
                         "protected_skips",
                         "churn_inserts",
                         "fits",
+                        "fit_rows",
                         "matured_samples",
                     )
                 },
@@ -174,8 +170,6 @@ def run_learned_eviction_bench(
         p["mean_decision_ns"] for p in points if p["mean_decision_ns"]
     ]
     predict_ns = [p["predict_ns"] for p in points if p["predict_ns"]]
-    lru_ns = [p["lru_access_ns"] for p in points]
-    mean_lru_ns = sum(lru_ns) / len(lru_ns)
     return {
         "kind": KIND,
         "quick": quick,
@@ -190,9 +184,9 @@ def run_learned_eviction_bench(
         "mean_predict_ns": (
             sum(predict_ns) / len(predict_ns) if predict_ns else None
         ),
-        "mean_lru_access_ns": mean_lru_ns,
-        "decision_budget_ns": max(
-            MAX_MEAN_DECISION_NS, DECISION_BUDGET_LRU_MULTIPLE * mean_lru_ns
+        "fit_share": (
+            sum(p["fit_seconds"] for p in points)
+            / sum(p["simulate_seconds"] for p in points)
         ),
         "segment_parity": check_segment_parity(seed=seed),
     }
@@ -222,15 +216,20 @@ def format_report(report: dict) -> str:
         f"learned eviction vs LRU/Belady ({mode} mode, "
         f"{report['workload']['n_objects']:,} objects)",
         f"{'frac':>6} {'lru':>7} {'learned':>8} {'belady':>7} "
-        f"{'closure':>8} {'dec ns':>8}",
+        f"{'closure':>8} {'dec ns':>8} {'sim s':>7} {'fit s':>7} "
+        f"{'fit %':>6} {'ms/fit':>7}",
     ]
     for p in report["points"]:
         ns = p["mean_decision_ns"]
         ns_cell = f"{ns:>8.0f}" if ns is not None else f"{'-':>8}"
+        ms = p["ms_per_fit"]
+        ms_cell = f"{ms:>7.1f}" if ms is not None else f"{'-':>7}"
         lines.append(
             f"{p['fraction']:>6.4f} {p['lru_hit_rate']:>7.4f} "
             f"{p['learned_hit_rate']:>8.4f} {p['belady_hit_rate']:>7.4f} "
-            f"{p['gap_closure']:>+8.3f} {ns_cell}"
+            f"{p['gap_closure']:>+8.3f} {ns_cell} "
+            f"{p['simulate_seconds']:>7.2f} {p['fit_seconds']:>7.2f} "
+            f"{100 * p['fit_share']:>6.1f} {ms_cell}"
         )
     lines.append(
         f"mean closure {report['mean_gap_closure']:+.3f} "
@@ -238,11 +237,9 @@ def format_report(report: dict) -> str:
     )
     if report["mean_decision_ns"] is not None:
         lines.append(
-            f"mean decision {report['mean_decision_ns']:.0f} ns "
-            f"(budget {report['decision_budget_ns']:.0f} ns = "
-            f"max({MAX_MEAN_DECISION_NS:.0f}, "
-            f"{DECISION_BUDGET_LRU_MULTIPLE:.0f} x "
-            f"{report['mean_lru_access_ns']:.0f} ns LRU access))"
+            f"mean decision {report['mean_decision_ns']:.0f} ns per eviction "
+            f"(information; refits are {100 * report['fit_share']:.0f} % "
+            "of the learned replays)"
         )
     if report["mean_predict_ns"] is not None:
         lines.append(
@@ -281,17 +278,6 @@ def check_report(report: dict, *, quick: bool | None = None) -> None:
             f"compiled prediction {report['mean_predict_ns']:.0f} ns is "
             f"out of the ns range (>{MAX_PREDICT_NS:.0f} ns) — the fast "
             "path is not being used"
-        )
-    budget = report["decision_budget_ns"]
-    if (
-        report["mean_decision_ns"] is not None
-        and report["mean_decision_ns"] > budget
-    ):
-        raise BenchError(
-            f"mean eviction decision {report['mean_decision_ns']:.0f} ns "
-            f"exceeds the {budget:.0f} ns budget "
-            f"(max({MAX_MEAN_DECISION_NS:.0f} ns, "
-            f"{DECISION_BUDGET_LRU_MULTIPLE:.0f} x LRU access))"
         )
 
 

@@ -132,6 +132,9 @@ class OnlineReuseTrainer:
     is refit on the newest ``buffer_size`` rows and compiled.  ``ready``
     is the confidence gate: True only when a head is fitted *and* its
     training MAE (in log₂-requests) stayed under ``max_error``.
+    ``fit_seconds`` and ``fit_rows`` accumulate the wall time and the rows
+    of every refit (two clock reads per refit, always on) — the policy's
+    dominant cost, surfaced through ``LearnedCache.decision_stats()``.
     """
 
     def __init__(
@@ -159,14 +162,11 @@ class OnlineReuseTrainer:
         self.min_samples_leaf = min_samples_leaf
         self.bins = bins
 
-        self._rows: list[tuple] = []
-        self._labels: list[float] = []
-        self._since_fit = 0
-        self.fits = 0
-        self.matured = 0
-        self.train_mae = float("inf")
-        self.model: DecisionTreeRegressor | None = None
-        self.predict_one = None  # compiled scalar head, None until fitted
+        # Matured samples, oldest -> newest in ``[:_n]``; twice the window
+        # so the trim below is amortised over ``buffer_size`` additions.
+        self._X = np.empty((2 * buffer_size, n_features), dtype=np.float64)
+        self._y = np.empty(2 * buffer_size, dtype=np.float64)
+        self.reset()
 
     @property
     def ready(self) -> bool:
@@ -175,22 +175,31 @@ class OnlineReuseTrainer:
 
     def add(self, row: tuple, label: float) -> bool:
         """Record one matured sample; returns True when a refit happened."""
-        self._rows.append(row)
-        self._labels.append(label)
+        if len(row) != self.n_features:
+            raise ValueError(
+                f"row has {len(row)} features, trainer expects {self.n_features}"
+            )
+        n = self._n
+        if n == self._y.shape[0]:
+            # Amortised trim: slide the newest window to the front at once.
+            n = self.buffer_size
+            self._X[:n] = self._X[n:]
+            self._y[:n] = self._y[n:]
+        self._X[n] = row
+        self._y[n] = label
+        self._n = n + 1
         self.matured += 1
         self._since_fit += 1
-        if len(self._rows) > 2 * self.buffer_size:
-            # Amortised trim: keep the newest window, drop the rest at once.
-            del self._rows[: -self.buffer_size]
-            del self._labels[: -self.buffer_size]
-        if self._since_fit >= self.train_interval and len(self._rows) >= self.min_train:
+        if self._since_fit >= self.train_interval and self._n >= self.min_train:
             self._fit()
             return True
         return False
 
     def _fit(self) -> None:
-        X = np.asarray(self._rows[-self.buffer_size :], dtype=np.float64)
-        y = np.asarray(self._labels[-self.buffer_size :], dtype=np.float64)
+        t0 = time.perf_counter()
+        lo = max(0, self._n - self.buffer_size)
+        X = self._X[lo : self._n]
+        y = self._y[lo : self._n]
         model = DecisionTreeRegressor(
             max_splits=self.max_splits,
             min_samples_leaf=self.min_samples_leaf,
@@ -202,17 +211,20 @@ class OnlineReuseTrainer:
         self.model = model
         self.predict_one = fast_predictor(model).predict_one
         self.fits += 1
+        self.fit_rows += X.shape[0]
         self._since_fit = 0
+        self.fit_seconds += time.perf_counter() - t0
 
     def reset(self) -> None:
-        self._rows.clear()
-        self._labels.clear()
+        self._n = 0
         self._since_fit = 0
         self.fits = 0
+        self.fit_rows = 0  # Σ rows over all refits
+        self.fit_seconds = 0.0
         self.matured = 0
         self.train_mae = float("inf")
-        self.model = None
-        self.predict_one = None
+        self.model: DecisionTreeRegressor | None = None
+        self.predict_one = None  # compiled scalar head, None until fitted
 
 
 class LearnedCache(CachePolicy):
@@ -231,8 +243,10 @@ class LearnedCache(CachePolicy):
         tuples appended to every row.  ``make_policy("learned", cap,
         trace)`` supplies :func:`eviction_metadata`.
     sample_size:
-        Candidates ``K`` drawn per eviction (MAT uses a handful; 8 keeps
-        the decision comfortably under the 2 µs budget).
+        Candidates ``K`` drawn per eviction (MAT uses a handful).  At
+        ``K = 8`` the timed decision is on the order of 10 µs *per
+        eviction* (``BENCH_learned_eviction.json`` has it per capacity
+        point), a few µs per request.
     protect_recent:
         The most recent this-many *insertions* are off-limits to the
         sampled ranking — a just-admitted object never pays for the
@@ -289,11 +303,15 @@ class LearnedCache(CachePolicy):
         self.theta = theta
         self.horizon_scale = horizon_scale
         n_meta = len(metadata[0]) if metadata is not None and len(metadata) else 0
-        self.trainer = (
-            trainer
-            if trainer is not None
-            else OnlineReuseTrainer(n_features=_N_STREAM_FEATURES + n_meta)
-        )
+        n_features = _N_STREAM_FEATURES + n_meta
+        if trainer is None:
+            trainer = OnlineReuseTrainer(n_features=n_features)
+        elif trainer.n_features != n_features:
+            raise ValueError(
+                f"trainer expects {trainer.n_features} features but rows carry "
+                f"{n_features} ({_N_STREAM_FEATURES} stream + {n_meta} metadata)"
+            )
+        self.trainer = trainer
         self.seed = seed
         self.timing = bool(timing)
         self._rng = random.Random(seed)
@@ -310,9 +328,12 @@ class LearnedCache(CachePolicy):
         # sentinel until a second access is seen).
         self._meta: dict[int, list] = {}
         # Training rows awaiting labels: oid -> [[row, sampled_at, done]].
-        # The time wheel holds (due_clock, oid, entry) in due order; an
-        # entry matures once — at re-access with the true distance, or at
-        # its horizon with the ceiling label, whichever comes first.
+        # The time wheel holds (due_clock, oid, entry) in *append* order,
+        # which is due order only while the horizon does not shrink: it
+        # adapts, so an entry can sit behind a later-due one and mature a
+        # few requests late (ROADMAP: known label imprecision).  An entry
+        # matures once — at re-access with the true distance, or when the
+        # wheel reaches it with the ceiling label, whichever comes first.
         self._pending: dict[int, list] = {}
         self._wheel: deque = deque()
         self._clock = 0
@@ -598,6 +619,8 @@ class LearnedCache(CachePolicy):
             "protected_skips": self.protected_skips,
             "churn_inserts": self.churn_inserts,
             "fits": self.trainer.fits,
+            "fit_rows": self.trainer.fit_rows,
+            "fit_seconds": self.trainer.fit_seconds,
             "matured_samples": self.trainer.matured,
             "train_mae": self.trainer.train_mae,
             "decision_seconds": self.decision_seconds,

@@ -563,14 +563,17 @@ class DecisionTreeRegressor(BaseEstimator):
     ``bins`` switches split *search* from exact (argsort every feature at
     every node — the cost that dominates an online refit) to histogram
     candidates: each feature is quantised once per fit onto its
-    ``bins``-quantile edges, and every node scores splits with three
-    ``bincount`` passes instead of a sort.  Thresholds remain real feature
-    values (the bin edges), the tree structure and prediction path are
-    unchanged, and routing is still ``x <= threshold`` on raw inputs —
-    only which thresholds are *considered* is coarsened.  This is the
-    LightGBM-style trade: for the online eviction head it cuts refit cost
-    by roughly an order of magnitude at no measured quality loss.  The
-    default (``None``) keeps the exact search.
+    ``bins``-quantile edges, and every node scores the splits of *all*
+    features from one histogram pass — a count ``bincount`` and a ``Σwy``
+    ``bincount`` (a third, ``Σw``, only under sample weights) over the
+    node's flattened codes — instead of a sort per feature.  Thresholds
+    remain real feature values (the bin edges), the tree structure and
+    prediction path are unchanged, and routing is still ``x <= threshold``
+    on raw inputs — only which thresholds are *considered* is coarsened.
+    This is the LightGBM-style trade: for the online eviction head it
+    makes a refit several times cheaper (≈ 3.5× at 13k × 9 rows, more as
+    rows grow) at no measured quality loss.  The default (``None``) keeps
+    the exact search.
     """
 
     def __init__(
@@ -611,10 +614,13 @@ class DecisionTreeRegressor(BaseEstimator):
             raise ValueError("y contains NaN or Inf")
         w = check_sample_weight(sample_weight, X.shape[0])
         self.n_features_in_ = X.shape[1]
-        self._unit_weights = sample_weight is None
-        codes, edges = (
-            self._quantile_bins(X) if self.bins is not None else (None, None)
-        )
+        if self.bins is not None:
+            codes, edges = self._quantile_bins(X)
+            # The online trainer never weights samples; with unit weights
+            # the weight histogram *is* the count histogram, so no weight
+            # vector is handed to the split search at all.
+            hist_w = None if sample_weight is None else w
+            wy = y if hist_w is None else w * y
 
         feature: list[int] = []
         threshold: list[float] = []
@@ -641,10 +647,10 @@ class DecisionTreeRegressor(BaseEstimator):
                 return
             if self.max_depth is not None and depth >= self.max_depth:
                 return
-            if codes is None:
+            if self.bins is None:
                 cand = self._best_split(X, y, w, indices)
             else:
-                cand = self._best_split_binned(codes, edges, y, w, indices)
+                cand = self._best_split_binned(codes, edges, wy, hist_w, indices)
             if cand is None:
                 return
             decrease, feat, thr = cand
@@ -729,79 +735,95 @@ class DecisionTreeRegressor(BaseEstimator):
                 best = (g, int(j), float(thr))
         return best
 
-    def _quantile_bins(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _quantile_bins(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quantise every feature onto its ``bins``-quantile edge grid.
 
-        Returns ``(codes, edges)`` where ``edges[j]`` is the ascending
-        array of candidate thresholds for feature ``j`` and
-        ``codes[i, j] <= b`` iff ``X[i, j] <= edges[j][b]`` — the
-        equivalence ``_best_split_binned`` relies on to emit thresholds
-        that route raw inputs exactly like the histogram did.
+        Returns ``(codes, edges)``, both per (feature, bin).  ``edges`` is
+        ``(n_features, bins)``: row ``j`` holds feature ``j``'s ascending
+        candidate thresholds, NaN-padded on the right (a feature has at
+        most ``bins - 1`` edges).  ``codes[i, j] - j * bins <= b`` iff
+        ``X[i, j] <= edges[j, b]`` — the equivalence
+        ``_best_split_binned`` relies on to emit thresholds that route raw
+        inputs exactly like the histogram did.  The ``j * bins`` offset
+        gives every (feature, bin) pair its own slot, so one ``bincount``
+        over a node's flattened codes histograms all features at once.
         """
-        qs = np.linspace(0.0, 1.0, self.bins + 1)[1:-1]
+        nb = self.bins
+        qs = np.linspace(0.0, 1.0, nb + 1)[1:-1]
+        quantiles = np.quantile(X, qs, axis=0)
         codes = np.empty(X.shape, dtype=np.int64)
-        edges: list[np.ndarray] = []
+        edges = np.full((X.shape[1], nb), np.nan)
         for j in range(X.shape[1]):
             col = X[:, j]
             # Unique keeps codes dense; dropping the max removes the
             # everything-goes-left pseudo-split.
-            e = np.unique(np.quantile(col, qs))
+            e = np.unique(quantiles[:, j])
             if e.shape[0] and e[-1] >= col.max():
                 e = e[:-1]
-            edges.append(e)
-            codes[:, j] = np.searchsorted(e, col, side="left")
+            edges[j, : e.shape[0]] = e
+            codes[:, j] = np.searchsorted(e, col, side="left") + j * nb
         return codes, edges
 
     def _best_split_binned(
         self,
         codes: np.ndarray,
-        edges: list[np.ndarray],
-        y: np.ndarray,
-        w: np.ndarray,
+        edges: np.ndarray,
+        wy: np.ndarray,
+        w: np.ndarray | None,
         indices: np.ndarray,
     ) -> tuple[float, int, float] | None:
-        """Histogram twin of :meth:`_best_split`: bincount, not argsort."""
-        n = indices.shape[0]
-        y_node = y[indices]
-        # The online trainer never weights samples; with unit weights the
-        # weight histogram *is* the count histogram, saving a bincount.
-        unweighted = getattr(self, "_unit_weights", False)
-        w_node = None if unweighted else w[indices]
-        wy_node = y_node if unweighted else w_node * y_node
-        total_w = float(n) if unweighted else float(w_node.sum())
-        total_wy = float(wy_node.sum())
-        base = total_wy * total_wy / total_w
-        min_leaf = self.min_samples_leaf
-        sub = codes[indices]
+        """Histogram twin of :meth:`_best_split`: bincount, not argsort.
 
-        best: tuple[float, int, float] | None = None
-        for j in range(sub.shape[1]):
-            e = edges[j]
-            nb = e.shape[0] + 1
-            if nb < 2:
-                continue
-            c = sub[:, j]
-            # Left-of-edge-b aggregates via one cumsum over the histogram.
-            cn = np.cumsum(np.bincount(c, minlength=nb))[:-1]
-            cwy = np.cumsum(np.bincount(c, weights=wy_node, minlength=nb))[:-1]
-            cw = (
-                cn.astype(np.float64)
-                if unweighted
-                else np.cumsum(np.bincount(c, weights=w_node, minlength=nb))[:-1]
-            )
-            ok = (cn >= min_leaf) & (n - cn >= min_leaf) & (cw > 0)
+        One pass per node for all features: a ``bincount`` over the
+        flattened offset codes fills a ``(n_features, bins)`` histogram, a
+        row-wise ``cumsum`` turns it into left-of-edge aggregates, and one
+        flat ``argmax`` over the masked gain picks the split.  ``wy`` is
+        ``w * y`` per sample; ``w`` is ``None`` for unit weights.
+
+        The accumulation order is part of the contract (fits are pinned
+        bit for bit): ``bincount`` adds in input order, so each (feature,
+        bin) slot sums its rows in ``indices`` order; ``cumsum`` along a
+        row is a sequential sum; and row-major first-occurrence ``argmax``
+        is "first best bin within a feature, earliest feature on ties".
+        """
+        n = indices.shape[0]
+        shape = edges.shape
+        size = edges.size
+        min_leaf = self.min_samples_leaf
+        wy_node = wy[indices]
+        total_wy = float(wy_node.sum())
+        flat = codes.take(indices, axis=0).ravel()
+
+        def left_of_edge(per_sample=None):
+            if per_sample is not None:
+                per_sample = np.repeat(per_sample, shape[0])
+            hist = np.bincount(flat, weights=per_sample, minlength=size)
+            return hist.reshape(shape).cumsum(axis=1)
+
+        cn = left_of_edge()
+        cwy = left_of_edge(wy_node)
+        # Past a feature's last edge every row is on the left (cn == n), so
+        # the leaf minimum on the right also rules out the NaN padding.
+        ok = (cn >= min_leaf) & (cn <= n - min_leaf)
+        if w is None:
+            total_w = float(n)
+            cw = cn.astype(np.float64)
             rw = total_w - cw
-            ok &= rw > 0
-            if not ok.any():
-                continue
-            gain = cwy[ok] ** 2 / cw[ok] + (total_wy - cwy[ok]) ** 2 / rw[ok] - base
-            pos = int(np.argmax(gain))
-            g = float(gain[pos])
-            if g > 0 and (best is None or g > best[0]):
-                best = (g, int(j), float(e[np.nonzero(ok)[0][pos]]))
-        return best
+        else:
+            # Zero-weight rows count towards the leaf minimum but a side
+            # made only of them has no mean.
+            w_node = w[indices]
+            total_w = float(w_node.sum())
+            cw = left_of_edge(w_node)
+            rw = total_w - cw
+            ok &= (cw > 0) & (rw > 0)
+        base = total_wy * total_wy / total_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = cwy**2 / cw + (total_wy - cwy) ** 2 / rw - base
+        gain = np.where(ok, gain, -np.inf)
+        j, b = divmod(int(gain.argmax()), shape[1])
+        g = float(gain[j, b])
+        return (g, j, float(edges[j, b])) if g > 0 else None
 
     # -------------------------------------------------------------- predict
 

@@ -12,6 +12,9 @@ streams:
   bit-identical to the per-request loop.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from repro.cache import (
     eviction_metadata,
 )
 from repro.cache.simulator import POLICY_REGISTRY, make_policy, simulate
+from repro.ml.tree import DecisionTreeRegressor
 from repro.trace import WorkloadConfig, generate_trace
 
 request_streams = st.lists(
@@ -44,7 +48,10 @@ class _DeadOracle:
     """
 
     ready = True
+    n_features = 5
     fits = 0
+    fit_rows = 0
+    fit_seconds = 0.0
     train_mae = 0.0
 
     def __init__(self):
@@ -224,3 +231,109 @@ class TestTrainerLifecycle:
         assert stats["decisions"] > 0
         assert stats["mean_decision_ns"] is not None
         assert stats["mean_decision_ns"] > 0
+
+    def test_wrong_length_row_is_rejected(self):
+        trainer = OnlineReuseTrainer(n_features=5)
+        with pytest.raises(ValueError, match="5"):
+            trainer.add((1.0,) * 9, 3.0)
+        with pytest.raises(ValueError, match="5"):
+            trainer.add((1.0,), 3.0)  # would otherwise broadcast silently
+        assert trainer.matured == 0
+
+    def test_trainer_width_must_match_the_row_layout(self):
+        # Five stream features + four catalog columns = 9-wide rows; the
+        # default trainer is 5-wide, and the mismatch must surface where
+        # it is made, not as a mis-shaped fit a thousand requests later.
+        trace = generate_trace(WorkloadConfig(n_objects=200, seed=2))
+        md = eviction_metadata(trace)
+        with pytest.raises(ValueError, match="9"):
+            LearnedCache(10_000, metadata=md, trainer=OnlineReuseTrainer())
+        with pytest.raises(ValueError, match="9"):
+            LearnedCache(10_000, trainer=OnlineReuseTrainer(n_features=9))
+        LearnedCache(10_000, metadata=md, trainer=OnlineReuseTrainer(n_features=9))
+
+    def test_fit_sees_newest_window_oldest_first_across_trims(self, monkeypatch):
+        # The row order handed to fit is part of the bit-identity contract
+        # (bincount sums in input order), so pin it across several trims
+        # of the preallocated row array.
+        seen = []
+        fit = DecisionTreeRegressor.fit
+
+        def recording_fit(self, X, y, sample_weight=None):
+            seen.append((np.array(X), np.array(y)))
+            return fit(self, X, y, sample_weight)
+
+        monkeypatch.setattr(DecisionTreeRegressor, "fit", recording_fit)
+        window = 8
+        trainer = OnlineReuseTrainer(
+            train_interval=1, min_train=2, buffer_size=window, min_samples_leaf=1
+        )
+        for i in range(5 * window + 3):
+            refit = trainer.add((float(i), 1.0, 2.0, 3.0, float(-i)), float(i))
+            assert refit == (i >= 1)
+            if refit:
+                X, y = seen[-1]
+                newest = np.arange(max(0, i + 1 - window), i + 1, dtype=np.float64)
+                assert np.array_equal(X[:, 0], newest)
+                assert np.array_equal(X[:, 4], -newest)
+                assert np.array_equal(y, newest)
+        assert trainer.fits == len(seen)
+        assert trainer.fit_rows == sum(len(y) for _, y in seen)
+
+
+class _HashingTrainer(OnlineReuseTrainer):
+    """Folds every refit's tree arrays into one sha256.
+
+    Split features, thresholds and children are hashed bit for bit.  Leaf
+    values are rounded to 1e-6 first: they come from a BLAS ``ddot``,
+    whose summation order follows the CPU kernel and thread count
+    (observed: ``OPENBLAS_NUM_THREADS=1`` moves the last bits of 13k-row
+    leaf means), and a pinned constant must not depend on the host.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sha = hashlib.sha256()
+
+    def _fit(self):
+        super()._fit()
+        m = self.model
+        for a in (m.feature_, m.threshold_, m.children_left_,
+                  m.children_right_, np.round(m.value_, 6)):
+            self.sha.update(np.ascontiguousarray(a).tobytes())
+
+
+class TestPinnedReplay:
+    def test_decisions_and_every_refit_tree_are_unchanged(self):
+        # Recorded at fc8dfdb, before the one-pass split search and the
+        # row array replaced the per-feature loop and the list of tuples:
+        # eleven refits (two buffer trims) on a metadata trace, every tree
+        # array of every refit and every decision counter.  A change that
+        # moves this fingerprint changes eviction decisions — it is not a
+        # refactor of the trainer.
+        trace = generate_trace(WorkloadConfig(n_objects=1500, seed=3))
+        cap = int(0.03 * trace.catalog["size"].sum())
+        trainer = _HashingTrainer(
+            n_features=9, train_interval=400, buffer_size=1000, min_train=256
+        )
+        policy = LearnedCache(
+            cap, metadata=eviction_metadata(trace), trainer=trainer
+        )
+        result = simulate(trace, policy)
+        d = policy.decision_stats()
+        assert (
+            result.stats.hits,
+            d["learned_evictions"],
+            d["fallback_evictions"],
+            d["protected_skips"],
+            d["churn_inserts"],
+            d["fits"],
+        ) == (3851, 1320, 716, 2702, 341, 11)
+        assert d["train_mae"] == pytest.approx(5.0056229203297775, rel=1e-12)
+        assert trainer.sha.hexdigest() == (
+            "574526bcd8f77be41c0fbb81d7d98625d707fc7a66c9ea93ae47997aff01430b"
+        )
+        assert d["matured_samples"] == 4788
+        # Refit attribution: always on, two clock reads per refit.
+        assert d["fit_rows"] == 400 + 800 + 9 * 1000
+        assert d["fit_seconds"] > 0
