@@ -44,16 +44,20 @@ calls with ``len(distinct)`` of them and lets FIFO/SIEVE touch only the
 distinct set.  On skewed workloads ``distinct/len`` is 0.2–0.4, which is
 where most of the batching win comes from.
 
-Cost: one O(n log n) Fenwick pass per trace (shared across every capacity
-and policy — :class:`~repro.experiments.grid.GridRunner` reuses it for the
-whole 5-policy × 4-config × 10-capacity grid), then one vectorised compare
-+ run-length encoding + promotion gather per distinct capacity.
+Cost: one grouping sort (the occurrence index) and one exact
+stack-distance pass of ~log2(n) array levels per trace
+(:func:`repro.trace.analysis.stack_distances_from_next_use`; shared across
+every capacity and policy — :class:`~repro.experiments.grid.GridRunner`
+reuses it for the whole 5-policy × 4-config × 10-capacity grid), then one
+vectorised compare + run-length encoding + promotion gather per distinct
+capacity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.belady import compute_next_use
 from repro.trace.records import Trace
 
 __all__ = ["SegmentPlan", "DEFAULT_MIN_RUN"]
@@ -87,14 +91,23 @@ class SegmentPlan:
         # Deferred import: repro.trace.analysis itself imports from
         # repro.cache (Belady's next-use oracle), so a module-level import
         # here would close an import cycle through the package __init__s.
-        from repro.trace.analysis import COLD_MISS, stack_distances
+        from repro.trace.analysis import (
+            COLD_MISS,
+            stack_distances_from_next_use,
+        )
 
         if min_run < 1:
             raise ValueError("min_run must be >= 1")
         self.min_run = int(min_run)
         self._oids = np.ascontiguousarray(trace.object_ids)
         sizes = trace.sizes.astype(np.int64, copy=False)
-        distances = stack_distances(self._oids, weights=sizes)
+        self.n_accesses = int(sizes.shape[0])
+        # The trace's one occurrence index: next_occ[i] = index of the next
+        # access of the same object, or n when there is none.  The distance
+        # pass reads it and _build_batches / export_arrays keep it.
+        self._next_occ = compute_next_use(self._oids)
+        np.minimum(self._next_occ, self.n_accesses, out=self._next_occ)
+        distances = stack_distances_from_next_use(self._next_occ, sizes)
         # Demand = bytes that must fit for the access to be a proven hit
         # (the distinct intruders plus the object itself).  COLD_MISS stays
         # saturated rather than overflowing int64; nonpositive sizes (which
@@ -105,13 +118,11 @@ class SegmentPlan:
             COLD_MISS,
             distances + sizes,
         )
-        self.n_accesses = int(sizes.shape[0])
         # Exclusive prefix sum of request bytes: batch byte counters become
         # two O(1) lookups instead of an O(batch) slice-sum per batch.
         self.prefix_bytes = np.concatenate(
             ([0], np.cumsum(sizes, dtype=np.int64))
         )
-        self._next_occ: np.ndarray | None = None
         self._runs: dict[int, np.ndarray] = {}
         self._batches: dict[int, list] = {}
 
@@ -152,25 +163,9 @@ class SegmentPlan:
             self._batches[capacity_bytes] = batches
         return batches
 
-    def _ensure_next_occ(self) -> np.ndarray:
-        if self._next_occ is None:
-            # next_occ[i] = index of the next access of the same object,
-            # or n when there is none.  A stable argsort groups accesses by
-            # oid with positions ascending inside each group, so each
-            # element's successor within its group is its next occurrence.
-            n = self.n_accesses
-            order = np.argsort(self._oids, kind="stable")
-            sorted_oids = self._oids[order]
-            next_occ = np.full(n, n, dtype=np.int64)
-            same = sorted_oids[1:] == sorted_oids[:-1]
-            next_occ[order[:-1][same]] = order[1:][same]
-            self._next_occ = next_occ
-        return self._next_occ
-
     def _build_batches(self, runs: np.ndarray) -> list:
         if runs.shape[0] == 0:
             return []
-        self._ensure_next_occ()
         starts = runs[:, 0]
         ends = runs[:, 1]
         lens = ends - starts
@@ -206,7 +201,8 @@ class SegmentPlan:
 
         ``demand``, ``prefix_bytes`` and ``next_occ`` are everything the
         O(n log n) construction produces; :meth:`from_arrays` rebuilds an
-        equivalent plan from them without re-running the Fenwick pass.  The
+        equivalent plan from them without re-running the grouping sort or
+        the stack-distance pass.  The
         per-capacity run/batch memos are *not* exported — they are cheap
         vectorised passes each consumer re-derives for the capacities it
         actually touches.  Used by :mod:`repro.experiments.shm` to ship the
@@ -216,7 +212,7 @@ class SegmentPlan:
             "oids": self._oids,
             "demand": self._demand,
             "prefix_bytes": self.prefix_bytes,
-            "next_occ": self._ensure_next_occ(),
+            "next_occ": self._next_occ,
         }
 
     @classmethod
@@ -259,7 +255,7 @@ class SegmentPlan:
         Worker initialisation uses this instead of relying on
         :meth:`for_trace` finding an inherited attribute: under ``spawn`` or
         ``forkserver`` nothing is inherited, and an uninitialised worker
-        would silently re-run the Fenwick pass per process.
+        would silently re-run the stack-distance pass per process.
         """
         if self.n_accesses != trace.n_accesses:
             raise ValueError("plan does not match trace length")
@@ -272,7 +268,7 @@ class SegmentPlan:
 
         The plan is attached to the Trace instance, so repeated
         ``simulate()`` calls — and forked grid workers, which inherit the
-        parent's trace object — pay the Fenwick pass exactly once.
+        parent's trace object — pay the stack-distance pass exactly once.
         """
         plan = getattr(trace, _TRACE_CACHE_ATTR, None)
         if plan is None or plan.n_accesses != trace.n_accesses:

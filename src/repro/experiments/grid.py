@@ -137,7 +137,7 @@ def _worker_init(
     The buffer's arrays are zero-copy views into the parent's shared-memory
     blocks; the ``SegmentPlan`` (when the grid batches segments) arrives
     pre-installed on the rehydrated trace, so ``simulate`` finds it through
-    ``SegmentPlan.for_trace`` without re-running the Fenwick pass.  The
+    ``SegmentPlan.for_trace`` without re-running the stack-distance pass.  The
     buffer object is kept alive in ``_WORKER`` for the process lifetime —
     its finalizer unmaps the blocks at worker exit (never unlinking: the
     parent owns the segments).
@@ -357,9 +357,9 @@ class GridRunner:
             for cap in todo:
                 self._block(cap)
             return
-        # One Fenwick pass in the parent; workers rehydrate the plan arrays
-        # from shared memory and re-derive only their own capacities' run
-        # lists (cheap vectorised passes).
+        # One stack-distance pass in the parent; workers rehydrate the plan
+        # arrays from shared memory and re-derive only their own capacities'
+        # run lists (cheap vectorised passes).
         plan = SegmentPlan.for_trace(self.trace) if self.use_segments else None
         buffer = SharedTraceBuffer.create(
             self.trace,

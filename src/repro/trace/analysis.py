@@ -26,6 +26,7 @@ __all__ = [
     "ZipfFit",
     "popularity_zipf_fit",
     "stack_distances",
+    "stack_distances_from_next_use",
     "stack_distance_profile",
     "reuse_interval_stats",
     "one_time_share_by_hour",
@@ -82,7 +83,7 @@ def popularity_zipf_fit(trace: Trace, *, min_rank: int = 1) -> ZipfFit:
 def stack_distances(
     object_ids: np.ndarray, *, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-access Mattson stack distance in one O(n log n) Fenwick pass.
+    """Per-access Mattson stack distance, exact, from array passes.
 
     The stack distance of access *i* is the total ``weight`` of *distinct*
     objects touched strictly between this access and the previous access of
@@ -95,55 +96,163 @@ def stack_distances(
     used by :class:`repro.cache.segments.SegmentPlan` to prove hits: an
     access re-touching an object whose byte distance plus own size fits the
     capacity is a guaranteed LRU hit when every miss is admitted.
+
+    ``object_ids`` must be a 1-D integer array and ``weights`` an aligned
+    integer (or bool) array; anything else raises ``ValueError`` rather
+    than being truncated.  Weights are summed as given in int64 — negative
+    ones included — so their running total must fit 63 bits.  See
+    :func:`stack_distances_from_next_use` for how the pass works.
     """
     oids = np.asarray(object_ids)
-    n = oids.shape[0]
+    if oids.ndim != 1:
+        raise ValueError("object_ids must be a 1-D array")
+    if oids.size and oids.dtype.kind not in "iub":
+        raise ValueError("object_ids must be integers")
     if weights is None:
-        w_list = [1] * n
+        weights = np.ones(oids.shape[0], dtype=np.int64)
     else:
         weights = np.asarray(weights)
         if weights.shape != oids.shape:
             raise ValueError("weights must align with object_ids")
-        w_list = weights.tolist()
+        if weights.size and weights.dtype.kind not in "iub":
+            raise ValueError("weights must have an integer or bool dtype")
+        weights = weights.astype(np.int64, copy=False)
+    return stack_distances_from_next_use(compute_next_use(oids), weights)
 
-    # Fenwick (BIT) over access positions marking "most recent occurrence"
-    # of each object with that object's weight.  Plain-list arithmetic is
-    # ~3× faster than ndarray scalar indexing in this loop.
-    tree = [0] * (n + 1)
-    last_pos: dict[int, int] = {}
-    distances = np.empty(n, dtype=np.int64)
-    oid_list = oids.tolist()
-    for i in range(n):
-        oid = oid_list[i]
-        prev = last_pos.get(oid)
-        if prev is None:
-            distances[i] = COLD_MISS
-        else:
-            # Distinct weight touched in (prev, i) = marks in that range:
-            # prefix_sum(i - 1) - prefix_sum(prev).
-            s = 0
-            j = i  # == (i - 1) + 1
-            while j > 0:
-                s += tree[j]
-                j -= j & (-j)
-            j = prev + 1
-            while j > 0:
-                s -= tree[j]
-                j -= j & (-j)
-            distances[i] = s
-            # Clear the previous-occurrence mark.
-            w = w_list[prev]
-            j = prev + 1
-            while j <= n:
-                tree[j] -= w
-                j += j & (-j)
-        w = w_list[i]
-        j = i + 1
-        while j <= n:
-            tree[j] += w
-            j += j & (-j)
-        last_pos[oid] = i
+
+def stack_distances_from_next_use(
+    next_use: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """:func:`stack_distances` from a prebuilt occurrence index.
+
+    ``next_use[i]`` is the next access of the same object
+    (:func:`repro.cache.belady.compute_next_use`; any value ``>= n`` means
+    "none") and ``weights`` the aligned int64 weights.  A caller that keeps
+    the index — :class:`~repro.cache.segments.SegmentPlan` does — pays for
+    one grouping sort per trace instead of two.
+
+    With ``p`` the previous access of the object touched at ``i`` and ``W``
+    the exclusive prefix sum of the weights::
+
+        d_i = (W[i] - W[p + 1]) - sum(w[q] for reuse pairs (q, k) with p < q, k < i)
+
+    — every byte touched in between, minus each occurrence ``q`` that was
+    itself re-touched (at ``k``) before ``i`` and is therefore not the most
+    recent occurrence of its object.  Over the reuse accesses in trace
+    order the subtracted term asks, of every earlier reuse, "was your
+    previous access later than mine?": a weighted count of earlier elements
+    with a larger value, which :func:`_subtract_earlier_larger` computes
+    exactly with integer array passes.
+    """
+    n = next_use.shape[0]
+    # Reuse pairs (first[r], second[r]), ascending in ``first``: r is the
+    # rank of the pair's earlier access among all earlier accesses.
+    first = np.flatnonzero(next_use < n)
+    second = next_use[first]
+    m = first.shape[0]
+    # Bytes touched strictly inside each pair, W[second] - W[first + 1].
+    prefix = np.empty(n + 1, dtype=np.int64)
+    prefix[0] = 0
+    np.cumsum(weights, out=prefix[1:])
+    between = prefix[second]
+    between -= prefix[1:][first]
+    del prefix
+    # The pairs' ranks in trace order of the reuse access: a cumsum over a
+    # membership mask numbers the reuse accesses without sorting them.
+    index_t = np.int32 if m < 2**31 else np.int64
+    is_reuse = np.zeros(n, dtype=bool)
+    is_reuse[second] = True
+    seq = np.cumsum(is_reuse, dtype=index_t)[second]
+    seq -= 1
+    del is_reuse
+    order = np.empty(m, dtype=index_t)
+    order[seq] = np.arange(m, dtype=index_t)
+    del seq
+    retouched = weights[first]
+    del first
+    _subtract_earlier_larger(order, retouched, between)
+    distances = np.full(n, COLD_MISS, dtype=np.int64)
+    distances[second] = between
     return distances
+
+
+#: Elements per slab of the level loop below — a power of two.  Each level
+#: is processed slab by slab, so the pass's footprint is its four
+#: full-length arrays plus cache-sized temporaries, not a fresh set of
+#: full-length temporaries per level (which is what moves a replay's peak
+#: RSS).  Tests shrink it to force the carries.
+_SLAB = 1 << 15
+
+
+def _subtract_earlier_larger(
+    order: np.ndarray, weight: np.ndarray, out: np.ndarray
+) -> None:
+    """Subtract weighted "earlier and larger" sums over a permutation.
+
+    ``order`` holds the values ``0 .. m-1`` in sequence order and
+    ``weight[v]`` is the int64 weight of value ``v``.  From every ``out[v]``
+    the total weight of the values ``u > v`` that precede ``v`` in the
+    sequence is subtracted, exactly.  ``order`` is consumed as a partition
+    buffer.
+
+    MSD radix partition, one level per bit of the values, most significant
+    first.  Entering the level of bit ``b`` the array is in groups of
+    ``2 << b`` slots: group ``g`` holds the values that share ``g`` as
+    their higher bits, still in sequence order (only the last group can be
+    short, since the values are exactly ``0 .. m-1``).  Two values of one
+    group that differ in bit ``b`` are ordered by it, so every value with
+    the bit clear collects the weight of the bit-set values before it in
+    its group — an inclusive cumsum of ``weight * bit`` along the group —
+    and every pair ``u > v`` is counted once, at the level of its highest
+    differing bit.  A stable clear-then-set partition of each group forms
+    the next level's groups; after bit 0 the array is sorted.
+    """
+    m = order.shape[0]
+    spare = np.empty_like(order)
+    for b in range((m - 1).bit_length() - 1, -1, -1):
+        half = 1 << b
+        width = 2 << b
+        for lo in range(0, m, _SLAB):
+            vals = order[lo:lo + _SLAB]
+            size = vals.shape[0]
+            is_set = (vals & half) != 0
+            running = weight.take(vals)
+            running *= is_set
+            # A slab is either a run of whole groups (rows, plus the short
+            # last group as a tail) or a piece of one wide group (all tail,
+            # the cumsum carried in from the slab before).
+            if lo % width == 0:
+                carry = n_clear = n_set = 0
+            whole = size - size % width
+            if whole:
+                rows = running[:whole].reshape(-1, width)
+                np.cumsum(rows, axis=1, out=rows)
+            if whole < size:
+                tail = running[whole:]
+                np.cumsum(tail, out=tail)
+                tail += carry
+                carry = tail[-1]
+            set_at = np.flatnonzero(is_set)
+            clear_at = np.flatnonzero(~is_set)
+            clear_vals = vals.take(clear_at)
+            np.subtract.at(out, clear_vals, running.take(clear_at))
+            # Partition.  Counted from the start of the group the slab
+            # begins in, clear value number q lands q slots in plus one
+            # ``half`` for every full group's worth of clear values before
+            # it (none while the slab is inside one wide group, where q is
+            # simply the running cursor); set values sit ``half`` further.
+            start = lo - lo % width
+            for seen, moved, side in (
+                (n_clear, clear_vals, start),
+                (n_set, vals.take(set_at), start + half),
+            ):
+                dest = np.arange(seen, seen + moved.shape[0])
+                dest += dest & -half
+                dest += side
+                spare[dest] = moved
+            n_clear += clear_at.shape[0]
+            n_set += set_at.shape[0]
+        order, spare = spare, order
 
 
 def stack_distance_profile(
