@@ -34,11 +34,14 @@ class AccessResult:
     ``hit``       — object was resident.
     ``inserted``  — object was written into the cache (an SSD write).
     ``evicted``   — object ids displaced by this insertion.
+    ``churn``     — the insertion re-admitted an object a learned eviction
+    head had itself evicted (:func:`repro.obs.ledger.write_cause`).
     """
 
     hit: bool
     inserted: bool = False
     evicted: tuple[int, ...] = ()
+    churn: bool = False
 
 
 class CachePolicy(ABC):

@@ -84,10 +84,7 @@ class HierarchicalCache(CachePolicy):
         self.dram.access(oid, size)
         if not admit or size > self.ssd.capacity:
             return AccessResult(hit=False)
-        result = self.ssd.access(oid, size, admit=True)
-        return AccessResult(
-            hit=False, inserted=result.inserted, evicted=result.evicted
-        )
+        return self.ssd.access(oid, size, admit=True)
 
     @classmethod
     def with_lru_dram(

@@ -63,9 +63,9 @@ Design
   victim is used.
 * **Observability.**  Eviction decisions are counted by mode
   (``learned`` / ``fallback`` / ``protected`` skips), and re-admission of
-  an object the learned head previously evicted raises
-  :attr:`LearnedCache.last_insert_was_churn` so
-  :class:`~repro.cluster.node.CacheNode` can attribute the write to the
+  an object the learned head previously evicted is reported as
+  :attr:`AccessResult.churn <repro.cache.base.AccessResult.churn>` so
+  :func:`repro.obs.ledger.write_cause` can attribute the write to the
   ``eviction_churn`` ledger cause.
 
 The policy declines :meth:`~repro.cache.base.CachePolicy.can_batch_hits`
@@ -343,9 +343,6 @@ class LearnedCache(CachePolicy):
         # [last_clock, gap_log, count, learned?].  Re-admission resumes
         # this history (churn fix) and flags learned-eviction churn.
         self._ghosts: OrderedDict[int, list] = OrderedDict()
-        #: True iff the most recent insertion re-admitted an object the
-        #: learned head had evicted (read by the cluster node's ledger).
-        self.last_insert_was_churn = False
 
         # Memoised head verdicts: oid -> (last_clock_at_prediction,
         # idle_at_prediction, predicted_distance).  A verdict is reusable
@@ -448,8 +445,9 @@ class LearnedCache(CachePolicy):
         meta[1] = log2(1.0 + gap)
         meta[2] += 1
 
-    def _admit(self, oid: int, size: int, t: int) -> None:
-        """Insert a new resident, resuming ghost history when present."""
+    def _admit(self, oid: int, size: int, t: int) -> bool:
+        """Insert a new resident, resuming ghost history when present;
+        True iff that re-admits an object the learned head evicted."""
         self._recency[oid] = size
         self._pos[oid] = len(self._arr)
         self._arr.append(oid)
@@ -462,12 +460,12 @@ class LearnedCache(CachePolicy):
             # a mispredicted hot object look brand-new (and churn forever).
             gap = t - ghost[0]
             self._meta[oid] = [t, log2(1.0 + gap), ghost[2] + 1, self._inserts]
-            self.last_insert_was_churn = bool(ghost[3])
             if ghost[3]:
                 self.churn_inserts += 1
+                return True
         else:
             self._meta[oid] = [t, _LOG_CAP, 1, self._inserts]
-            self.last_insert_was_churn = False
+        return False
 
     def _drop(self, oid: int, *, learned: bool) -> int:
         """Remove a resident and record its ghost entry.
@@ -600,8 +598,8 @@ class LearnedCache(CachePolicy):
         if not admit or size > self.capacity:
             return AccessResult(hit=False)
         evicted = self._evict_for(size, t)
-        self._admit(oid, size, t)
-        return AccessResult(hit=False, inserted=True, evicted=tuple(evicted))
+        churn = self._admit(oid, size, t)
+        return AccessResult(hit=False, inserted=True, evicted=tuple(evicted), churn=churn)
 
     # ------------------------------------------------------------- queries
 

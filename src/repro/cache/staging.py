@@ -248,9 +248,7 @@ class StagingCache(CachePolicy):
             if result.inserted:
                 self.direct_admits += 1
             flashiness.on_request(index, oid, size)
-            return AccessResult(
-                hit=False, inserted=result.inserted, evicted=result.evicted
-            )
+            return result
         if oid in dram:
             # Objects too large for the staging area cannot accrue
             # evidence and are simply never admitted (Flashield: no

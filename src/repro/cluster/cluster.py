@@ -167,7 +167,6 @@ class TwoTierCluster:
         self.dc = dc
         self.ring = ConsistentHashRing(self.oc_nodes, replicas=replicas)
         self.latency = latency or ClusterLatency()
-        self._registry = None
         # Counters of nodes taken out of service: removal must never make
         # cumulative cluster totals go backwards, so the departing node's
         # stats object is parked here (the node itself keeps a reference —
@@ -175,15 +174,30 @@ class TwoTierCluster:
         self.retired_stats: list[CacheStats] = []
 
     def instrument(self, registry) -> None:
-        """Bind every node (OC tier + DC) into one metrics registry.
+        """Expose the live nodes' :attr:`CacheNode.stats` (OC tier + DC, by
+        node name) as derived ``repro_cluster_*`` families: a node added later
+        appears by itself, a removed one's series ends, a restarted one starts
+        from 0 — cumulative totals are :meth:`oc_tier_totals`."""
 
-        Nodes added later via :meth:`add_node` inherit the registry; the
-        DC node is labelled by its own name (conventionally ``"dc"``).
-        """
-        self._registry = registry
-        for node in self.oc_nodes.values():
-            node.instrument(registry)
-        self.dc.instrument(registry)
+        def per_node(*fields):
+            return lambda: [
+                ((n.name, *label), getattr(n.stats, field))
+                for n in (*self.oc_nodes.values(), self.dc)
+                for field, *label in fields
+            ]
+
+        registry.counter(
+            "repro_cluster_requests_total", "Cluster-node requests by node and result.",
+            ("node", "result"), read=per_node(("hits", "hit"), ("misses", "miss")),
+        )
+        registry.counter(
+            "repro_cluster_ssd_writes_total", "Cluster-node cache insertions (SSD writes) by node.",
+            ("node",), read=per_node(("files_written",)),
+        )
+        registry.counter(
+            "repro_cluster_admissions_denied_total", "Cluster-node admission denials by node.",
+            ("node",), read=per_node(("admissions_denied",)),
+        )
 
     def attach_ledger(self, ledger) -> None:
         """Route every node's write provenance into one ``WriteLedger``.
@@ -246,8 +260,6 @@ class TwoTierCluster:
         if node.name in self.oc_nodes:
             raise ValueError(f"node {node.name!r} already present")
         self.oc_nodes[node.name] = node
-        if self._registry is not None:
-            node.instrument(self._registry)
         self.ring = ConsistentHashRing(self.oc_nodes, replicas=self.ring.replicas)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.cache.base import AccessResult, AdmissionPolicy, CachePolicy, CacheStats
 from repro.cache.simulator import request_step
+from repro.obs.ledger import write_cause
 
 __all__ = ["CacheNode"]
 
@@ -26,12 +27,6 @@ class CacheNode:
         self.policy = policy
         self.admission = admission
         self.stats = CacheStats()
-        # Pre-bound metric children (see :meth:`instrument`); None keeps the
-        # per-request fast path branch-predictable for uninstrumented runs.
-        self._m_hits = None
-        self._m_misses = None
-        self._m_writes = None
-        self._m_denied = None
         # Write provenance (see :meth:`bind_ledger`): when a ledger is
         # bound, every insertion is recorded under ``write_cause`` (the
         # router sets it per request — flood / rewarm / default accept;
@@ -44,31 +39,6 @@ class CacheNode:
         #: Merged-trace index at which this incarnation cold-started, or
         #: ``None`` for an original node (rewarm-cause detection).
         self.restarted_at: int | None = None
-
-    def instrument(self, registry) -> None:
-        """Bind this node's counters into an obs metrics registry.
-
-        Children carry a ``node`` label so one registry can hold a whole
-        cluster tier; counters are incremented per request from then on
-        (pre-existing totals are not backfilled).
-        """
-        requests = registry.counter(
-            "repro_cluster_requests_total",
-            "Cluster-node requests by node and result.",
-            ("node", "result"),
-        )
-        self._m_hits = requests.labels(node=self.name, result="hit")
-        self._m_misses = requests.labels(node=self.name, result="miss")
-        self._m_writes = registry.counter(
-            "repro_cluster_ssd_writes_total",
-            "Cluster-node cache insertions (SSD writes) by node.",
-            ("node",),
-        ).labels(node=self.name)
-        self._m_denied = registry.counter(
-            "repro_cluster_admissions_denied_total",
-            "Cluster-node admission denials by node.",
-            ("node",),
-        ).labels(node=self.name)
 
     def bind_ledger(
         self,
@@ -113,8 +83,10 @@ class CacheNode:
     def _step(self, index: int, oid: int, size: int, fill: bool) -> AccessResult:
         """:func:`~repro.cache.simulator.request_step` + this node's books.
 
-        Counters, metrics and the ledger cause are all derived from the
-        step's ``(result, denied)`` — nothing here feeds back into it.
+        Counters and the ledger cause are derived from the step's
+        ``(result, denied)`` — nothing here feeds back into it — and
+        :attr:`stats` is the only copy of the counts (a registry reads it
+        through :meth:`repro.cluster.cluster.TwoTierCluster.instrument`).
         """
         result, denied = request_step(self.policy, self.admission, index, oid, size)
         stats = self.stats
@@ -128,31 +100,15 @@ class CacheNode:
                 stats.admissions_denied += 1
         else:
             stats.record(size, result, denied)
-            served = self._m_hits if result.hit else self._m_misses
-            if served is not None:
-                served.inc()
-        if denied:
-            if self._m_denied is not None:
-                self._m_denied.inc()
-            if self.ledger is not None:
-                self.ledger.record_avoided(size, model=self.model_label)
-        if result.inserted:
-            if self._m_writes is not None:
-                self._m_writes.inc()
-            if self.ledger is not None:
+        ledger = self.ledger
+        if ledger is not None:
+            if denied:
+                ledger.record_avoided(size, model=self.model_label)
+            if result.inserted:
                 # A replica-driven write stays ``replica_fill`` (keeps the
-                # phase-level replica_writes reconciliation exact), and
-                # router-set causes (flood/rewarm) keep precedence — they
-                # explain *why the request came*.  Only the default is
-                # refined: a hit that inserts is a staging tier paying the
-                # flash write it deferred at miss time, and a learned
-                # eviction policy re-admitting its own victim pays for an
-                # eviction misprediction, not for new bytes.
-                cause = "replica_fill" if fill else self.write_cause
-                if cause == "admission_accept":
-                    if result.hit:
-                        cause = "staging_promote"
-                    elif getattr(self.policy, "last_insert_was_churn", False):
-                        cause = "eviction_churn"
-                self.ledger.record_write(cause, size, model=self.model_label)
+                # phase-level replica_writes reconciliation exact).
+                cause = write_cause(
+                    result, "replica_fill" if fill else self.write_cause
+                )
+                ledger.record_write(cause, size, model=self.model_label)
         return result

@@ -29,7 +29,7 @@ See ``docs/OBSERVABILITY.md`` for the metric catalogue and schemas.
 
 from repro.obs.drift import DriftMonitor
 from repro.obs.exporter import MetricsExporter
-from repro.obs.ledger import CAUSES, WriteLedger
+from repro.obs.ledger import CAUSES, WriteLedger, write_cause
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -60,6 +60,7 @@ __all__ = [
     "MetricsExporter",
     "CAUSES",
     "WriteLedger",
+    "write_cause",
     "NULL_SPAN",
     "NULL_TRACER",
     "Span",

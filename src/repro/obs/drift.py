@@ -94,29 +94,33 @@ class DriftMonitor:
         self.last_accuracy: float | None = None
         self.worst_accuracy: float | None = None
 
-        self._g_window = self._g_last = self._g_worst = None
-        self._c_alarms = self._c_matured = None
+        self._g_window = None
         if registry is not None:
+            # The registry stores the per-window gauge; the scalars are read.
             self._g_window = registry.gauge(
                 "repro_admission_accuracy",
                 "Matured admission-verdict accuracy per completed window.",
                 ("window",),
             )
-            self._g_last = registry.gauge(
+            registry.gauge(
                 "repro_admission_accuracy_last",
                 "Accuracy of the most recently completed window.",
+                read=lambda: self.last_accuracy or 0.0,
             )
-            self._g_worst = registry.gauge(
+            registry.gauge(
                 "repro_admission_accuracy_worst",
                 "Lowest completed-window accuracy so far.",
+                read=lambda: self.worst_accuracy or 0.0,
             )
-            self._c_alarms = registry.counter(
+            registry.counter(
                 "repro_drift_alarms_total",
                 "Completed windows whose accuracy fell below the threshold.",
+                read=lambda: self.alarms,
             )
-            self._c_matured = registry.counter(
+            registry.counter(
                 "repro_matured_verdicts_total",
                 "Admission verdicts scored against matured labels.",
+                read=lambda: self.matured,
             )
 
     # ---------------------------------------------------------------- feed
@@ -163,10 +167,7 @@ class DriftMonitor:
                     window[_TN if reused else _FN] += 1
                 matured += 1
         self._n_obs = n_obs
-        if matured:
-            self.matured += matured
-            if self._c_matured is not None:
-                self._c_matured.inc(matured)
+        self.matured += matured
         self._complete_windows()
 
     def _complete_windows(self) -> None:
@@ -186,13 +187,9 @@ class DriftMonitor:
             self.worst_accuracy = accuracy
         if self._g_window is not None:
             self._g_window.labels(window=w).set(accuracy)
-            self._g_last.set(accuracy)
-            self._g_worst.set(self.worst_accuracy)
         if self.alarm_threshold is not None and accuracy < self.alarm_threshold:
             self.alarms += 1
             self.last_alarm = (w, accuracy)
-            if self._c_alarms is not None:
-                self._c_alarms.inc()
             logger.warning(
                 "admission accuracy %.4f in window %d below threshold %.4f",
                 accuracy, w, self.alarm_threshold,

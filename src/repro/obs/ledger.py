@@ -22,9 +22,8 @@ Causes (:data:`CAUSES`):
     A write caused by a request injected by a hot-key flood event.
 ``eviction_churn``
     A re-admission of an object a learned eviction policy previously
-    evicted (:attr:`repro.cache.learned.LearnedCache.last_insert_was_churn`):
-    flash spent paying for an eviction misprediction rather than for new
-    bytes.
+    evicted (:attr:`repro.cache.base.AccessResult.churn`): flash spent
+    paying for an eviction misprediction rather than for new bytes.
 ``staging_promote``
     A staged-then-admitted write: the object crossed a Flashield-style
     flashiness bar while staged in DRAM
@@ -41,13 +40,13 @@ The ledger is exact, not sampled: per-cause totals sum to the same
 integers as the cluster's ``files_written`` counters (including stats
 parked by :attr:`repro.cluster.cluster.TwoTierCluster.retired_stats`),
 an invariant the scenario report checks on every run.  Counts live in
-plain dicts; an optional :class:`~repro.obs.registry.MetricsRegistry`
-mirrors them as labelled Prometheus counters.
+plain dicts (the only copy); a :class:`~repro.obs.registry.MetricsRegistry`
+reads them as labelled Prometheus counters when it is rendered.
 """
 
 from __future__ import annotations
 
-__all__ = ["CAUSES", "WriteLedger"]
+__all__ = ["CAUSES", "WriteLedger", "write_cause"]
 
 #: Write causes, in report order.  Order is part of the byte-identical
 #: report contract — append new causes, never reorder.
@@ -61,6 +60,23 @@ CAUSES = (
 )
 
 _UNLABELLED = "none"
+
+
+def write_cause(result, default: str = "admission_accept") -> str:
+    """Why the insert reported by ``result`` happened — the one rule.
+
+    A ``default`` that says why the request came (replica fill, router-set
+    ``flood`` / ``rewarm_after_restart``) wins; only the plain accept is
+    refined: a hit that inserts is a staging tier paying its deferred
+    write, a learned head re-admitting its own victim a misprediction.
+    """
+    if default != "admission_accept":
+        return default
+    if result.hit:
+        return "staging_promote"
+    if result.churn:
+        return "eviction_churn"
+    return default
 
 
 class WriteLedger:
@@ -77,29 +93,31 @@ class WriteLedger:
         self._bytes: dict[tuple[str, str], int] = {}
         self._avoided: dict[str, int] = {}
         self._avoided_bytes: dict[str, int] = {}
-        self._registry = registry
-        self._m_writes = self._m_bytes = None
-        self._m_avoided = self._m_avoided_bytes = None
         if registry is not None:
-            self._m_writes = registry.counter(
+            # Derived families: the registry reads these dicts when rendered.
+            registry.counter(
                 "repro_ledger_writes_total",
                 "SSD writes by provenance cause and deciding model.",
                 ("cause", "model"),
+                read=self._writes.items,
             )
-            self._m_bytes = registry.counter(
+            registry.counter(
                 "repro_ledger_write_bytes_total",
                 "SSD bytes written by provenance cause and deciding model.",
                 ("cause", "model"),
+                read=self._bytes.items,
             )
-            self._m_avoided = registry.counter(
+            registry.counter(
                 "repro_ledger_avoided_writes_total",
                 "Denied admissions (writes avoided) by deciding model.",
                 ("model",),
+                read=self._avoided.items,
             )
-            self._m_avoided_bytes = registry.counter(
+            registry.counter(
                 "repro_ledger_avoided_bytes_total",
                 "Estimated bytes not written thanks to denials, by model.",
                 ("model",),
+                read=self._avoided_bytes.items,
             )
 
     # ------------------------------------------------------------ recording
@@ -113,9 +131,6 @@ class WriteLedger:
         key = (cause, label)
         self._writes[key] = self._writes.get(key, 0) + n
         self._bytes[key] = self._bytes.get(key, 0) + nbytes
-        if self._m_writes is not None:
-            self._m_writes.labels(cause=cause, model=label).inc(n)
-            self._m_bytes.labels(cause=cause, model=label).inc(nbytes)
 
     def record_avoided(self, nbytes: int, *, model: str | None = None,
                        n: int = 1) -> None:
@@ -123,9 +138,6 @@ class WriteLedger:
         label = model if model is not None else self.default_model
         self._avoided[label] = self._avoided.get(label, 0) + n
         self._avoided_bytes[label] = self._avoided_bytes.get(label, 0) + nbytes
-        if self._m_avoided is not None:
-            self._m_avoided.labels(model=label).inc(n)
-            self._m_avoided_bytes.labels(model=label).inc(nbytes)
 
     # -------------------------------------------------------------- reading
 
@@ -200,7 +212,7 @@ class WriteLedger:
         }
 
     def clear(self) -> None:
-        """Drop all accounting (registry counters are left to their owner)."""
+        """Drop all accounting (the ``repro_ledger_*`` series, read from it, end)."""
         self._writes.clear()
         self._bytes.clear()
         self._avoided.clear()

@@ -17,7 +17,9 @@ dependency:
 
 All metric kinds support labels.  A family created with label names hands
 out per-label-value children via :meth:`MetricFamily.labels`; a family
-created without label names is used directly.  The registry renders the
+created without label names is used directly.  A counter or gauge whose
+number already lives on its owner is registered *derived* (``read=``): the
+registry stores nothing and asks the owner on every read.  It renders the
 Prometheus text exposition format (version 0.0.4) for the HTTP exporter
 and a JSON-able snapshot for ``/statsz`` / the TCP STATS verb.
 
@@ -38,6 +40,7 @@ __all__ = [
     "latency_buckets",
     "Counter",
     "Gauge",
+    "Derived",
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
@@ -131,6 +134,20 @@ class Gauge:
         self.value = 0.0
 
 
+class Derived:
+    """Read-only child of a derived family: what its owner held when read."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float = 0.0):
+        self.value = float(value)
+
+    def inc(self, *_args) -> None:
+        raise TypeError("a derived metric is read from its owner, not written")
+
+    dec = set = inc
+
+
 class Histogram:
     """Fixed-bucket distribution with exact sum/count.
 
@@ -199,9 +216,14 @@ class MetricFamily:
     Without label names the family proxies directly to its single child,
     so ``registry.counter("x").inc()`` works; with label names, call
     :meth:`labels` first.
+
+    A *derived* family (``read=``) keeps no children: every read calls its
+    readers — each returns the value, or ``(label values, value)`` pairs
+    when labelled (one label: the bare value will do, as ``dict.items``
+    gives) — in order, a later sample replacing an earlier one of its key.
     """
 
-    def __init__(self, name: str, kind: str, help: str, labelnames=(), **kwargs):
+    def __init__(self, name: str, kind: str, help: str, labelnames=(), read=None, **kwargs):
         if not _METRIC_NAME.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for label in labelnames:
@@ -213,10 +235,10 @@ class MetricFamily:
         self.labelnames = tuple(labelnames)
         self._kwargs = kwargs
         self._children: dict[tuple, object] = {}
-        if not self.labelnames:
+        self._readers = [] if read is None else [read]
+        self._default = None
+        if not self.labelnames and read is None:
             self._default = self._make_child(())
-        else:
-            self._default = None
 
     def _make_child(self, key: tuple):
         child = (
@@ -244,6 +266,8 @@ class MetricFamily:
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames}, got {values}"
             )
+        if self._readers:
+            return dict(self.children()).get(values) or Derived()
         child = self._children.get(values)
         if child is None:
             child = self._make_child(values)
@@ -252,9 +276,9 @@ class MetricFamily:
     # Proxy the child API for unlabelled families.
 
     def _single(self):
-        if self._default is None:
+        if self.labelnames:
             raise ValueError(f"{self.name} is labelled; call .labels() first")
-        return self._default
+        return self._default or self.labels()
 
     def inc(self, amount: float = 1.0) -> None:
         self._single().inc(amount)
@@ -276,7 +300,15 @@ class MetricFamily:
         return self._single().value
 
     def children(self):
-        return self._children.items()
+        if not self._readers:
+            return self._children.items()
+        samples = {}
+        for read in self._readers:
+            got = read()
+            for key, value in got if self.labelnames else (((), got),):
+                key = key if type(key) is tuple else (key,)
+                samples[tuple(str(v) for v in key)] = Derived(value)
+        return samples.items()
 
     def reset(self) -> None:
         for child in self._children.values():
@@ -289,7 +321,7 @@ class MetricsRegistry:
     def __init__(self):
         self._families: dict[str, MetricFamily] = {}
 
-    def _register(self, name, kind, help, labelnames, **kwargs) -> MetricFamily:
+    def _register(self, name, kind, help, labelnames, read=None, **kwargs) -> MetricFamily:
         existing = self._families.get(name)
         if existing is not None:
             if existing.kind != kind or existing.labelnames != tuple(labelnames):
@@ -297,16 +329,20 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as "
                     f"{existing.kind}{existing.labelnames}"
                 )
+            if read is not None:
+                if not existing._readers:
+                    raise ValueError(f"metric {name!r} is written, not derived")
+                existing._readers.append(read)
             return existing
-        family = MetricFamily(name, kind, help, labelnames, **kwargs)
+        family = MetricFamily(name, kind, help, labelnames, read=read, **kwargs)
         self._families[name] = family
         return family
 
-    def counter(self, name: str, help: str = "", labelnames=()) -> MetricFamily:
-        return self._register(name, "counter", help, labelnames)
+    def counter(self, name: str, help: str = "", labelnames=(), *, read=None) -> MetricFamily:
+        return self._register(name, "counter", help, labelnames, read)
 
-    def gauge(self, name: str, help: str = "", labelnames=()) -> MetricFamily:
-        return self._register(name, "gauge", help, labelnames)
+    def gauge(self, name: str, help: str = "", labelnames=(), *, read=None) -> MetricFamily:
+        return self._register(name, "gauge", help, labelnames, read)
 
     def histogram(
         self, name: str, help: str = "", labelnames=(), *, buckets=None
@@ -323,7 +359,7 @@ class MetricsRegistry:
         return iter(self._families.values())
 
     def reset(self) -> None:
-        """Zero every child (registrations and label children are kept)."""
+        """Zero every stored child (registrations are kept; derived families untouched)."""
         for family in self._families.values():
             family.reset()
 

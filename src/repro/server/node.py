@@ -27,9 +27,15 @@ one :func:`~repro.cache.simulator.replay_range` call.  Classification is
 :func:`replay_offline` builds — on a miss and on nothing else (Fig. 4;
 Eq. 6 charges ``t_classify`` to the miss path), so served == offline by
 construction and a hit costs one timestamp store.  Replies, the denied
-mask, drift, decision-trace events, timing and ledger deltas are all
+mask, drift, decision-trace events, timing and ledger records are all
 derived from the loop's per-request outcomes and the admission's counters
 afterwards, once per batch.
+
+Every count lives once, on its owner — :attr:`CacheNode.stats`, the
+admission, the ledger, the samplers, the server's connection set — and the
+metrics registry is a view: counter and gauge families carry a reader that
+runs when ``/metrics`` or ``STATS`` is rendered; a micro-batch writes only
+the timing histograms.
 
 The compiled model is read **once per batch** and bound into the admission
 before the loop starts, so :meth:`CacheNode.install_model` (the
@@ -60,7 +66,7 @@ from repro.ml.fastpath import fast_predictor
 from repro.ml.tree import DecisionTreeClassifier
 from repro.obs.drift import DriftMonitor
 from repro.obs.exporter import MetricsExporter
-from repro.obs.ledger import WriteLedger
+from repro.obs.ledger import WriteLedger, write_cause
 from repro.obs.registry import MetricsRegistry, Reservoir, latency_buckets
 from repro.obs.spans import Tracer
 from repro.obs.structlog import get_logger
@@ -223,9 +229,10 @@ class CacheNode:
     connections deliver requests out of order.
 
     Observability: every node owns (or shares) a
-    :class:`~repro.obs.registry.MetricsRegistry` and keeps its counters in
-    lock-step with :attr:`stats` (incremented once per batch from the
-    stats deltas, so the hot loop stays unchanged).  An optional
+    :class:`~repro.obs.registry.MetricsRegistry` whose counters and gauges
+    *read* :attr:`stats`, the cursor, the model version and the samplers
+    when rendered — ``STATS`` and ``/metrics`` are the same numbers — and
+    whose timing histograms are observed once per batch.  An optional
     :class:`~repro.obs.tracing.DecisionTrace` samples per-request events
     and an optional :class:`~repro.obs.drift.DriftMonitor` scores matured
     verdicts live.
@@ -285,54 +292,62 @@ class CacheNode:
         #: Optional span tracer shared with the serving layer/retrainer;
         #: ``None`` (the default) keeps the hot path span-free.
         self.spans = spans
-        #: Write provenance: every insertion is an admission accept (or a
-        #: staging promote, when a hit inserts) labelled with the deciding
-        #: model version, and every denial is an avoided write (exact,
-        #: batch-delta updates).
+        #: Write provenance (exact): every insertion under its
+        #: :func:`~repro.obs.ledger.write_cause`, labelled with the deciding
+        #: model version, and every denial as an avoided write.
         self.ledger = WriteLedger(registry=self.registry)
         self._bind_instruments()
 
     def _bind_instruments(self) -> None:
+        """Register this node's families: all derived (read from the node
+        when rendered) but the timing histograms a micro-batch observes."""
         reg = self.registry
-        requests = reg.counter(
-            "repro_requests_total", "Requests processed by result.", ("result",)
+        reg.counter(
+            "repro_requests_total", "Requests processed by result.", ("result",),
+            read=lambda: (("hit", self.stats.hits), ("miss", self.stats.misses)),
         )
-        req_bytes = reg.counter(
-            "repro_bytes_total", "Requested bytes by result.", ("result",)
+        reg.counter(
+            "repro_bytes_total", "Requested bytes by result.", ("result",),
+            read=lambda: (
+                ("hit", self.stats.bytes_hit),
+                ("miss", self.stats.bytes_requested - self.stats.bytes_hit),
+            ),
         )
-        self._m_hits = requests.labels(result="hit")
-        self._m_misses = requests.labels(result="miss")
-        self._m_hit_bytes = req_bytes.labels(result="hit")
-        self._m_miss_bytes = req_bytes.labels(result="miss")
-        self._m_writes = reg.counter(
-            "repro_ssd_writes_total", "Objects written to the SSD tier."
+        reg.counter(
+            "repro_ssd_writes_total", "Objects written to the SSD tier.",
+            read=lambda: self.stats.files_written,
         )
-        self._m_write_bytes = reg.counter(
-            "repro_ssd_bytes_written_total", "Bytes written to the SSD tier."
+        reg.counter(
+            "repro_ssd_bytes_written_total", "Bytes written to the SSD tier.",
+            read=lambda: self.stats.bytes_written,
         )
-        self._m_evictions = reg.counter(
-            "repro_evictions_total", "Objects evicted from the cache."
+        reg.counter(
+            "repro_evictions_total", "Objects evicted from the cache.",
+            read=lambda: self.stats.evictions,
         )
-        verdicts = reg.counter(
+        reg.counter(
             "repro_admission_verdicts_total",
             "Admission outcomes on misses (denied / rectified admits).",
             ("verdict",),
+            read=lambda: (
+                ("denied", self.stats.admissions_denied),
+                ("rectified", self.rectified_admits),
+            ),
         )
-        self._m_denied = verdicts.labels(verdict="denied")
-        self._m_rectified = verdicts.labels(verdict="rectified")
         self._m_classify = reg.histogram(
             "repro_classify_seconds",
             "Per-decision classification time on misses (Eq.-6 t_classify; "
             "each micro-batch's decisions at their mean).",
             buckets=latency_buckets(),
         )
-        self._m_position = reg.gauge(
-            "repro_trace_position", "Replay cursor (requests processed)."
+        reg.gauge(
+            "repro_trace_position", "Replay cursor (requests processed).",
+            read=lambda: self.processed,
         )
-        self._m_model_version = reg.gauge(
-            "repro_model_version", "Version of the installed classifier."
+        reg.gauge(
+            "repro_model_version", "Version of the installed classifier.",
+            read=lambda: self.model_version,
         )
-        self._m_model_version.set(self.model_version)
         # Request-lifecycle stage timing, one observation per micro-batch:
         # feature_build / batch_inference are the batch's summed per-miss
         # gather / tree-walk time, cache_ops the rest of the request loop;
@@ -349,37 +364,42 @@ class CacheNode:
         self._m_stage_feature = stage.labels(stage="feature_build")
         self._m_stage_inference = stage.labels(stage="batch_inference")
         self._m_stage_cache = stage.labels(stage="cache_ops")
-        # Sampler accounting (previously reachable only through the TCP
-        # TRACE verb / STATS): decision-trace stream counts and the bounded
-        # reservoirs' seen-vs-retained sizes, refreshed once per batch.
-        trace_g = reg.gauge(
+        # Sampler accounting: decision-trace stream counts, the bounded
+        # reservoirs' seen-vs-retained sizes and the span ring.
+        reg.gauge(
             "repro_decision_trace_events",
             "DecisionTrace stream accounting (seen / sampled / dropped).",
             ("state",),
+            read=self._trace_states,
         )
-        self._m_trace_seen = trace_g.labels(state="seen")
-        self._m_trace_sampled = trace_g.labels(state="sampled")
-        self._m_trace_dropped = trace_g.labels(state="dropped")
-        res_seen = reg.gauge(
+        reg.gauge(
             "repro_reservoir_seen",
             "Observations offered to a bounded timing reservoir.",
             ("reservoir",),
+            read=lambda: (("t_classify", self.classify_timing.count),),
         )
-        res_kept = reg.gauge(
+        reg.gauge(
             "repro_reservoir_retained",
             "Samples currently retained by a bounded timing reservoir.",
             ("reservoir",),
+            read=lambda: (("t_classify", self.classify_timing.retained),),
         )
-        self._m_classify_seen = res_seen.labels(reservoir="t_classify")
-        self._m_classify_retained = res_kept.labels(reservoir="t_classify")
-        spans_g = reg.gauge(
+        reg.gauge(
             "repro_spans",
             "Span-ring accounting (recorded / buffered / dropped).",
             ("state",),
+            read=self._span_states,
         )
-        self._m_spans_recorded = spans_g.labels(state="recorded")
-        self._m_spans_buffered = spans_g.labels(state="buffered")
-        self._m_spans_dropped = spans_g.labels(state="dropped")
+
+    def _trace_states(self):
+        t = self.tracer
+        counts = (t.seen, t.sampled, t.dropped) if t is not None else (0, 0, 0)
+        return zip(("seen", "sampled", "dropped"), counts)
+
+    def _span_states(self):
+        s = self.spans
+        counts = (s.recorded, len(s), s.dropped) if s is not None else (0, 0, 0)
+        return zip(("recorded", "buffered", "dropped"), counts)
 
     # ------------------------------------------------------------ telemetry
 
@@ -421,7 +441,6 @@ class CacheNode:
         self.model = model
         self._predictor = fast_predictor(model) if model is not None else None
         self.model_version += 1
-        self._m_model_version.set(self.model_version)
         logger.info(
             "installed model version %d", self.model_version,
             extra={"model_version": self.model_version},
@@ -445,8 +464,10 @@ class CacheNode:
         if self.spans is not None:
             self.spans.clear()
         self.ledger.clear()
+        # Zeroes what the registry itself stores — the observed histograms
+        # (and any child a side-car pushed); every derived family already
+        # follows the state cleared above.
         self.registry.reset()
-        self._m_model_version.set(self.model_version)
 
     def process_batch(self, indices: list[int]) -> list[dict]:
         """Apply a contiguous run of trace requests; returns GET responses.
@@ -522,7 +543,6 @@ class CacheNode:
         # outcomes it hands back, so none of it can feed back into cache
         # state.
         batch = CacheStats()
-        rectified0 = self.rectified_admits
         oid_list, size_list = self._oid_list, self._size_list
         outcomes: list = []
         t_loop0 = time.perf_counter_ns()
@@ -590,57 +610,22 @@ class CacheNode:
                 )
             captured.clear()
 
-        # Registry counters advance by the batch's counters: one inc per
-        # metric per batch keeps the request loop unchanged while STATS and
-        # /metrics can never drift apart.
-        self._m_hits.inc(batch.hits)
-        self._m_misses.inc(batch.misses)
-        self._m_hit_bytes.inc(batch.bytes_hit)
-        self._m_miss_bytes.inc(batch.bytes_requested - batch.bytes_hit)
-        self._m_writes.inc(batch.files_written)
-        self._m_write_bytes.inc(batch.bytes_written)
-        self._m_evictions.inc(batch.evictions)
-        self._m_denied.inc(batch.admissions_denied)
-        self._m_rectified.inc(self.rectified_admits - rectified0)
-        self._m_position.set(hi)
-
         # Write provenance (exact, per batch), labelled with the model
-        # version that served this batch.  A hit that inserts is a staging
-        # tier paying the flash write it deferred at miss time; every other
-        # insert is an admission accept.
+        # version that served this batch: one cause per inserted outcome,
+        # grouped into one ledger record per cause.
         if batch.files_written:
-            promoted = [
-                size
-                for size, (result, _) in zip(size_list[lo:hi], outcomes)
-                if result.inserted and result.hit
-            ]
-            n_promoted, promoted_bytes = len(promoted), sum(promoted)
-            for cause, n_writes, nbytes in (
-                ("staging_promote", n_promoted, promoted_bytes),
-                ("admission_accept", batch.files_written - n_promoted,
-                 batch.bytes_written - promoted_bytes),
-            ):
-                if n_writes:
-                    self.ledger.record_write(
-                        cause, nbytes, model=model_label, n=n_writes
-                    )
+            by_cause: dict[str, list[int]] = {}
+            for size, (result, _) in zip(size_list[lo:hi], outcomes):
+                if result.inserted:
+                    tally = by_cause.setdefault(write_cause(result), [0, 0])
+                    tally[0] += 1
+                    tally[1] += size
+            for cause, (count, nbytes) in by_cause.items():
+                self.ledger.record_write(cause, nbytes, model=model_label, n=count)
         if batch.admissions_denied:
             self.ledger.record_avoided(
                 denied_bytes, model=model_label, n=batch.admissions_denied
             )
-
-        # Sampler-accounting gauges (cheap: once per batch).
-        if tracer is not None:
-            self._m_trace_seen.set(tracer.seen)
-            self._m_trace_sampled.set(tracer.sampled)
-            self._m_trace_dropped.set(tracer.dropped)
-        timing = self.classify_timing
-        self._m_classify_seen.set(timing.count)
-        self._m_classify_retained.set(timing.retained)
-        if spans is not None:
-            self._m_spans_recorded.set(spans.recorded)
-            self._m_spans_buffered.set(len(spans))
-            self._m_spans_dropped.set(spans.dropped)
         return outcomes
 
 
@@ -787,35 +772,27 @@ class CacheNodeServer:
             "Enqueue-to-response time inside the server.",
             buckets=latency_buckets(),
         )
-        self._m_queue = reg.gauge(
-            "repro_queue_depth", "Requests queued or awaiting sequencing."
+        reg.gauge(
+            "repro_queue_depth", "Requests queued or awaiting sequencing.",
+            read=lambda: self.queue_depth,
         )
-        self._m_connections = reg.gauge(
-            "repro_connections", "Open client connections."
+        reg.gauge(
+            "repro_connections", "Open client connections.",
+            read=lambda: len(self._connections),
         )
-        # Serving-side children of the node's stage-histogram family.
-        stage = reg.histogram(
-            "repro_stage_seconds",
-            "Request-lifecycle stage wall time (one observation per "
-            "micro-batch; queue_wait counts every request at the batch "
-            "mean).",
-            ("stage",),
-            buckets=latency_buckets(),
-        )
+        # The node registered the stage histogram and both reservoir
+        # families; the serving layer adds its own children to each.
+        stage = reg.get("repro_stage_seconds")
         self._m_stage_queue = stage.labels(stage="queue_wait")
         self._m_stage_reply = stage.labels(stage="reply")
-        res_seen = reg.gauge(
-            "repro_reservoir_seen",
-            "Observations offered to a bounded timing reservoir.",
-            ("reservoir",),
+        reg.gauge(
+            "repro_reservoir_seen", labelnames=("reservoir",),
+            read=lambda: (("service_latency", self.service_latencies.count),),
         )
-        res_kept = reg.gauge(
-            "repro_reservoir_retained",
-            "Samples currently retained by a bounded timing reservoir.",
-            ("reservoir",),
+        reg.gauge(
+            "repro_reservoir_retained", labelnames=("reservoir",),
+            read=lambda: (("service_latency", self.service_latencies.retained),),
         )
-        self._m_latency_seen = res_seen.labels(reservoir="service_latency")
-        self._m_latency_retained = res_kept.labels(reservoir="service_latency")
         self.exporter: MetricsExporter | None = None
         if metrics_port is not None:
             from repro.server.metrics import metrics_snapshot
@@ -1014,9 +991,6 @@ class CacheNodeServer:
             self._m_stage_reply.observe((t_reply1 - t_reply0) * 1e-9)
             if root is not None:
                 spans.add("reply", "server", t_reply0, t_reply1)
-            self._m_latency_seen.set(self.service_latencies.count)
-            self._m_latency_retained.set(self.service_latencies.retained)
-            self._m_queue.set(self.queue_depth)
             self._maybe_retrain_on_drift()
         finally:
             if root is not None:
@@ -1050,7 +1024,6 @@ class CacheNodeServer:
     ) -> None:
         conn = _Connection(writer)
         self._connections.add(conn)
-        self._m_connections.inc()
         decoder = FrameDecoder()
         try:
             while True:
@@ -1077,7 +1050,6 @@ class CacheNodeServer:
             pass
         finally:
             self._connections.discard(conn)
-            self._m_connections.dec()
             await conn.close()
 
     async def _dispatch_frames(self, frames: list, conn: _Connection) -> None:

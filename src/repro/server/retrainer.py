@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ __all__ = ["RetrainerConfig", "Retrainer"]
 logger = get_logger("server.retrainer")
 
 DAY = 86400.0
+
+
+def _outcome(record: dict) -> str:
+    """The ``trained`` label of one :attr:`Retrainer.history` record."""
+    if record.get("deployed"):
+        return "deploy"
+    return "yes" if record["trained"] else "no"
 
 
 @dataclass(frozen=True)
@@ -81,29 +89,35 @@ class Retrainer:
         # keeps `fit` self-contained in the worker thread).
         self._fm = extract_features(node.trace).select(PAPER_FEATURE_NAMES)
         self._rng = np.random.default_rng(node.cfg.seed)
-        self.history: list[dict] = []
-        self._m_retrains = node.registry.counter(
+        self.history: list[dict] = []  # also what the three metric families read
+        node.registry.counter(
             "repro_retrains_total",
             "Retrain attempts by outcome (trained=yes swapped a model in).",
             ("trained",),
+            read=lambda: Counter(map(_outcome, self.history)).items(),
         )
-        self._m_worst = node.registry.gauge(
+        node.registry.gauge(
             "repro_retrain_worst_window_accuracy",
             "Worst-window matured admission accuracy at the last retrain.",
+            read=lambda: self._last("worst_window_accuracy"),
         )
-        self._m_train_rows = node.registry.gauge(
+        node.registry.gauge(
             "repro_retrain_train_samples",
             "Training rows selected for the last retrain attempt.",
+            read=lambda: self._last("n_train"),
         )
+
+    def _last(self, field: str) -> float:
+        """``field`` of the latest local retrain that reported one (else 0)."""
+        for rec in reversed(self.history):
+            if not rec.get("deployed") and rec[field] is not None:
+                return rec[field]
+        return 0.0
 
     @property
     def retrains(self) -> int:
         """Locally trained swaps (external :meth:`deploy_model` excluded)."""
-        return sum(
-            1
-            for rec in self.history
-            if rec["trained"] and not rec.get("deployed")
-        )
+        return sum(_outcome(rec) == "yes" for rec in self.history)
 
     async def run(self) -> None:
         """Poll the node's trace clock and retrain at each boundary."""
@@ -140,7 +154,6 @@ class Retrainer:
             "model_version": self.node.install_model(model),
             "worst_window_accuracy": None,
         }
-        self._m_retrains.labels(trained="deploy").inc()
         logger.info(
             "deploy at t=%.0f: version=%d",
             record["t_cut"],
@@ -230,10 +243,7 @@ class Retrainer:
             acc = quality.accuracy[worst]
             if np.isfinite(acc):
                 record["worst_window_accuracy"] = float(acc)
-                self._m_worst.set(float(acc))
 
-        self._m_retrains.labels(trained="yes" if record["trained"] else "no").inc()
-        self._m_train_rows.set(record["n_train"])
         logger.info(
             "retrain at t=%.0f: trained=%s n_train=%d version=%d worst_acc=%s",
             record["t_cut"],

@@ -194,17 +194,19 @@ class TestChurnAttribution:
         policy.access(3, 100)  # forces a learned eviction
         victim, mode = policy.debug_log[0]
         assert mode == "learned"
-        policy.access(victim, 100)  # re-admit the head's own victim
-        assert policy.last_insert_was_churn
+        result = policy.access(victim, 100)  # re-admit the head's own victim
+        assert result.inserted and result.churn
         assert policy.churn_inserts == 1
+        # The flag belongs to that one insertion, not to the policy.
+        assert not policy.access(99, 100).churn
 
     def test_fallback_victim_readmission_is_not_churn(self):
         policy = LearnedCache(200)  # untrained: pure LRU evictions
         policy.access(1, 100)
         policy.access(2, 100)
         policy.access(3, 100)  # LRU-evicts 1
-        policy.access(1, 100)
-        assert not policy.last_insert_was_churn
+        result = policy.access(1, 100)
+        assert result.inserted and not result.churn
         assert policy.churn_inserts == 0
 
 

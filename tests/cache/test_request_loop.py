@@ -12,7 +12,9 @@ pins them to one another: for every registry policy × admission kind,
   micro-batch (sizes 1, 7 and 256 in rotation), asking the same per-miss
   admission the offline replay asks,
 
-produce identical :class:`~repro.cache.base.CacheStats`.
+produce identical :class:`~repro.cache.base.CacheStats` — and the two node
+types, which both keep a write ledger, book every write under the same
+cause (:func:`repro.obs.ledger.write_cause` is their one rule).
 
 The served node classifies inside that loop, at miss time, so nothing about
 a batch is decided before it runs.  ``test_served_batch_boundaries_are_invisible``
@@ -34,6 +36,7 @@ import pytest
 
 import repro.scenario.oracle as oracle_module
 from repro.cache.base import CacheStats
+from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.lru import LRUCache
 from repro.cache.simulator import POLICY_REGISTRY, make_policy, replay_range, simulate
 from repro.cluster import CacheNode as ClusterNode
@@ -42,6 +45,7 @@ from repro.core.admission import OracleAdmission
 from repro.core.history_table import HistoryTable
 from repro.core.labeling import one_time_labels
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
+from repro.obs.ledger import WriteLedger
 from repro.scenario import ScenarioSpec
 from repro.scenario.oracle import node_capacity_bytes, run_oracle
 from repro.server.node import CacheNode as ServedNode
@@ -157,6 +161,7 @@ def test_all_drivers_agree(
 
     # -- one-node cluster tier: the single-request step ---------------------
     oc = ClusterNode("oc0", fresh_policy(), fresh_admission())
+    oc.bind_ledger(WriteLedger())
     result = simulate_cluster(
         trace, TwoTierCluster({"oc0": oc}, ClusterNode("dc", LRUCache(capacity)))
     )
@@ -180,6 +185,45 @@ def test_all_drivers_agree(
     assert int(node.denied_mask.sum()) == ref.admissions_denied
     assert node.ledger.total_writes == ref.files_written
     assert node.ledger.avoided_writes == ref.admissions_denied
+    # Both node types choose each write's cause by the one rule.
+    assert node.ledger.writes_by_cause() == oc.ledger.writes_by_cause()
+    assert node.ledger.bytes_by_cause() == oc.ledger.bytes_by_cause()
+
+
+@pytest.mark.parametrize("driver", ["served+dram", "served", "cluster+dram"])
+def test_every_driver_books_eviction_churn(tiny_trace, capacity, driver):
+    """A learned eviction head re-admitting its own victim pays for a
+    misprediction: the insert's ``AccessResult.churn`` reaches the ledger
+    through the micro-batch (which only sees outcomes) and through a DRAM
+    tier in front of the policy, on either node type."""
+    if driver == "cluster+dram":
+        learned = make_policy("learned", capacity)
+        node = ClusterNode("oc0", HierarchicalCache.with_lru_dram(learned))
+        node.bind_ledger(WriteLedger())
+        simulate_cluster(
+            tiny_trace,
+            TwoTierCluster({"oc0": node}, ClusterNode("dc", LRUCache(capacity))),
+        )
+    else:
+        dram_fraction = 0.05 if driver == "served+dram" else 0.0
+        node = ServedNode(
+            tiny_trace,
+            NodeConfig(
+                policy="learned",
+                capacity_fraction=None,
+                capacity_bytes=capacity,
+                dram_fraction=dram_fraction,
+                classifier=False,
+            ),
+        )
+        serve_all(node)
+        learned = node.cache.ssd if dram_fraction else node.cache
+    causes = node.ledger.writes_by_cause()
+    assert learned.churn_inserts > 0
+    assert causes["eviction_churn"] == learned.churn_inserts
+    assert causes["admission_accept"] == (
+        node.stats.files_written - learned.churn_inserts
+    )
 
 
 @pytest.mark.parametrize("dram_fraction", [0.05, 0.0])

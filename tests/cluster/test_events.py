@@ -9,6 +9,9 @@ from repro.cluster import (
     TwoTierCluster,
     simulate_cluster_with_events,
 )
+from repro.core.admission import OracleAdmission
+from repro.core.labeling import one_time_labels
+from repro.obs.registry import MetricsRegistry
 from repro.trace import WorkloadConfig, generate_trace
 
 
@@ -116,6 +119,90 @@ class TestStatsRetirement:
         cluster.reset()
         assert cluster.retired_files_written == 0
         assert cluster.oc_tier_totals().requests == 0
+
+
+class TestClusterFamilies:
+    """``repro_cluster_*`` after ``TwoTierCluster.instrument``: a view of
+    the stats of the nodes in service, whatever the topology does."""
+
+    @staticmethod
+    def assert_families_equal_live_stats(cluster, registry):
+        live = {n.name: n.stats for n in (*cluster.oc_nodes.values(), cluster.dc)}
+
+        def series(name):
+            return {k: c.value for k, c in registry.get(name).children()}
+
+        assert series("repro_cluster_requests_total") == {
+            (name, result): count
+            for name, stats in live.items()
+            for result, count in (("hit", stats.hits), ("miss", stats.misses))
+        }
+        assert series("repro_cluster_ssd_writes_total") == {
+            (name,): stats.files_written for name, stats in live.items()
+        }
+        assert series("repro_cluster_admissions_denied_total") == {
+            (name,): stats.admissions_denied for name, stats in live.items()
+        }
+
+    def test_families_follow_node_stats_across_kill_and_restart(self, trace):
+        n = trace.n_accesses
+        fp = trace.footprint_bytes
+        labels = one_time_labels(trace.object_ids, 2000)
+        cluster = build(trace)
+        for node in cluster.oc_nodes.values():
+            node.admission = OracleAdmission(labels)
+        registry = MetricsRegistry()
+        cluster.instrument(registry)
+        writes = registry.get("repro_cluster_ssd_writes_total")
+        seen = {}
+
+        def check(tag):
+            def event(c):
+                self.assert_families_equal_live_stats(c, registry)
+                seen[tag] = {k[0]: ch.value for k, ch in writes.children()}
+            return event
+
+        events = [
+            (n // 4, check("warm")),
+            (n // 3, lambda c: c.remove_node("oc1")),
+            (n // 3, check("killed")),
+            (n // 2, lambda c: c.add_node(
+                CacheNode("oc1", LRUCache(max(1, fp // 150)))
+            )),
+            (n // 2, check("restarted")),
+            (n // 2, lambda c: c.add_node(
+                CacheNode("oc7", LRUCache(max(1, fp // 150)))
+            )),
+            (3 * n // 4, check("scaled")),
+        ]
+        simulate_cluster_with_events(trace, cluster, events)
+        check("end")(cluster)
+        assert seen["warm"]["oc1"] > 0 and seen["warm"]["dc"] > 0
+        assert any(
+            n.stats.admissions_denied for n in cluster.oc_nodes.values()
+        )
+        # A removed node's series ends; a restarted one starts from 0 and a
+        # node added later appears without re-instrumenting.  The
+        # cumulative totals stay in oc_tier_totals() / retired_stats.
+        assert "oc1" not in seen["killed"]
+        assert seen["restarted"]["oc1"] == 0
+        assert "oc7" not in seen["restarted"] and seen["scaled"]["oc7"] > 0
+        assert cluster.retired_files_written >= seen["warm"]["oc1"]
+        assert cluster.oc_tier_totals().files_written == (
+            sum(v for name, v in seen["end"].items() if name != "dc")
+            + cluster.retired_files_written
+        )
+
+    def test_exposition_lists_every_live_node(self, trace):
+        cluster = build(trace, n_oc=2)
+        registry = MetricsRegistry()
+        cluster.instrument(registry)
+        cluster.oc_nodes["oc0"].request(0, 1, 100)
+        text = registry.render_prometheus()
+        assert 'repro_cluster_requests_total{node="oc0",result="miss"} 1' in text
+        assert 'repro_cluster_requests_total{node="dc",result="hit"} 0' in text
+        assert 'repro_cluster_ssd_writes_total{node="oc0"} 1' in text
+        assert 'repro_cluster_admissions_denied_total{node="oc1"} 0' in text
 
 
 class TestEventSimulation:

@@ -112,6 +112,8 @@ class TestRegistryMirror:
         assert abytes.labels(model="v3").value == 64
 
     def test_registry_free_ledger_never_touches_metrics(self):
-        led = WriteLedger()
-        led.record_write("flood", 1)  # must not raise
-        assert led._m_writes is None
+        led, mirrored = WriteLedger(), WriteLedger(registry=MetricsRegistry())
+        for each in (led, mirrored):
+            each.record_write("flood", 1)  # must not raise
+            each.record_avoided(7, model="v1")
+        assert led.snapshot() == mirrored.snapshot()

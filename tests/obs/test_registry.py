@@ -111,6 +111,109 @@ class TestLabels:
             reg.counter("ok_total", labelnames=("bad-label",))
 
 
+class TestDerivedFamily:
+    """``read=``: the registry is a view of numbers their owner keeps."""
+
+    def owner_and_registry(self):
+        owner = {"hits": 3, "misses": 1, "depth": 2.5}
+        reg = MetricsRegistry()
+        reg.counter(
+            "req_total", "Requests.", ("result",),
+            read=lambda: (("hit", owner["hits"]), ("miss", owner["misses"])),
+        )
+        reg.gauge("depth", "Queue depth.", read=lambda: owner["depth"])
+        return owner, reg
+
+    def test_every_surface_reads_the_owner_at_read_time(self):
+        owner, reg = self.owner_and_registry()
+        req, depth = reg.get("req_total"), reg.get("depth")
+        for hits, d in ((3, 2.5), (40, 0.0)):
+            owner["hits"], owner["depth"] = hits, d
+            assert req.labels(result="hit").value == hits
+            assert req.labels("miss").value == 1
+            assert depth.value == depth.labels().value == d
+            assert [(k, c.value) for k, c in req.children()] == [
+                (("hit",), hits), (("miss",), 1),
+            ]
+            text = reg.render_prometheus()
+            assert f'req_total{{result="hit"}} {hits}\n' in text
+            assert 'req_total{result="miss"} 1\n' in text
+            snap = reg.snapshot()
+            assert snap["req_total"]["type"] == "counter"
+            assert snap["req_total"]["values"] == [
+                {"labels": {"result": "hit"}, "value": float(hits)},
+                {"labels": {"result": "miss"}, "value": 1.0},
+            ]
+            assert snap["depth"]["values"] == [{"labels": {}, "value": d}]
+
+    def test_exposition_matches_a_written_family(self):
+        """Same text whether the number is pushed or read."""
+        _, derived = self.owner_and_registry()
+        pushed = MetricsRegistry()
+        req = pushed.counter("req_total", "Requests.", ("result",))
+        req.labels(result="hit").inc(3)
+        req.labels(result="miss").inc(1)
+        pushed.gauge("depth", "Queue depth.").set(2.5)
+        assert derived.render_prometheus() == pushed.render_prometheus()
+        assert derived.snapshot() == pushed.snapshot()
+
+    def test_two_readers_feed_one_family(self):
+        reg = MetricsRegistry()
+        node, server = {"n": 7}, {"n": 9}
+        reg.gauge("seen", "", ("reservoir",), read=lambda: [("a", node["n"])])
+        fam = reg.gauge(
+            "seen", labelnames=("reservoir",), read=lambda: [("b", server["n"])]
+        )
+        assert [(k, c.value) for k, c in fam.children()] == [
+            (("a",), 7), (("b",), 9),
+        ]
+        # A later reader's sample replaces an earlier one under the same
+        # label values (a rebuilt owner takes its series over).
+        reg.gauge("seen", labelnames=("reservoir",), read=lambda: [("a", 1)])
+        assert fam.labels(reservoir="a").value == 1
+
+    def test_an_absent_series_reads_zero(self):
+        _, reg = self.owner_and_registry()
+        assert reg.get("req_total").labels(result="other").value == 0
+
+    def test_writes_are_rejected(self):
+        _, reg = self.owner_and_registry()
+        req, depth = reg.get("req_total"), reg.get("depth")
+        for write in (
+            depth.inc, depth.dec, lambda: depth.set(1),
+            req.labels(result="hit").inc, lambda: req.labels("hit").set(1),
+            req.labels(result="hit").dec,
+        ):
+            with pytest.raises(TypeError):
+                write()
+
+    def test_reset_leaves_it_to_its_owner(self):
+        owner, reg = self.owner_and_registry()
+        pushed = reg.counter("pushed_total")
+        pushed.inc(5)
+        reg.reset()
+        assert pushed.value == 0
+        assert reg.get("req_total").labels(result="hit").value == owner["hits"]
+        assert reg.get("depth").value == owner["depth"]
+
+    def test_a_histogram_refuses_read(self):
+        with pytest.raises(TypeError):
+            MetricsRegistry().histogram("h", read=lambda: 1)
+
+    def test_reregistering_with_another_kind_or_labels_still_raises(self):
+        _, reg = self.owner_and_registry()
+        with pytest.raises(ValueError):
+            reg.gauge("req_total", labelnames=("result",), read=lambda: ())
+        with pytest.raises(ValueError):
+            reg.counter("req_total", labelnames=("other",), read=lambda: ())
+        with pytest.raises(ValueError):
+            reg.counter("depth", read=lambda: 0)
+        # ... and a written family cannot become a derived one.
+        reg.counter("pushed_total")
+        with pytest.raises(ValueError):
+            reg.counter("pushed_total", read=lambda: 0)
+
+
 class TestRegistry:
     def test_registration_idempotent(self):
         reg = MetricsRegistry()
