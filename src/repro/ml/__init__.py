@@ -8,6 +8,8 @@ on NumPy, following the textbook formulations the paper cites (Alpaydin,
 Regression Trees*; Elkan, *The Foundations of Cost-Sensitive Learning*).
 A from-scratch gradient-boosting classifier (:mod:`repro.ml.gbdt`) is
 included as the post-2018 baseline the learned-cache literature moved to.
+Every tree-built model here — CART, regressor, forest, AdaBoost, the GBDT's
+rounds — is :mod:`repro.ml.tree`'s one grower with one of two split searches.
 
 Public API
 ----------
@@ -35,7 +37,7 @@ from repro.ml.naive_bayes import GaussianNB, CategoricalNB
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.ml.neural_net import MLPClassifier
-from repro.ml.gbdt import GradientBoostingClassifier, RegressionTree
+from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
 from repro.ml.fastpath import (
     CompiledPredictor,
@@ -86,7 +88,6 @@ __all__ = [
     "LogisticRegression",
     "MLPClassifier",
     "GradientBoostingClassifier",
-    "RegressionTree",
     "CompiledPredictor",
     "compile_tree_arrays",
     "fast_predictor",

@@ -7,10 +7,12 @@ the natural "what would we deploy today" row next to Table 1.
 Implementation: classic Friedman GBM with
 
 * small **regression trees** fit to the negative gradient (residuals
-  ``y − p`` of the logistic loss), grown depth-first with vectorised
-  variance-reduction split search;
+  ``y − p`` of the logistic loss): each round is a
+  :class:`~repro.ml.tree.DecisionTreeRegressor` — the repo's one tree
+  grower — limited by depth and leaf size instead of a split budget;
 * **Newton leaf values** ``Σr / Σ p(1−p)`` (one second-order step per
-  leaf), the standard LogitBoost-style refinement;
+  leaf) written over the fitted tree's leaf means, the standard
+  LogitBoost-style refinement;
 * shrinkage (``learning_rate``) and optional row subsampling.
 """
 
@@ -19,151 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, check_sample_weight
+from repro.ml.fastpath import CompiledPredictor
+from repro.ml.tree import DecisionTreeRegressor
 
-__all__ = ["GradientBoostingClassifier", "RegressionTree"]
-
-_LEAF = -1
-
-
-class RegressionTree:
-    """Depth-limited CART regression tree (squared error).
-
-    Supports per-sample weights and an auxiliary ``hessian`` array so
-    boosting can place Newton values in the leaves.  Public, because a
-    from-scratch regression tree is useful on its own.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_depth: int = 3,
-        min_samples_leaf: int = 5,
-    ):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-
-    def fit(self, X, y, sample_weight=None, hessian=None) -> "RegressionTree":
-        X = check_array(X)
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        if y.shape[0] != X.shape[0]:
-            raise ValueError("X and y lengths differ")
-        w = check_sample_weight(sample_weight, X.shape[0])
-        h = (
-            np.ascontiguousarray(hessian, dtype=np.float64)
-            if hessian is not None
-            else np.ones_like(y)
-        )
-        if h.shape != y.shape:
-            raise ValueError("hessian must match y")
-        self.n_features_in_ = X.shape[1]
-
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-
-        def leaf_value(idx) -> float:
-            denom = float(np.sum(w[idx] * h[idx]))
-            if denom <= 1e-12:
-                return 0.0
-            return float(np.sum(w[idx] * y[idx]) / denom)
-
-        def build(idx: np.ndarray, depth: int) -> int:
-            node = len(feature)
-            feature.append(_LEAF)
-            threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            value.append(leaf_value(idx))
-            if depth >= self.max_depth or idx.shape[0] < 2 * self.min_samples_leaf:
-                return node
-            split = self._best_split(X, y, w, idx)
-            if split is None:
-                return node
-            j, thr = split
-            mask = X[idx, j] <= thr
-            feature[node] = j
-            threshold[node] = thr
-            left[node] = build(idx[mask], depth + 1)
-            right[node] = build(idx[~mask], depth + 1)
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        self.feature_ = np.asarray(feature, dtype=np.int64)
-        self.threshold_ = np.asarray(threshold)
-        self.children_left_ = np.asarray(left, dtype=np.int64)
-        self.children_right_ = np.asarray(right, dtype=np.int64)
-        self.value_ = np.asarray(value)
-        return self
-
-    def _best_split(self, X, y, w, idx):
-        """Max weighted-SSE reduction over all features; None if no gain."""
-        y_node = y[idx]
-        w_node = w[idx]
-        total_w = w_node.sum()
-        total_wy = float(np.dot(w_node, y_node))
-        base_sse_term = total_wy * total_wy / total_w
-        min_leaf = self.min_samples_leaf
-
-        best_gain = 1e-12
-        best = None
-        for j in range(X.shape[1]):
-            v = X[idx, j]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            ws = w_node[order]
-            wys = (w_node * y_node)[order]
-            cut = np.nonzero(vs[:-1] != vs[1:])[0]
-            if min_leaf > 1:
-                n = idx.shape[0]
-                cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
-            if cut.shape[0] == 0:
-                continue
-            cw = np.cumsum(ws)[cut]
-            cwy = np.cumsum(wys)[cut]
-            rw = total_w - cw
-            ok = (cw > 0) & (rw > 0)
-            if not ok.any():
-                continue
-            gain = (
-                cwy[ok] ** 2 / cw[ok]
-                + (total_wy - cwy[ok]) ** 2 / rw[ok]
-                - base_sse_term
-            )
-            pos = int(np.argmax(gain))
-            if gain[pos] > best_gain:
-                i = cut[ok][pos]
-                thr = 0.5 * (vs[i] + vs[i + 1])
-                if thr >= vs[i + 1]:
-                    thr = vs[i]
-                best_gain = float(gain[pos])
-                best = (int(j), float(thr))
-        return best
-
-    def predict(self, X) -> np.ndarray:
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_[node]
-            active = feat != _LEAF
-            if not active.any():
-                return self.value_[node]
-            rows = np.nonzero(active)[0]
-            go_left = X[rows, feat[rows]] <= self.threshold_[node[rows]]
-            node[rows] = np.where(
-                go_left,
-                self.children_left_[node[rows]],
-                self.children_right_[node[rows]],
-            )
+__all__ = ["GradientBoostingClassifier"]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -202,6 +63,10 @@ class GradientBoostingClassifier(BaseEstimator):
             raise ValueError("n_estimators must be >= 1")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
         self.n_estimators = n_estimators
@@ -224,7 +89,7 @@ class GradientBoostingClassifier(BaseEstimator):
         p0 = float(np.clip(np.average(y, weights=w), 1e-6, 1 - 1e-6))
         self.init_score_ = float(np.log(p0 / (1.0 - p0)))
         F = np.full(n, self.init_score_)
-        self.estimators_: list[RegressionTree] = []
+        self.estimators_: list[DecisionTreeRegressor] = []
 
         for _ in range(self.n_estimators):
             p = _sigmoid(F)
@@ -236,19 +101,35 @@ class GradientBoostingClassifier(BaseEstimator):
                     take = np.ones(n, dtype=bool)
             else:
                 take = slice(None)
-            tree = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-            )
-            tree.fit(
-                X[take],
-                residual[take],
-                sample_weight=w[take] if self.subsample < 1.0 else w,
-                hessian=hessian[take],
-            )
+            tree = self._fit_round(X[take], residual[take], hessian[take], w[take])
             self.estimators_.append(tree)
             F = F + self.learning_rate * tree.predict(X)
         return self
+
+    def _fit_round(self, X, residual, hessian, w) -> DecisionTreeRegressor:
+        """One boosting round: a variance tree on the residuals, Newton leaves.
+
+        The split search sees squared error only; the second-order step
+        replaces each leaf's weighted mean ``Σwr / Σw`` by ``Σwr / Σwh``.
+        """
+        tree = DecisionTreeRegressor(
+            max_splits=None,
+            max_depth=self.max_depth,
+            min_samples_split=max(2, 2 * self.min_samples_leaf),
+            min_samples_leaf=self.min_samples_leaf,
+            min_impurity_decrease=1e-12,
+        ).fit(X, residual, sample_weight=w)
+        # The tree normalises its weights to sum to the row count; the leaf
+        # sums use the same vector so they move with the split search's.
+        w = check_sample_weight(w, X.shape[0])
+        leaf_of = tree._leaf_ids(X)
+        for leaf in np.unique(leaf_of):
+            rows = leaf_of == leaf
+            denom = float(np.sum(w[rows] * hessian[rows]))
+            tree.value_[leaf] = (
+                float(np.sum(w[rows] * residual[rows]) / denom) if denom > 1e-12 else 0.0
+            )
+        return tree
 
     def decision_function(self, X) -> np.ndarray:
         self._check_fitted()
@@ -276,9 +157,9 @@ class GradientBoostingClassifier(BaseEstimator):
     def compile_decision_function(self):
         """Compiled margin functions, bit-identical to ``decision_function``.
 
-        Every regression tree is code-generated through
-        :func:`repro.ml.fastpath.compile_tree_arrays` (leaf values are the
-        labels, so the compiled walkers return exact ``value_`` entries);
+        Every regression tree is code-generated by its own
+        ``compile_predictor`` (leaf values are the labels, so the compiled
+        walkers return exact ``value_`` entries);
         the ensemble is then accumulated in the *same* float order as the
         reference — ``F = F + learning_rate * tree(x)``, one tree at a
         time from ``init_score_`` — so both the scalar and batch twins
@@ -287,20 +168,8 @@ class GradientBoostingClassifier(BaseEstimator):
         Returns a :class:`~repro.ml.fastpath.CompiledPredictor` whose
         ``predict_one``/``predict`` yield raw margins, not class labels.
         """
-        from repro.ml.fastpath import CompiledPredictor, compile_tree_arrays
-
         self._check_fitted()
-        trees = [
-            compile_tree_arrays(
-                t.feature_,
-                t.threshold_,
-                t.children_left_,
-                t.children_right_,
-                t.value_,
-                out_dtype=np.float64,
-            )
-            for t in self.estimators_
-        ]
+        trees = [t.compile_predictor() for t in self.estimators_]
         ones = tuple(t.predict_one for t in trees)
         batches = tuple(t.predict for t in trees)
         init = self.init_score_
@@ -334,8 +203,6 @@ class GradientBoostingClassifier(BaseEstimator):
         batch/reference path — ``math.exp`` may differ from ``np.exp`` in
         the last ulp, which would break bit-parity at the threshold.
         """
-        from repro.ml.fastpath import CompiledPredictor
-
         df = self.compile_decision_function()
         decision_one = df.predict_one
         decision_batch = df.predict
@@ -355,8 +222,6 @@ class GradientBoostingClassifier(BaseEstimator):
 
     def compile_predictor(self):
         """Compiled class predictions, bit-identical to ``predict``."""
-        from repro.ml.fastpath import CompiledPredictor
-
         df = self.compile_decision_function()
         decision_one = df.predict_one
         decision_batch = df.predict

@@ -1,4 +1,4 @@
-"""CART decision tree (Breiman et al. 1984), the paper's chosen classifier.
+"""CART decision trees (Breiman et al. 1984): one grower, two split searches.
 
 Design notes
 ------------
@@ -9,29 +9,40 @@ Design notes
   We grow the tree by repeatedly applying the globally best remaining split
   (a max-heap on weighted impurity decrease), so a budget of 30 yields the
   30 most valuable splits rather than an arbitrary breadth-first prefix.
+* **One tree.**  :class:`_FlatTree` owns the growth limits, the best-first
+  loop, the fitted arrays, the batch descent, the scalar walk and the
+  compile step; :class:`DecisionTreeClassifier` (admission; the forest's and
+  AdaBoost's base) and :class:`DecisionTreeRegressor` (the eviction head;
+  the GBDT's rounds) add only their split search and their leaf value.
 * **Sample weights** feed directly into the impurity computation, which is
   how :class:`repro.ml.cost_sensitive.CostSensitiveClassifier` implements the
   paper's cost matrix (Table 4).
-* Split search is fully vectorised: one argsort + cumulative class-weight
-  pass per (node, feature), so fitting is O(d · n log n) per tree level.
+* Split search is fully vectorised: one argsort + cumulative pass per
+  (node, feature), so fitting is O(d · n log n) per tree level — or, for the
+  regressor's ``bins`` mode, one histogram pass per node for all features.
 
 The fitted tree is flattened into parallel NumPy arrays
 (``children_left/children_right/feature/threshold/value``) and prediction
-walks all rows level-by-level with boolean masks — no per-row Python loop.
+walks all rows level-by-level with boolean masks
+(:func:`repro.ml.fastpath.descend`) — no per-row Python loop.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, check_sample_weight
+from repro.ml.fastpath import compile_tree_arrays, descend, walk
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
 _LEAF = -1
+
+Split = tuple[float, int, float]  # (impurity decrease, feature, threshold)
 
 
 def _node_impurity(class_w: np.ndarray, criterion: str) -> float:
@@ -47,14 +58,41 @@ def _node_impurity(class_w: np.ndarray, criterion: str) -> float:
     return float(-np.dot(nz, np.log2(nz)))
 
 
+def _side_impurity(class_w: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of one side of every candidate cut: row ``i`` of ``class_w``
+    holds that side's per-class weights, ``totals[i]`` their (positive) sum."""
+    if criterion == "gini":
+        return 1.0 - np.einsum("ij,ij->i", class_w, class_w) / (totals * totals)
+    p = class_w / totals[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.nansum(np.where(p > 0, p * np.log2(p), 0.0), axis=1)
+
+
+def _cut_positions(vs: np.ndarray, min_leaf: int) -> np.ndarray:
+    """Split positions in sorted values ``vs``: boundaries between distinct
+    adjacent values, honouring the per-leaf sample minimum."""
+    cut = np.nonzero(vs[:-1] != vs[1:])[0]
+    if min_leaf > 1:
+        n = vs.shape[0]
+        cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+    return cut
+
+
+def _cut_threshold(vs: np.ndarray, i: int) -> float:
+    """Midpoint after sorted position ``i``, guarded against rounding onto
+    the right value (routing is ``x <= threshold``)."""
+    thr = 0.5 * (vs[i] + vs[i + 1])
+    return float(vs[i] if thr >= vs[i + 1] else thr)
+
+
 @dataclass
 class _Candidate:
     """Best split found for a pending node, ordered by impurity decrease."""
 
     decrease: float
-    node_id: int
     feature: int
     threshold: float
+    node_id: int
     indices: np.ndarray = field(repr=False)
     depth: int = 0
 
@@ -62,7 +100,190 @@ class _Candidate:
         return self.decrease > other.decrease
 
 
-class DecisionTreeClassifier(BaseEstimator):
+class _FlatTree(BaseEstimator):
+    """A binary tree in flat parallel arrays, grown best-first.
+
+    The constructor validates the growth limits once for every tree;
+    subclasses call :meth:`_grow` from ``fit``, handing it their split
+    search and leaf value, and implement ``_node_labels()`` — what each
+    node reports as a leaf.
+    """
+
+    #: ``predict_one``'s list cache.  Fitted state (trailing ``_``), so
+    #: ``model_selection._clone`` drops it with the arrays it was made from.
+    _walk_plan_: tuple | None = None
+
+    def __init__(
+        self,
+        max_splits: int | None,
+        max_depth: int | None,
+        min_samples_split: int,
+        min_samples_leaf: int,
+        min_impurity_decrease: float,
+    ) -> None:
+        if max_splits is not None and max_splits < 1:
+            raise ValueError("max_splits must be >= 1 or None")
+        if max_depth is not None and max_depth < 0:
+            raise ValueError("max_depth must be >= 0 or None")
+        if min_samples_split < 2:
+            raise ValueError("min_samples_split must be >= 2")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+        if min_impurity_decrease < 0:
+            raise ValueError("min_impurity_decrease must be >= 0")
+        self.max_splits = max_splits
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+        self.min_impurity_decrease = min_impurity_decrease
+
+    # ------------------------------------------------------------------ fit
+
+    def _grow(
+        self,
+        X: np.ndarray,
+        leaf_value: Callable[[np.ndarray], object],
+        best_split: Callable[[np.ndarray], Split | None],
+    ) -> list[tuple[int, float]]:
+        """Grow the tree on ``X`` and store the fitted arrays.
+
+        ``leaf_value(indices)`` is what a node holding those rows stores in
+        ``value_``; ``best_split(indices)`` is its best ``(decrease,
+        feature, threshold)`` or ``None``.  Pending nodes wait on a
+        max-heap and the globally best one is split next until the budget
+        or the heap runs out.  Returns the applied ``(feature, decrease)``
+        pairs in split order.
+        """
+        # One growable record per node — [feature, threshold, left, right,
+        # value, depth] — transposed into the fitted arrays at the end.
+        nodes: list[list] = []
+        heap: list[_Candidate] = []
+
+        def new_node(indices: np.ndarray, depth: int) -> int:
+            nodes.append([_LEAF, 0.0, _LEAF, _LEAF, leaf_value(indices), depth])
+            return len(nodes) - 1
+
+        def consider(node_id: int, indices: np.ndarray, depth: int) -> None:
+            """Find this node's best split and push it on the heap."""
+            if indices.shape[0] < self.min_samples_split:
+                return
+            if self.max_depth is not None and depth >= self.max_depth:
+                return
+            split = best_split(indices)
+            if split is None or split[0] <= self.min_impurity_decrease:
+                return
+            heapq.heappush(heap, _Candidate(*split, node_id, indices, depth))
+
+        root_idx = np.arange(X.shape[0])
+        new_node(root_idx, 0)
+        consider(0, root_idx, 0)
+
+        applied: list[tuple[int, float]] = []
+        budget = self.max_splits if self.max_splits is not None else np.inf
+        while heap and len(applied) < budget:
+            cand = heapq.heappop(heap)
+            go_left = X[cand.indices, cand.feature] <= cand.threshold
+            li, ri = cand.indices[go_left], cand.indices[~go_left]
+            # The candidate was validated at push time; leaf minima still hold.
+            lid = new_node(li, cand.depth + 1)
+            rid = new_node(ri, cand.depth + 1)
+            nodes[cand.node_id][:4] = cand.feature, cand.threshold, lid, rid
+            applied.append((cand.feature, cand.decrease))
+            consider(lid, li, cand.depth + 1)
+            consider(rid, ri, cand.depth + 1)
+
+        feature, threshold, left, right, value, depth_of = zip(*nodes)
+        self.n_features_in_ = X.shape[1]
+        self.feature_ = np.asarray(feature, dtype=np.int64)
+        self.threshold_ = np.asarray(threshold, dtype=np.float64)
+        self.children_left_ = np.asarray(left, dtype=np.int64)
+        self.children_right_ = np.asarray(right, dtype=np.int64)
+        self.value_ = np.asarray(value, dtype=np.float64)
+        self.node_depth_ = np.asarray(depth_of, dtype=np.int64)
+        self.node_count_ = len(nodes)
+        self.n_splits_ = len(applied)
+        self._walk_plan_ = None
+        return applied
+
+    # -------------------------------------------------------------- predict
+
+    def _check_fitted(self) -> None:
+        if not hasattr(self, "node_count_"):
+            raise RuntimeError(
+                f"{type(self).__name__} is not fitted; call fit() first"
+            )
+
+    def _structure(self) -> tuple[np.ndarray, ...]:
+        """The arrays ``descend``, ``walk`` and the compiler take, in order."""
+        return self.feature_, self.threshold_, self.children_left_, self.children_right_
+
+    def _leaf_ids(self, X) -> np.ndarray:
+        """Validate ``X`` and return the leaf node id of every row."""
+        self._check_fitted()
+        X = check_array(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"expected {self.n_features_in_} features, got {X.shape[1]}"
+            )
+        return descend(X, *self._structure())
+
+    def _single_plan(self) -> tuple:
+        """Flattened tree as plain Python lists — the zero-overhead walk.
+
+        NumPy scalar indexing costs ~10× a list lookup, so the per-miss
+        path walks cached ``tolist()`` copies: the four structure lists
+        :func:`~repro.ml.fastpath.walk` takes, then the per-node labels.
+        The cache is invalidated by :meth:`_grow` and rebuilt lazily.
+        """
+        plan = self._walk_plan_
+        if plan is None:
+            self._check_fitted()
+            arrays = (*self._structure(), self._node_labels())
+            plan = self._walk_plan_ = tuple(a.tolist() for a in arrays)
+        return plan
+
+    def predict_one(self, x):
+        """Prediction for a single row — iterative walk, zero allocation.
+
+        ``x`` may be any indexable of at least ``n_features_in_`` floats
+        (list, tuple, 1-D array).  Exactly equivalent to
+        ``predict(x.reshape(1, -1))[0]`` at a fraction of the cost; no
+        validation is performed — this is the per-miss hot path.
+        """
+        feature, threshold, left, right, labels = self._single_plan()
+        return labels[walk(x, feature, threshold, left, right)]
+
+    def compile_predictor(self, leaf_labels=None):
+        """Code-generate this fitted tree into native Python functions.
+
+        Returns a :class:`~repro.ml.fastpath.CompiledPredictor` whose
+        ``predict_one`` is nested ``if``/``else`` source (one float
+        comparison per level, ≥5× faster than the batch path on single
+        rows) and whose ``predict`` is the vectorised ``numpy.where``
+        twin.  The generated code returns literals whose ``repr``
+        round-trips exactly, so compiled predictions are bit-identical to
+        :meth:`predict`.  ``leaf_labels`` overrides the per-node labels,
+        letting cost-sensitive wrappers bake their decision rule into the
+        code.
+        """
+        self._check_fitted()
+        if leaf_labels is None:
+            leaf_labels = self._node_labels()
+        return compile_tree_arrays(*self._structure(), leaf_labels)
+
+    # ------------------------------------------------------------ inspection
+
+    def get_depth(self) -> int:
+        """Height of the fitted tree (paper reports ≈5 in practice)."""
+        self._check_fitted()
+        return int(self.node_depth_.max())
+
+    def get_n_leaves(self) -> int:
+        self._check_fitted()
+        return int(np.sum(self.feature_ == _LEAF))
+
+
+class DecisionTreeClassifier(_FlatTree):
     """CART classifier with a best-first split budget.
 
     Parameters
@@ -95,18 +316,11 @@ class DecisionTreeClassifier(BaseEstimator):
     ):
         if criterion not in ("gini", "entropy"):
             raise ValueError(f"unknown criterion: {criterion!r}")
-        if max_splits is not None and max_splits < 1:
-            raise ValueError("max_splits must be >= 1 or None")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
         self.criterion = criterion
-        self.max_splits = max_splits
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.min_impurity_decrease = min_impurity_decrease
+        super().__init__(
+            max_splits, max_depth, min_samples_split, min_samples_leaf,
+            min_impurity_decrease,
+        )
         self.max_features = max_features
         self.rng = rng
 
@@ -126,83 +340,20 @@ class DecisionTreeClassifier(BaseEstimator):
             raise ValueError(
                 f"max_features must be in [1, {n_features}], got {self.max_features}"
             )
-        self.n_features_in_ = n_features
 
-        # Growable node storage; finalised into arrays at the end.
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[np.ndarray] = []
-        depth_of: list[int] = []
+        applied = self._grow(
+            X,
+            lambda indices: np.bincount(y[indices], weights=w[indices], minlength=k),
+            lambda indices: self._best_split(X, y, w, indices, k, rng),
+        )
         importances = np.zeros(n_features, dtype=np.float64)
-
         total_weight = w.sum()
-
-        def new_node(indices: np.ndarray, depth: int) -> int:
-            node_id = len(feature)
-            feature.append(_LEAF)
-            threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            class_w = np.bincount(y[indices], weights=w[indices], minlength=k)
-            value.append(class_w)
-            depth_of.append(depth)
-            return node_id
-
-        heap: list[_Candidate] = []
-
-        def consider(node_id: int, indices: np.ndarray, depth: int) -> None:
-            """Find this node's best split and push it on the heap."""
-            if indices.shape[0] < self.min_samples_split:
-                return
-            if self.max_depth is not None and depth >= self.max_depth:
-                return
-            cand = self._best_split(X, y, w, indices, k, rng)
-            if cand is None:
-                return
-            decrease, feat, thr = cand
-            if decrease <= self.min_impurity_decrease:
-                return
-            heapq.heappush(
-                heap, _Candidate(decrease, node_id, feat, thr, indices, depth)
-            )
-
-        root_idx = np.arange(X.shape[0])
-        new_node(root_idx, 0)
-        consider(0, root_idx, 0)
-
-        splits_done = 0
-        budget = self.max_splits if self.max_splits is not None else np.inf
-        while heap and splits_done < budget:
-            cand = heapq.heappop(heap)
-            go_left = X[cand.indices, cand.feature] <= cand.threshold
-            li, ri = cand.indices[go_left], cand.indices[~go_left]
-            # The candidate was validated at push time; leaf minima still hold.
-            feature[cand.node_id] = cand.feature
-            threshold[cand.node_id] = cand.threshold
-            lid = new_node(li, cand.depth + 1)
-            rid = new_node(ri, cand.depth + 1)
-            left[cand.node_id] = lid
-            right[cand.node_id] = rid
-            importances[cand.feature] += cand.decrease / total_weight
-            splits_done += 1
-            consider(lid, li, cand.depth + 1)
-            consider(rid, ri, cand.depth + 1)
-
-        self.feature_ = np.asarray(feature, dtype=np.int64)
-        self.threshold_ = np.asarray(threshold, dtype=np.float64)
-        self.children_left_ = np.asarray(left, dtype=np.int64)
-        self.children_right_ = np.asarray(right, dtype=np.int64)
-        self.value_ = np.vstack(value)
-        self.node_depth_ = np.asarray(depth_of, dtype=np.int64)
-        self.node_count_ = len(feature)
-        self.n_splits_ = splits_done
+        for feat, decrease in applied:
+            importances[feat] += decrease / total_weight
         total_imp = importances.sum()
         self.feature_importances_ = (
             importances / total_imp if total_imp > 0 else importances
         )
-        self._walk_plan = None  # predict_one cache — rebuild lazily
         return self
 
     def _best_split(
@@ -213,7 +364,7 @@ class DecisionTreeClassifier(BaseEstimator):
         indices: np.ndarray,
         k: int,
         rng: np.random.Generator,
-    ) -> tuple[float, int, float] | None:
+    ) -> Split | None:
         """Best (decrease, feature, threshold) over candidate features.
 
         Returns ``None`` when no valid split exists (pure node, constant
@@ -227,7 +378,6 @@ class DecisionTreeClassifier(BaseEstimator):
             return None
         w_total = w_node.sum()
         n = indices.shape[0]
-        min_leaf = self.min_samples_leaf
 
         if self.max_features is not None and self.max_features < X.shape[1]:
             feats = rng.choice(X.shape[1], size=self.max_features, replace=False)
@@ -237,16 +387,12 @@ class DecisionTreeClassifier(BaseEstimator):
         onehot_w = np.zeros((n, k), dtype=np.float64)
         onehot_w[np.arange(n), y_node] = w_node
 
-        best: tuple[float, int, float] | None = None
+        best: Split | None = None
         for j in feats:
             v = X[indices, j]
             order = np.argsort(v, kind="stable")
             vs = v[order]
-            # Split positions: boundaries between distinct adjacent values,
-            # honouring the per-leaf sample minimum.
-            cut = np.nonzero(vs[:-1] != vs[1:])[0]
-            if min_leaf > 1:
-                cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+            cut = _cut_positions(vs, self.min_samples_leaf)
             if cut.shape[0] == 0:
                 continue
 
@@ -262,61 +408,21 @@ class DecisionTreeClassifier(BaseEstimator):
             wl, wr = wl[ok], wr[ok]
             cut = cut[ok]
 
-            if self.criterion == "gini":
-                imp_l = 1.0 - np.einsum("ij,ij->i", left_cw, left_cw) / (wl * wl)
-                imp_r = 1.0 - np.einsum("ij,ij->i", right_cw, right_cw) / (wr * wr)
-            else:
-                pl = left_cw / wl[:, None]
-                pr = right_cw / wr[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    imp_l = -np.nansum(
-                        np.where(pl > 0, pl * np.log2(pl), 0.0), axis=1
-                    )
-                    imp_r = -np.nansum(
-                        np.where(pr > 0, pr * np.log2(pr), 0.0), axis=1
-                    )
+            imp_l = _side_impurity(left_cw, wl, self.criterion)
+            imp_r = _side_impurity(right_cw, wr, self.criterion)
             child_imp = (wl * imp_l + wr * imp_r) / w_total
             decrease = (parent_imp - child_imp) * (w_total / w.sum())
             best_pos = int(np.argmax(decrease))
             d = float(decrease[best_pos])
             if best is None or d > best[0]:
-                i = cut[best_pos]
-                thr = 0.5 * (vs[i] + vs[i + 1])
-                # Guard against midpoint rounding onto the right value.
-                if thr >= vs[i + 1]:
-                    thr = vs[i]
-                best = (d, int(j), float(thr))
+                best = (d, int(j), _cut_threshold(vs, cut[best_pos]))
         return best
 
     # -------------------------------------------------------------- predict
 
-    def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised tree descent: leaf node id for every row."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_[node]
-            active = feat != _LEAF
-            if not active.any():
-                return node
-            rows = np.nonzero(active)[0]
-            f = feat[rows]
-            thr = self.threshold_[node[rows]]
-            go_left = X[rows, f] <= thr
-            nxt = np.where(
-                go_left,
-                self.children_left_[node[rows]],
-                self.children_right_[node[rows]],
-            )
-            node[rows] = nxt
-
     def predict_proba(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
-        dist = self.value_[self._leaf_ids(X)]
+        leaf = self._leaf_ids(X)  # first: it is the fitted / shape check
+        dist = self.value_[leaf]
         totals = dist.sum(axis=1, keepdims=True)
         totals[totals == 0] = 1.0
         return dist / totals
@@ -325,180 +431,23 @@ class DecisionTreeClassifier(BaseEstimator):
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
 
-    # -------------------------------------------------- single-row hot path
-
     def _node_labels(self) -> np.ndarray:
         """Per-node majority label (what each node reports as a leaf)."""
         return self.classes_[np.argmax(self.value_, axis=1)]
 
-    def _single_plan(self) -> tuple:
-        """Flattened tree as plain Python lists — the zero-overhead walk.
-
-        NumPy scalar indexing costs ~10× a list lookup, so the per-miss
-        path (:meth:`predict_one`) walks cached ``tolist()`` copies.  The
-        cache is invalidated by :meth:`fit` and rebuilt lazily.
-        """
-        plan = getattr(self, "_walk_plan", None)
-        if plan is None:
-            plan = (
-                self.feature_.tolist(),
-                self.threshold_.tolist(),
-                self.children_left_.tolist(),
-                self.children_right_.tolist(),
-                self._node_labels().tolist(),
-            )
-            self._walk_plan = plan
-        return plan
-
-    def predict_one(self, x):
-        """Verdict for a single row — iterative walk, zero allocation.
-
-        ``x`` may be any indexable of at least ``n_features_in_`` floats
-        (list, tuple, 1-D array).  Exactly equivalent to
-        ``predict(x.reshape(1, -1))[0]`` at a fraction of the cost; no
-        validation is performed — this is the per-miss hot path.
-        """
-        self._check_fitted()
-        feature, threshold, left, right, labels = self._single_plan()
-        node = 0
-        f = feature[0]
-        while f >= 0:
-            node = left[node] if x[f] <= threshold[node] else right[node]
-            f = feature[node]
-        return labels[node]
-
     def predict_proba_one(self, x) -> np.ndarray:
         """Class distribution at the leaf ``x`` lands in (single row)."""
-        self._check_fitted()
-        feature, threshold, left, right, _ = self._single_plan()
-        node = 0
-        f = feature[0]
-        while f >= 0:
-            node = left[node] if x[f] <= threshold[node] else right[node]
-            f = feature[node]
-        dist = self.value_[node]
+        leaf = walk(x, *self._single_plan()[:4])
+        dist = self.value_[leaf]
         total = dist.sum()
         return dist / total if total > 0 else dist
 
-    def compile_predictor(self, leaf_labels=None):
-        """Code-generate this fitted tree into native Python functions.
-
-        Returns a :class:`~repro.ml.fastpath.CompiledPredictor` whose
-        ``predict_one`` is nested ``if``/``else`` source (one float
-        comparison per level, ≥5× faster than the batch path on single
-        rows) and whose ``predict`` is the vectorised ``numpy.where``
-        twin.  ``leaf_labels`` overrides the per-node labels, letting
-        cost-sensitive wrappers bake their decision rule into the code.
-        """
-        from repro.ml.fastpath import compile_tree_arrays
-
-        self._check_fitted()
-        if leaf_labels is None:
-            leaf_labels = self._node_labels()
-        return compile_tree_arrays(
-            self.feature_,
-            self.threshold_,
-            self.children_left_,
-            self.children_right_,
-            leaf_labels,
-            out_dtype=self.classes_.dtype,
-        )
-
     # ------------------------------------------------------------ inspection
-
-    def get_depth(self) -> int:
-        """Height of the fitted tree (paper reports ≈5 in practice)."""
-        self._check_fitted()
-        return int(self.node_depth_.max())
-
-    def get_n_leaves(self) -> int:
-        self._check_fitted()
-        return int(np.sum(self.feature_ == _LEAF))
 
     def decision_path_lengths(self, X) -> np.ndarray:
         """Comparisons needed per row — the paper's 'five comparisons' claim."""
-        self._check_fitted()
-        X = check_array(X)
-        return self.node_depth_[self._leaf_ids(X)]
-
-    def cost_complexity_prune(self, ccp_alpha: float) -> "DecisionTreeClassifier":
-        """Weakest-link pruning (Breiman et al., ch. 3): return a pruned copy.
-
-        A subtree is collapsed into a leaf when its risk reduction per
-        extra leaf, ``g(t) = (R(t) − R(T_t)) / (|leaves(T_t)| − 1)``, does
-        not exceed ``ccp_alpha``.  The paper controls over-fitting with the
-        split budget instead; pruning is the textbook alternative and
-        composes with it.
-        """
-        self._check_fitted()
-        if ccp_alpha < 0:
-            raise ValueError("ccp_alpha must be non-negative")
-
-        total_weight = self.value_[0].sum()
-
-        def leaf_risk(node: int) -> float:
-            dist = self.value_[node]
-            return float(dist.sum() - dist.max()) / total_weight
-
-        # Bottom-up: decide for each node whether its subtree survives.
-        pruned_to_leaf = np.zeros(self.node_count_, dtype=bool)
-        subtree_risk = np.zeros(self.node_count_)
-        subtree_leaves = np.zeros(self.node_count_, dtype=np.int64)
-
-        for node in reversed(range(self.node_count_)):
-            # Children always have larger ids than their parent (growth
-            # order), so a reverse scan is a valid bottom-up traversal.
-            if self.feature_[node] == _LEAF:
-                subtree_risk[node] = leaf_risk(node)
-                subtree_leaves[node] = 1
-                continue
-            left = self.children_left_[node]
-            right = self.children_right_[node]
-            risk = subtree_risk[left] + subtree_risk[right]
-            leaves = subtree_leaves[left] + subtree_leaves[right]
-            own = leaf_risk(node)
-            g = (own - risk) / (leaves - 1) if leaves > 1 else np.inf
-            if g <= ccp_alpha:
-                pruned_to_leaf[node] = True
-                subtree_risk[node] = own
-                subtree_leaves[node] = 1
-            else:
-                subtree_risk[node] = risk
-                subtree_leaves[node] = leaves
-
-        # Rebuild compact arrays keeping only reachable, unpruned nodes.
-        import copy
-
-        out = copy.deepcopy(self)
-        keep_order: list[int] = []
-        remap: dict[int, int] = {}
-
-        def visit(node: int) -> None:
-            remap[node] = len(keep_order)
-            keep_order.append(node)
-            if self.feature_[node] != _LEAF and not pruned_to_leaf[node]:
-                visit(int(self.children_left_[node]))
-                visit(int(self.children_right_[node]))
-
-        visit(0)
-        k = len(keep_order)
-        out.feature_ = np.full(k, _LEAF, dtype=np.int64)
-        out.threshold_ = np.zeros(k)
-        out.children_left_ = np.full(k, _LEAF, dtype=np.int64)
-        out.children_right_ = np.full(k, _LEAF, dtype=np.int64)
-        out.value_ = self.value_[keep_order]
-        out.node_depth_ = self.node_depth_[keep_order]
-        for old in keep_order:
-            new = remap[old]
-            if self.feature_[old] != _LEAF and not pruned_to_leaf[old]:
-                out.feature_[new] = self.feature_[old]
-                out.threshold_[new] = self.threshold_[old]
-                out.children_left_[new] = remap[int(self.children_left_[old])]
-                out.children_right_[new] = remap[int(self.children_right_[old])]
-        out.node_count_ = k
-        out.n_splits_ = int(np.sum(out.feature_ != _LEAF))
-        out._walk_plan = None  # the deepcopy'd cache describes the old tree
-        return out
+        leaf = self._leaf_ids(X)
+        return self.node_depth_[leaf]
 
     def export_text(
         self, feature_names=None, *, max_depth: int | None = None
@@ -518,7 +467,7 @@ class DecisionTreeClassifier(BaseEstimator):
 
         lines: list[str] = []
 
-        def walk(node: int, depth: int) -> None:
+        def render(node: int, depth: int) -> None:
             indent = "|   " * depth
             if max_depth is not None and depth > max_depth:
                 lines.append(f"{indent}…")
@@ -537,19 +486,20 @@ class DecisionTreeClassifier(BaseEstimator):
                 return
             thr = self.threshold_[node]
             lines.append(f"{indent}{name(int(feat))} <= {thr:.4g}")
-            walk(int(self.children_left_[node]), depth + 1)
+            render(int(self.children_left_[node]), depth + 1)
             lines.append(f"{indent}{name(int(feat))} > {thr:.4g}")
-            walk(int(self.children_right_[node]), depth + 1)
+            render(int(self.children_right_[node]), depth + 1)
 
-        walk(0, 0)
+        render(0, 0)
         return "\n".join(lines)
 
 
-class DecisionTreeRegressor(BaseEstimator):
+class DecisionTreeRegressor(_FlatTree):
     """CART regression tree with the same best-first split budget.
 
-    The regression twin of :class:`DecisionTreeClassifier`, added for the
-    learned-eviction head (:mod:`repro.cache.learned`): it is trained on
+    :class:`DecisionTreeClassifier`'s tree with a variance split search:
+    the learned-eviction head (:mod:`repro.cache.learned`) and every round
+    of the GBDT (:mod:`repro.ml.gbdt`).  The eviction head is trained on
     log-forward-reuse-distance targets and compiled through the same
     :mod:`repro.ml.fastpath` code generator, so a per-eviction prediction
     costs one nested-``if`` walk over float literals — the same ns-range
@@ -586,21 +536,12 @@ class DecisionTreeRegressor(BaseEstimator):
         min_impurity_decrease: float = 0.0,
         bins: int | None = None,
     ):
-        if max_splits is not None and max_splits < 1:
-            raise ValueError("max_splits must be >= 1 or None")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if min_impurity_decrease < 0:
-            raise ValueError("min_impurity_decrease must be >= 0")
         if bins is not None and bins < 2:
             raise ValueError("bins must be >= 2 or None")
-        self.max_splits = max_splits
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.min_impurity_decrease = min_impurity_decrease
+        super().__init__(
+            max_splits, max_depth, min_samples_split, min_samples_leaf,
+            min_impurity_decrease,
+        )
         self.bins = bins
 
     # ------------------------------------------------------------------ fit
@@ -613,8 +554,10 @@ class DecisionTreeRegressor(BaseEstimator):
         if not np.isfinite(y).all():
             raise ValueError("y contains NaN or Inf")
         w = check_sample_weight(sample_weight, X.shape[0])
-        self.n_features_in_ = X.shape[1]
-        if self.bins is not None:
+        if self.bins is None:
+            def best_split(indices):
+                return self._best_split(X, y, w, indices)
+        else:
             codes, edges = self._quantile_bins(X)
             # The online trainer never weights samples; with unit weights
             # the weight histogram *is* the count histogram, so no weight
@@ -622,78 +565,19 @@ class DecisionTreeRegressor(BaseEstimator):
             hist_w = None if sample_weight is None else w
             wy = y if hist_w is None else w * y
 
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        depth_of: list[int] = []
+            def best_split(indices):
+                return self._best_split_binned(codes, edges, wy, hist_w, indices)
 
-        def new_node(indices: np.ndarray, depth: int) -> int:
-            node_id = len(feature)
-            feature.append(_LEAF)
-            threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
+        def weighted_mean(indices: np.ndarray) -> float:
             wi = w[indices]
-            value.append(float(np.dot(wi, y[indices]) / wi.sum()))
-            depth_of.append(depth)
-            return node_id
+            return float(np.dot(wi, y[indices]) / wi.sum())
 
-        heap: list[_Candidate] = []
-
-        def consider(node_id: int, indices: np.ndarray, depth: int) -> None:
-            if indices.shape[0] < self.min_samples_split:
-                return
-            if self.max_depth is not None and depth >= self.max_depth:
-                return
-            if self.bins is None:
-                cand = self._best_split(X, y, w, indices)
-            else:
-                cand = self._best_split_binned(codes, edges, wy, hist_w, indices)
-            if cand is None:
-                return
-            decrease, feat, thr = cand
-            if decrease <= self.min_impurity_decrease:
-                return
-            heapq.heappush(
-                heap, _Candidate(decrease, node_id, feat, thr, indices, depth)
-            )
-
-        root_idx = np.arange(X.shape[0])
-        new_node(root_idx, 0)
-        consider(0, root_idx, 0)
-
-        splits_done = 0
-        budget = self.max_splits if self.max_splits is not None else np.inf
-        while heap and splits_done < budget:
-            cand = heapq.heappop(heap)
-            go_left = X[cand.indices, cand.feature] <= cand.threshold
-            li, ri = cand.indices[go_left], cand.indices[~go_left]
-            feature[cand.node_id] = cand.feature
-            threshold[cand.node_id] = cand.threshold
-            lid = new_node(li, cand.depth + 1)
-            rid = new_node(ri, cand.depth + 1)
-            left[cand.node_id] = lid
-            right[cand.node_id] = rid
-            splits_done += 1
-            consider(lid, li, cand.depth + 1)
-            consider(rid, ri, cand.depth + 1)
-
-        self.feature_ = np.asarray(feature, dtype=np.int64)
-        self.threshold_ = np.asarray(threshold, dtype=np.float64)
-        self.children_left_ = np.asarray(left, dtype=np.int64)
-        self.children_right_ = np.asarray(right, dtype=np.int64)
-        self.value_ = np.asarray(value, dtype=np.float64)
-        self.node_depth_ = np.asarray(depth_of, dtype=np.int64)
-        self.node_count_ = len(feature)
-        self.n_splits_ = splits_done
-        self._walk_plan = None
+        self._grow(X, weighted_mean, best_split)
         return self
 
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, w: np.ndarray, indices: np.ndarray
-    ) -> tuple[float, int, float] | None:
+    ) -> Split | None:
         """Best (SSE decrease, feature, threshold), or None when no gain.
 
         Uses the cancellation-free identity
@@ -705,17 +589,13 @@ class DecisionTreeRegressor(BaseEstimator):
         total_w = float(w_node.sum())
         total_wy = float(np.dot(w_node, y_node))
         base = total_wy * total_wy / total_w
-        n = indices.shape[0]
-        min_leaf = self.min_samples_leaf
 
-        best: tuple[float, int, float] | None = None
+        best: Split | None = None
         for j in range(X.shape[1]):
             v = X[indices, j]
             order = np.argsort(v, kind="stable")
             vs = v[order]
-            cut = np.nonzero(vs[:-1] != vs[1:])[0]
-            if min_leaf > 1:
-                cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+            cut = _cut_positions(vs, self.min_samples_leaf)
             if cut.shape[0] == 0:
                 continue
             cw = np.cumsum(w_node[order])[cut]
@@ -728,11 +608,7 @@ class DecisionTreeRegressor(BaseEstimator):
             pos = int(np.argmax(gain))
             g = float(gain[pos])
             if g > 0 and (best is None or g > best[0]):
-                i = cut[ok][pos]
-                thr = 0.5 * (vs[i] + vs[i + 1])
-                if thr >= vs[i + 1]:
-                    thr = vs[i]
-                best = (g, int(j), float(thr))
+                best = (g, int(j), _cut_threshold(vs, cut[ok][pos]))
         return best
 
     def _quantile_bins(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -771,7 +647,7 @@ class DecisionTreeRegressor(BaseEstimator):
         wy: np.ndarray,
         w: np.ndarray | None,
         indices: np.ndarray,
-    ) -> tuple[float, int, float] | None:
+    ) -> Split | None:
         """Histogram twin of :meth:`_best_split`: bincount, not argsort.
 
         One pass per node for all features: a ``bincount`` over the
@@ -827,82 +703,10 @@ class DecisionTreeRegressor(BaseEstimator):
 
     # -------------------------------------------------------------- predict
 
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "node_count_"):
-            raise RuntimeError(
-                f"{type(self).__name__} is not fitted; call fit() first"
-            )
-
     def predict(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_[node]
-            active = feat != _LEAF
-            if not active.any():
-                return self.value_[node]
-            rows = np.nonzero(active)[0]
-            sub = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold_[sub]
-            node[rows] = np.where(
-                go_left, self.children_left_[sub], self.children_right_[sub]
-            )
+        leaf = self._leaf_ids(X)
+        return self.value_[leaf]
 
-    def _single_plan(self) -> tuple:
-        plan = getattr(self, "_walk_plan", None)
-        if plan is None:
-            plan = (
-                self.feature_.tolist(),
-                self.threshold_.tolist(),
-                self.children_left_.tolist(),
-                self.children_right_.tolist(),
-                self.value_.tolist(),
-            )
-            self._walk_plan = plan
-        return plan
-
-    def predict_one(self, x) -> float:
-        """Predicted target for a single row — iterative walk, zero alloc."""
-        self._check_fitted()
-        feature, threshold, left, right, values = self._single_plan()
-        node = 0
-        f = feature[0]
-        while f >= 0:
-            node = left[node] if x[f] <= threshold[node] else right[node]
-            f = feature[node]
-        return values[node]
-
-    def compile_predictor(self):
-        """Code-generate this fitted tree (see the classifier's twin).
-
-        Leaf *values* take the place of leaf labels: the generated
-        nested-``if`` returns float literals whose ``repr`` round-trips
-        exactly, so compiled predictions are bit-identical to
-        :meth:`predict`.
-        """
-        from repro.ml.fastpath import compile_tree_arrays
-
-        self._check_fitted()
-        return compile_tree_arrays(
-            self.feature_,
-            self.threshold_,
-            self.children_left_,
-            self.children_right_,
-            self.value_,
-            out_dtype=np.float64,
-        )
-
-    # ------------------------------------------------------------ inspection
-
-    def get_depth(self) -> int:
-        self._check_fitted()
-        return int(self.node_depth_.max())
-
-    def get_n_leaves(self) -> int:
-        self._check_fitted()
-        return int(np.sum(self.feature_ == _LEAF))
+    def _node_labels(self) -> np.ndarray:
+        """Leaf *values* take the place of leaf labels."""
+        return self.value_

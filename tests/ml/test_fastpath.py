@@ -4,10 +4,11 @@ The contract: :meth:`DecisionTreeClassifier.predict_one`, the
 code-generated :class:`~repro.ml.fastpath.CompiledPredictor` (single-row
 *and* vectorised batch), and the reference ``predict`` must agree on
 **every** input for **every** fitted tree — including cost-sensitive
-wrappers (both Elkan methods) and cost-complexity-pruned trees.
+wrappers (both Elkan methods) and trees refitted under a tighter budget.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,8 @@ from repro.ml.fastpath import (
     compile_tree_arrays,
     fast_predictor,
 )
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.gbdt import GradientBoostingClassifier
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 def _dataset(rng, n, d, n_classes):
@@ -36,6 +38,26 @@ fitted_tree_cases = st.tuples(
     st.integers(2, 3),              # classes
     st.one_of(st.none(), st.integers(1, 25)),  # max_splits budget
 )
+
+
+_COSTS = CostMatrix(fn_cost=1.0, fp_cost=3.0)
+
+#: Every model the served node, the eviction head or the retrainer may hand
+#: to ``fast_predictor``; each must come back code-generated.
+_SERVED_MODELS = {
+    "cart": DecisionTreeClassifier(),
+    "regressor": DecisionTreeRegressor(),
+    "regressor-binned": DecisionTreeRegressor(bins=8),
+    "gbdt": GradientBoostingClassifier(3),
+    **{
+        f"{method}-{base_name}": CostSensitiveClassifier(base, _COSTS, method=method)
+        for base_name, base in (
+            ("cart", DecisionTreeClassifier()),
+            ("gbdt", GradientBoostingClassifier(3)),
+        )
+        for method in ("reweight", "threshold")
+    },
+}
 
 
 class TestTreeParity:
@@ -58,13 +80,17 @@ class TestTreeParity:
     @given(case=fitted_tree_cases)
     @settings(max_examples=15, deadline=None)
     def test_pruned_tree_parity(self, case):
-        """Pruning rebuilds the arrays; cached walk plans must not go stale."""
-        seed, n, d, n_classes, _ = case
+        """Pruning by the split budget (§3.1.2) is a refit: it rebuilds the
+        arrays, and the cached walk plan must not go stale."""
+        seed, n, d, n_classes, max_splits = case
         rng = np.random.default_rng(seed)
         X, y = _dataset(rng, n, d, n_classes)
         tree = DecisionTreeClassifier(max_splits=None, rng=0).fit(X, y)
         tree.predict_one(X[0])  # populate the walk-plan cache pre-prune
-        pruned = tree.cost_complexity_prune(ccp_alpha=0.01)
+        unpruned_nodes = tree.node_count_
+        tree.max_splits = max_splits
+        pruned = tree.fit(X, y)
+        assert pruned.node_count_ <= unpruned_nodes
         compiled = pruned.compile_predictor()
 
         queries = np.concatenate([X, rng.random((32, d))])
@@ -155,3 +181,31 @@ class TestCompileInternals:
         np.testing.assert_array_equal(pred.predict(X), expected)
         for row, want in zip(X, expected):
             assert pred.predict_one(row) == want
+
+    def test_broken_compile_is_not_hidden_by_the_fallback(self):
+        """Only ``NotImplementedError`` means "cannot compile": a slip inside
+        a ``compile_predictor`` must not silently serve the slow wrapper."""
+
+        class Broken(LogisticRegression):
+            def compile_predictor(self):
+                return self.no_such_attribute
+
+        class Declines(LogisticRegression):
+            def compile_predictor(self):
+                raise NotImplementedError
+
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(AttributeError, match="no_such_attribute"):
+            fast_predictor(Broken().fit(X, y))
+        assert not fast_predictor(Declines().fit(X, y)).compiled
+
+    @pytest.mark.parametrize("name", _SERVED_MODELS)
+    def test_every_served_model_is_really_compiled(self, name):
+        model = _SERVED_MODELS[name]
+        rng = np.random.default_rng(3)
+        X = rng.random((120, 3))
+        y = (X[:, 0] + 0.2 * rng.standard_normal(120) > 0.5).astype(int)
+        pred = fast_predictor(model.fit(X, y))
+        assert pred.compiled is True
+        np.testing.assert_array_equal(pred.predict(X), model.predict(X))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.model_selection import _clone
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 class TestFitBasics:
@@ -47,6 +48,14 @@ class TestFitBasics:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             DecisionTreeClassifier().predict([[1.0]])
+
+    def test_clone_of_a_walked_tree_is_unfitted(self):
+        """The cached scalar walk is fitted state: a clone must not keep it."""
+        tree = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
+        assert tree.predict_one([0.0]) == 0  # populates the cache
+        for call in ("predict_one", "predict_proba_one", "compile_predictor"):
+            with pytest.raises(RuntimeError, match="not fitted"):
+                getattr(_clone(tree), call)([1.0])
 
     def test_feature_count_mismatch_raises(self):
         tree = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
@@ -103,6 +112,24 @@ class TestBudgets:
             DecisionTreeClassifier(min_samples_split=1)
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_leaf=0)
+
+    @pytest.mark.parametrize("tree", [DecisionTreeClassifier, DecisionTreeRegressor])
+    @pytest.mark.parametrize(
+        "limit, bad",
+        [("max_splits", 0), ("max_depth", -1), ("min_samples_split", 1),
+         ("min_samples_leaf", 0), ("min_impurity_decrease", -1.0)],
+    )
+    def test_both_trees_reject_the_same_limits(self, tree, limit, bad):
+        with pytest.raises(ValueError, match=limit):
+            tree(**{limit: bad})
+
+    @pytest.mark.parametrize("tree", [DecisionTreeClassifier, DecisionTreeRegressor])
+    def test_depth_zero_is_the_root_alone(self, tree):
+        X = np.arange(8.0).reshape(-1, 1)
+        y = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+        model = tree(max_depth=0).fit(X, y)
+        assert model.node_count_ == 1 and model.get_depth() == 0
+        assert len(set(model.predict(X).tolist())) == 1
 
 
 class TestSampleWeights:
@@ -177,66 +204,6 @@ class TestProbaAndInspection:
         X, y = binary_dataset
         tree = DecisionTreeClassifier(criterion="entropy").fit(X, y)
         assert tree.score(X, y) > 0.9
-
-
-class TestCostComplexityPruning:
-    def _noisy_tree(self):
-        rng = np.random.default_rng(11)
-        X = rng.random((600, 4))
-        y = ((X[:, 0] > 0.5) ^ (rng.random(600) < 0.15)).astype(int)
-        return DecisionTreeClassifier(max_splits=None, rng=0).fit(X, y), X, y
-
-    def test_alpha_zero_keeps_useful_structure(self):
-        tree, X, y = self._noisy_tree()
-        pruned = tree.cost_complexity_prune(0.0)
-        # alpha=0 removes only zero-gain subtrees; training accuracy intact.
-        assert pruned.score(X, y) == pytest.approx(tree.score(X, y))
-        assert pruned.n_splits_ <= tree.n_splits_
-
-    def test_larger_alpha_smaller_tree(self):
-        tree, X, y = self._noisy_tree()
-        sizes = [
-            tree.cost_complexity_prune(a).n_splits_
-            for a in (0.0, 0.005, 0.02, 0.1)
-        ]
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_huge_alpha_collapses_to_root(self):
-        tree, X, y = self._noisy_tree()
-        stump = tree.cost_complexity_prune(1.0)
-        assert stump.n_splits_ == 0
-        assert stump.get_n_leaves() == 1
-        # Root leaf predicts the majority class everywhere.
-        assert len(set(stump.predict(X))) == 1
-
-    def test_pruning_can_help_generalisation(self):
-        rng = np.random.default_rng(12)
-        X = rng.random((1200, 4))
-        y = ((X[:, 0] > 0.5) ^ (rng.random(1200) < 0.25)).astype(int)
-        tree = DecisionTreeClassifier(max_splits=None, rng=0).fit(X[:600], y[:600])
-        pruned = tree.cost_complexity_prune(0.01)
-        assert pruned.score(X[600:], y[600:]) >= tree.score(X[600:], y[600:]) - 0.02
-
-    def test_original_untouched(self):
-        tree, X, y = self._noisy_tree()
-        before = tree.n_splits_
-        tree.cost_complexity_prune(0.5)
-        assert tree.n_splits_ == before
-
-    def test_pruned_tree_still_predicts(self):
-        tree, X, y = self._noisy_tree()
-        pruned = tree.cost_complexity_prune(0.01)
-        proba = pruned.predict_proba(X)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_negative_alpha_rejected(self):
-        tree, _, _ = self._noisy_tree()
-        with pytest.raises(ValueError):
-            tree.cost_complexity_prune(-0.1)
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(RuntimeError):
-            DecisionTreeClassifier().cost_complexity_prune(0.1)
 
 
 class TestExportText:

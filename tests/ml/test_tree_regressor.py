@@ -123,6 +123,15 @@ class TestExactMode:
     def test_default_stays_exact(self):
         assert DecisionTreeRegressor().bins is None
 
+    @pytest.mark.parametrize("bins", [None, 16])
+    def test_constant_target_stays_a_root_and_depth_one_is_one_split(self, bins):
+        X, y = _dataset(n=400)
+        flat = DecisionTreeRegressor(bins=bins).fit(X, np.full(len(y), 7.0))
+        assert flat.node_count_ == 1 and flat.predict_one(X[0]) == 7.0
+        stump = DecisionTreeRegressor(max_depth=1, bins=bins).fit(X, y)
+        assert (stump.n_splits_, stump.get_depth(), stump.get_n_leaves()) == (1, 1, 2)
+        assert len(np.unique(stump.predict(X))) == 2
+
 
 class TestBinnedMode:
     def test_binned_quality_matches_exact_closely(self):
