@@ -3,20 +3,30 @@
 Script mode (``python benchmarks/bench_grid.py [--quick]``) times
 ``GridRunner.precompute`` for each worker start method the platform offers
 (plus the inline baseline) on identical traces, and prints a table of wall
-times with the speedup over inline.  With the shared-memory fan-out every
-method ships the trace columns, segment plan, feature matrix and re-access
-distances as zero-copy views — the numbers quantify that ``spawn`` and
-``forkserver`` now track ``fork`` instead of paying per-worker trace
-pickling and plan recomputation (the pre-shm behaviour).
+times with the speedup over inline.  The pool hands every worker the
+trace, re-access distances and feature matrix once, as its initializer
+arguments — inherited under ``fork``, pickled once per worker (about
+10 MB at the default scale) under ``spawn`` and ``forkserver``, where the
+worker also rebuilds its own ``SegmentPlan``.  This table is the
+instrument that says whether that per-worker cost shows against the
+capacity blocks: run it at the parent before touching
+``experiments/grid.py`` and keep the table.
 
-Scale knobs: ``REPRO_BENCH_OBJECTS`` (default 25 000) and
-``REPRO_BENCH_WORKERS`` (default: one per capacity block).  The pytest
-entry runs quick mode and persists the table under ``results/``.
+The ``child MiB`` column is ``getrusage(RUSAGE_CHILDREN).ru_maxrss`` after
+each method: the largest resident set of any child reaped *so far*, so a
+row repeats the one above unless its own workers were larger (and
+``forkserver``'s workers are the fork server's children, not ours).  The
+last row is the largest worker of the whole run.
+
+Scale knobs: ``REPRO_BENCH_OBJECTS`` (default 25 000) and ``--workers``
+(default: one per capacity block, at most four).  The pytest entry runs
+quick mode and persists the table under ``results/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -82,15 +92,20 @@ def run_grid_bench(
                 f"{method} diverged from inline: "
                 f"{fingerprint} != {baseline[1]}"
             )
-        rows.append((method, elapsed, baseline[0] / elapsed))
+        child_mib = (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        )
+        rows.append((method, elapsed, baseline[0] / elapsed, child_mib))
     lines = [
         "grid precompute wall time by start method "
         f"({objects} objects, {len(fractions)} capacities, "
         f"{len(policies)} policies)",
-        f"{'method':>12s} {'seconds':>9s} {'vs inline':>10s}",
+        f"{'method':>12s} {'seconds':>9s} {'vs inline':>10s} {'child MiB':>10s}",
     ]
-    for method, elapsed, speedup in rows:
-        lines.append(f"{method:>12s} {elapsed:9.2f} {speedup:9.2f}x")
+    for method, elapsed, speedup, child_mib in rows:
+        lines.append(
+            f"{method:>12s} {elapsed:9.2f} {speedup:9.2f}x {child_mib:10.0f}"
+        )
     return "\n".join(lines)
 
 

@@ -205,8 +205,7 @@ class SegmentPlan:
         the stack-distance pass.  The
         per-capacity run/batch memos are *not* exported — they are cheap
         vectorised passes each consumer re-derives for the capacities it
-        actually touches.  Used by :mod:`repro.experiments.shm` to ship the
-        plan to spawn workers through shared memory.
+        actually touches.
         """
         return {
             "oids": self._oids,
@@ -222,8 +221,7 @@ class SegmentPlan:
         """Rebuild a plan from :meth:`export_arrays` output (zero-copy).
 
         ``arrays`` holds ``oids``/``demand``/``prefix_bytes``/``next_occ``
-        (shared-memory views or otherwise) of matching length.  No
-        stack-distance pass runs.
+        of matching length.  No stack-distance pass runs.
         """
         if min_run < 1:
             raise ValueError("min_run must be >= 1")
@@ -249,26 +247,14 @@ class SegmentPlan:
 
     # -------------------------------------------------------------- caching
 
-    def install(self, trace: Trace) -> "SegmentPlan":
-        """Attach this plan as ``trace``'s cached plan (explicitly).
-
-        Worker initialisation uses this instead of relying on
-        :meth:`for_trace` finding an inherited attribute: under ``spawn`` or
-        ``forkserver`` nothing is inherited, and an uninitialised worker
-        would silently re-run the stack-distance pass per process.
-        """
-        if self.n_accesses != trace.n_accesses:
-            raise ValueError("plan does not match trace length")
-        setattr(trace, _TRACE_CACHE_ATTR, self)
-        return self
-
     @classmethod
     def for_trace(cls, trace: Trace) -> "SegmentPlan":
         """Build (or reuse) the plan cached on ``trace``.
 
         The plan is attached to the Trace instance, so repeated
-        ``simulate()`` calls — and forked grid workers, which inherit the
-        parent's trace object — pay the stack-distance pass exactly once.
+        ``simulate()`` calls pay the stack-distance pass exactly once.  A
+        pickled trace leaves the plan behind (``Trace.__reduce__``): a
+        spawned grid worker builds its own on its first ``simulate()``.
         """
         plan = getattr(trace, _TRACE_CACHE_ATTR, None)
         if plan is None or plan.n_accesses != trace.n_accesses:

@@ -9,7 +9,7 @@ Subcommands
 ``experiment``  full Original/Proposal/Ideal/Belady comparison
 ``sweep``       capacity sweep for one policy (Fig.-2/6 style rows)
 ``grid``        the full policies × configs × capacities grid, fanned out
-                over shared-memory workers (``--workers``,
+                over a process pool (``--workers``,
                 ``--start-method`` fork/spawn/forkserver/inline)
 ``serve``       run the asyncio cache-node service on a trace
                 (``--metrics-port`` adds the HTTP observability side-car)
@@ -134,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "0 or 1 computes inline)")
     p.add_argument("--start-method", default=None,
                    help="multiprocessing start method: inline, fork, spawn "
-                        "or forkserver (default: $REPRO_START_METHOD, then "
-                        "the platform default)")
+                        "or forkserver (default: the platform's own)")
 
     p = sub.add_parser("analyze", help="workload analysis: Zipf, reuse, stack profile")
     _add_trace_args(p)
@@ -416,17 +415,16 @@ def _cmd_grid(args) -> int:
     from repro.experiments import (
         POLICIES,
         GridRunner,
+        check_policies,
         format_sweep_table,
         resolve_start_method,
     )
 
-    start_method = resolve_start_method(args.start_method)  # fail fast
+    # Fail fast: both are checked before the trace is generated.
+    start_method = resolve_start_method(args.start_method)
+    policies = check_policies(args.policies or POLICIES)
     trace = _resolve_trace(args)
-    runner = GridRunner(
-        trace,
-        fractions=args.fractions,
-        policies=tuple(args.policies) if args.policies else POLICIES,
-    )
+    runner = GridRunner(trace, fractions=args.fractions, policies=policies)
     runner.precompute(max_workers=args.workers, start_method=start_method)
     print(
         format_sweep_table(

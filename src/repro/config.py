@@ -16,6 +16,7 @@ __all__ = [
     "DEFAULT_LATENCY",
     "PAPER_CAPACITIES_GB",
     "PAPER_TRACE_FOOTPRINT_GB",
+    "COST_BOUNDARY_FRACTION",
     "ScaledCapacity",
     "paper_equivalent_bytes",
     "paper_capacity_fractions",
@@ -51,6 +52,10 @@ PAPER_CAPACITIES_GB = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 #: objects at ~32 KB mean photo size ≈ 450 GB.  Used only for the
 #: capacity-fraction mapping, so precision here affects labels, not results.
 PAPER_TRACE_FOOTPRINT_GB = 14e6 * 32 * 1024 / GiB
+
+#: The paper's cost-matrix boundary (12 GB on its trace) as a footprint
+#: fraction, so the v=2→3 switch scales with the synthetic workload.
+COST_BOUNDARY_FRACTION = 12.0 / PAPER_TRACE_FOOTPRINT_GB
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.cache.lirs import LIRSCache
 from repro.cache.simulator import SimulationResult, make_policy, simulate
-from repro.config import PAPER_TRACE_FOOTPRINT_GB, LatencyConstants, DEFAULT_LATENCY
+from repro.config import COST_BOUNDARY_FRACTION, LatencyConstants, DEFAULT_LATENCY
 from repro.core.admission import AlwaysAdmit, ClassifierAdmission, OracleAdmission
 from repro.core.criteria import Criteria, solve_criteria
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
@@ -31,10 +31,6 @@ from repro.trace.generator import WorkloadConfig, generate_trace
 from repro.trace.records import Trace
 
 __all__ = ["ExperimentResult", "run_experiment"]
-
-#: The paper's cost-matrix boundary (12 GB on its trace) as a footprint
-#: fraction, so the v=2→3 switch scales with the synthetic workload.
-_COST_BOUNDARY_FRACTION = 12.0 / PAPER_TRACE_FOOTPRINT_GB
 
 
 @dataclass
@@ -147,7 +143,7 @@ def run_experiment(
     if cost_v is None:
         cost_v = select_cost_v(
             capacity_bytes,
-            boundary_bytes=_COST_BOUNDARY_FRACTION * footprint,
+            boundary_bytes=COST_BOUNDARY_FRACTION * footprint,
         )
 
     # ---- Original run: the baseline and the measured h for the criterion.

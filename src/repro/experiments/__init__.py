@@ -5,23 +5,20 @@ evaluation grid — replacement policies × capacities × {Original, Proposal,
 Ideal, Belady} — sharing per-capacity state (criteria, labels, classifier
 training) across policies exactly as the paper does.  Capacity blocks are
 independent, so the grid parallelises across processes with
-:meth:`~repro.experiments.grid.GridRunner.precompute`.
+:meth:`~repro.experiments.grid.GridRunner.precompute` — a plain
+``ProcessPoolExecutor`` whose initializer arguments are the trace and its
+derived arrays, under whichever start method the platform offers.
 """
 
 from repro.experiments.grid import (
     CONFIGS,
     POLICIES,
-    START_METHOD_ENV,
     CapacityBlock,
     GridPoint,
     GridRunner,
+    check_policies,
     format_sweep_table,
     resolve_start_method,
-)
-from repro.experiments.shm import (
-    SharedColumnStore,
-    SharedTraceBuffer,
-    SharedTraceHandle,
 )
 from repro.experiments.staging import (
     HIT_RATE_SLACK,
@@ -45,13 +42,10 @@ __all__ = [
     "run_staging_comparison",
     "CONFIGS",
     "POLICIES",
-    "START_METHOD_ENV",
     "CapacityBlock",
     "GridPoint",
     "GridRunner",
-    "SharedColumnStore",
-    "SharedTraceBuffer",
-    "SharedTraceHandle",
+    "check_policies",
     "format_sweep_table",
     "resolve_start_method",
 ]

@@ -9,13 +9,14 @@ unit of work is a **capacity block**.
 
 Blocks are independent, which makes the grid embarrassingly parallel:
 :meth:`GridRunner.precompute` fans blocks out over a
-``concurrent.futures.ProcessPoolExecutor``.  The trace's columnar arrays,
-the memoised :class:`~repro.cache.segments.SegmentPlan`, the feature matrix
-and the re-access distances travel through
-:class:`~repro.experiments.shm.SharedTraceBuffer` — workers receive a
-compact handle and rehydrate zero-copy NumPy views, so ``fork``, ``spawn``
-and ``forkserver`` all fan out without serialising the access arrays;
-results travel back as plain dataclasses.
+``concurrent.futures.ProcessPoolExecutor``.  The trace, the feature matrix
+and the re-access distances are the pool's initializer arguments: inherited
+by reference under ``fork``, pickled once per worker (never per task) under
+``spawn`` and ``forkserver``, where each worker holds a private copy and
+builds its own :class:`~repro.cache.segments.SegmentPlan` on its first
+``simulate()`` — ~10 MB per worker for a 100 k-request trace, against ~2 s
+per block (``docs/PERFORMANCE.md``, "Grid fan-out", has the measurements).
+Results travel back as plain dataclasses.
 """
 
 from __future__ import annotations
@@ -25,63 +26,75 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.cache.segments import SegmentPlan
 from repro.cache.simulator import (
+    POLICY_REGISTRY,
     SimulationResult,
     make_policy,
     simulate,
 )
-from repro.config import paper_capacity_fractions, paper_equivalent_bytes
+from repro.config import (
+    COST_BOUNDARY_FRACTION,
+    paper_capacity_fractions,
+    paper_equivalent_bytes,
+)
 from repro.core.admission import AlwaysAdmit, ClassifierAdmission, OracleAdmission
 from repro.core.criteria import solve_criteria
 from repro.core.features import extract_features
 from repro.core.labeling import one_time_labels, reaccess_distances
 from repro.core.training import train_daily_classifier
-from repro.experiments.shm import SharedTraceBuffer, SharedTraceHandle
 from repro.ml.cost_sensitive import select_cost_v
 from repro.trace.records import Trace
 
 __all__ = [
     "POLICIES",
     "CONFIGS",
-    "START_METHOD_ENV",
     "CapacityBlock",
     "GridPoint",
     "GridRunner",
+    "check_policies",
     "format_sweep_table",
     "resolve_start_method",
 ]
-
-#: Environment override for the pool start method (CI exercises the
-#: non-fork path by exporting ``REPRO_START_METHOD=spawn``).
-START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: ``precompute(start_method="inline")`` computes serially in-process.
 INLINE = "inline"
 
 
 def resolve_start_method(start_method: str | None = None) -> str | None:
-    """Validate and resolve the worker start method.
+    """Validate the worker start method.
 
-    Explicit argument wins, then :data:`START_METHOD_ENV`, then ``None``
-    (the platform's default multiprocessing context).  Accepts ``"inline"``
-    and any method in :func:`multiprocessing.get_all_start_methods`.
+    ``None`` (or ``""``) means the platform's default multiprocessing
+    context.  Accepts ``"inline"`` and any method in
+    :func:`multiprocessing.get_all_start_methods`.
     """
-    method = start_method or os.environ.get(START_METHOD_ENV) or None
-    if method is None:
+    if not start_method:
         return None
     available = {INLINE, *multiprocessing.get_all_start_methods()}
-    if method not in available:
+    if start_method not in available:
         raise ValueError(
-            f"unknown start method {method!r}; choose from {sorted(available)}"
+            f"unknown start method {start_method!r}; "
+            f"choose from {sorted(available)}"
         )
-    return method
+    return start_method
+
+
+def check_policies(policies) -> tuple[str, ...]:
+    """``policies`` as a tuple, rejecting names ``make_policy`` would not know.
+
+    The grid checks this before it extracts features or starts a pool: a
+    typo must not surface as a worker's re-raised error one block in.
+    """
+    policies = tuple(policies)
+    for name in policies:
+        if name.lower() not in POLICY_REGISTRY:
+            raise ValueError(
+                f"unknown policy {name!r}; choose from {sorted(POLICY_REGISTRY)}"
+            )
+    return policies
+
 
 POLICIES = ("lru", "fifo", "s3lru", "arc", "lirs")
 CONFIGS = ("original", "proposal", "ideal", "belady")
-
-#: The paper's 12 GB cost-matrix boundary as a fraction of its footprint.
-_COST_BOUNDARY_FRACTION = 12.0 / (14e6 * 32 * 1024 / 2**30)
 
 
 @dataclass
@@ -121,42 +134,17 @@ class CapacityBlock:
     ideals: dict
 
 
-# Module-level worker state, populated *explicitly* by the pool initializer
-# from the shared-memory handle.  Nothing here is assumed to be inherited:
-# under spawn/forkserver this module is re-imported with an empty _WORKER
-# and an empty SegmentPlan trace-cache, so the initializer must rebuild
-# every piece (the latent fork-only assumption the shm layer removes).
+# Worker-process state: the pool initializer's arguments, stored under
+# ``_compute_block_impl``'s parameter names.  Under fork they are the
+# parent's own objects; under spawn / forkserver they arrive pickled once per
+# worker, the trace without its memoised SegmentPlan (``Trace.__reduce__``),
+# which the first ``simulate()`` rebuilds.
 _WORKER: dict = {}
 
 
-def _worker_init(
-    handle: SharedTraceHandle, policies: tuple[str, ...], use_segments: bool
-) -> None:
-    """Attach the shared trace state in a fresh (or forked) worker.
-
-    The buffer's arrays are zero-copy views into the parent's shared-memory
-    blocks; the ``SegmentPlan`` (when the grid batches segments) arrives
-    pre-installed on the rehydrated trace, so ``simulate`` finds it through
-    ``SegmentPlan.for_trace`` without re-running the stack-distance pass.  The
-    buffer object is kept alive in ``_WORKER`` for the process lifetime —
-    its finalizer unmaps the blocks at worker exit (never unlinking: the
-    parent owns the segments).
-    """
-    buffer = SharedTraceBuffer.attach(handle)
-    _WORKER.clear()
-    _WORKER["buffer"] = buffer
-    _WORKER["trace"] = buffer.trace
-    _WORKER["policies"] = tuple(policies)
-    _WORKER["use_segments"] = use_segments
-    _WORKER["distances"] = (
-        buffer.distances
-        if buffer.distances is not None
-        else reaccess_distances(buffer.trace.object_ids)
-    )
-    _WORKER["features"] = (
-        buffer.features
-        if buffer.features is not None
-        else extract_features(buffer.trace)
+def _worker_init(trace: Trace, policies, distances, features) -> None:
+    _WORKER.update(
+        trace=trace, policies=policies, distances=distances, features=features
     )
 
 
@@ -167,7 +155,6 @@ def _compute_block_impl(
     features,
     cap: int,
     training_rng: int,
-    use_segments: bool = True,
 ) -> CapacityBlock:
     mean_size = trace.mean_object_size()
     footprint = trace.footprint_bytes
@@ -178,7 +165,6 @@ def _compute_block_impl(
             make_policy(p, cap),
             admission=AlwaysAdmit(),
             policy_name=p,
-            use_segments=use_segments,
         )
         for p in policies
     }
@@ -189,7 +175,7 @@ def _compute_block_impl(
     )
     criteria = solve_criteria(distances, cap, mean_size, hit_rate=lru_hit)
     cost_v = select_cost_v(
-        cap, boundary_bytes=_COST_BOUNDARY_FRACTION * footprint
+        cap, boundary_bytes=COST_BOUNDARY_FRACTION * footprint
     )
 
     def build(crit):
@@ -217,11 +203,10 @@ def _compute_block_impl(
             make_policy(p, cap),
             admission=ClassifierAdmission.from_criteria(tr.predictions, crit),
             policy_name=p,
-            use_segments=use_segments,
         )
         ideals[p] = simulate(
             trace, make_policy(p, cap), admission=OracleAdmission(lab),
-            policy_name=p, use_segments=use_segments,
+            policy_name=p,
         )
 
     return CapacityBlock(
@@ -234,8 +219,7 @@ def _compute_block_impl(
         training=training,
         lirs_training=lirs_training,
         belady=simulate(
-            trace, make_policy("belady", cap, trace), policy_name="belady",
-            use_segments=use_segments,
+            trace, make_policy("belady", cap, trace), policy_name="belady"
         ),
         originals=originals,
         proposals=proposals,
@@ -244,16 +228,8 @@ def _compute_block_impl(
 
 
 def _compute_block_worker(cap: int, training_rng: int) -> CapacityBlock:
-    """Pool entry point: uses the initializer-provided shared state."""
-    return _compute_block_impl(
-        _WORKER["trace"],
-        _WORKER["policies"],
-        _WORKER["distances"],
-        _WORKER["features"],
-        cap,
-        training_rng,
-        _WORKER["use_segments"],
-    )
+    """Pool entry point: the task carries the capacity, never the trace."""
+    return _compute_block_impl(**_WORKER, cap=cap, training_rng=training_rng)
 
 
 class GridRunner:
@@ -268,15 +244,11 @@ class GridRunner:
         paper's 2–20 GB sweep mapped through
         :func:`repro.config.paper_capacity_fractions`.
     policies:
-        Replacement policies to cover (default: the paper's five).
+        Replacement policies to cover (default: the paper's five); a name
+        outside ``POLICY_REGISTRY`` raises ``ValueError`` here.
     training_rng:
         Seed for the daily-training runs (kept fixed so points are
         reproducible regardless of evaluation order).
-    use_segments:
-        Route guaranteed-hit runs through the vectorised
-        :meth:`~repro.cache.base.CachePolicy.access_batch` path (default).
-        Results are bit-identical either way — the flag exists for parity
-        tests and micro-benchmarks.
     """
 
     def __init__(
@@ -286,13 +258,11 @@ class GridRunner:
         *,
         policies: tuple[str, ...] = POLICIES,
         training_rng: int = 0,
-        use_segments: bool = True,
     ):
+        self.policies = check_policies(policies)
         self.trace = trace
         self.fractions = list(fractions or paper_capacity_fractions())
-        self.policies = tuple(policies)
         self.training_rng = training_rng
-        self.use_segments = use_segments
         self.footprint = trace.footprint_bytes
         self._distances = reaccess_distances(trace.object_ids)
         self._features = extract_features(trace)
@@ -318,7 +288,6 @@ class GridRunner:
                 self._features,
                 cap,
                 self.training_rng,
-                self.use_segments,
             )
             self._blocks[cap] = block
         return block
@@ -336,15 +305,13 @@ class GridRunner:
         ``start_method="inline"``.
 
         ``start_method`` picks the multiprocessing context (``fork``,
-        ``spawn``, ``forkserver`` — whatever the platform offers), falling
-        back to :data:`START_METHOD_ENV` and then the platform default.
-        Every method gets the same zero-copy fan-out: the trace columns,
-        the memoised segment plan, the feature matrix and the re-access
-        distances are exported once into shared memory and workers attach
-        views from a compact handle — no per-task (or per-worker)
-        serialisation of the trace, and bit-identical results across
-        methods.  The shared blocks are unlinked before this method
-        returns, even when a worker raises or dies.
+        ``spawn``, ``forkserver`` — whatever the platform offers; default:
+        the platform's own).  The trace, the re-access distances and the
+        feature matrix reach each worker once, as the pool's initializer
+        arguments — no per-task serialisation of the trace, and
+        bit-identical results across methods.  A worker's exception is
+        re-raised here, a dead worker raises ``BrokenProcessPool``; either
+        way the pool is shut down before this method returns.
         """
         caps = [self.capacity_bytes(f) for f in self.fractions]
         todo = [c for c in dict.fromkeys(caps) if c not in self._blocks]
@@ -357,33 +324,18 @@ class GridRunner:
             for cap in todo:
                 self._block(cap)
             return
-        # One stack-distance pass in the parent; workers rehydrate the plan
-        # arrays from shared memory and re-derive only their own capacities'
-        # run lists (cheap vectorised passes).
-        plan = SegmentPlan.for_trace(self.trace) if self.use_segments else None
-        buffer = SharedTraceBuffer.create(
-            self.trace,
-            plan=plan,
-            features=self._features,
-            distances=self._distances,
-        )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=multiprocessing.get_context(method),
-                initializer=_worker_init,
-                initargs=(buffer.handle, self.policies, self.use_segments),
-            ) as pool:
-                futures = {
-                    cap: pool.submit(
-                        _compute_block_worker, cap, self.training_rng
-                    )
-                    for cap in todo
-                }
-                for cap, fut in futures.items():
-                    self._blocks[cap] = fut.result()
-        finally:
-            buffer.unlink()
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_worker_init,
+            initargs=(self.trace, self.policies, self._distances, self._features),
+        ) as pool:
+            futures = {
+                cap: pool.submit(_compute_block_worker, cap, self.training_rng)
+                for cap in todo
+            }
+            for cap, fut in futures.items():
+                self._blocks[cap] = fut.result()
 
     # -------------------------------------------------------------- access
 

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.staging import CounterFlashiness, StagingCache
+from repro.config import COST_BOUNDARY_FRACTION
 from repro.core.admission import ClassifierAdmission
 from repro.core.criteria import solve_criteria
 from repro.core.labeling import one_time_labels, reaccess_distances
 from repro.core.training import train_daily_classifier
-from repro.experiments.grid import _COST_BOUNDARY_FRACTION
 from repro.ml.cost_sensitive import select_cost_v
 from repro.ml.flashiness import learned_flashiness_for_trace
 from repro.ssd.cache_device import CacheSSD, simulate_on_ssd
@@ -192,7 +192,7 @@ def run_staging_comparison(
         cap = max(1, int(footprint * fraction))
         criteria = solve_criteria(distances, cap, mean_size)
         cost_v = select_cost_v(
-            cap, boundary_bytes=_COST_BOUNDARY_FRACTION * footprint
+            cap, boundary_bytes=COST_BOUNDARY_FRACTION * footprint
         )
         labels = one_time_labels(trace.object_ids, criteria.m_threshold)
         training = train_daily_classifier(

@@ -16,8 +16,6 @@ __all__ = [
     "CATALOG_DTYPE",
     "TRACE_COLUMNS",
     "Trace",
-    "trace_pickle_count",
-    "reset_trace_pickle_count",
 ]
 
 #: Columns every trace carries, in :meth:`Trace.column_arrays` order.
@@ -27,23 +25,6 @@ TRACE_COLUMNS = (
     "owner_active_friends",
     "owner_avg_views",
 )
-
-# Serialisation telemetry: every pickle of a Trace bumps this counter in the
-# *pickling* process.  The shared-memory grid path is supposed to ship only a
-# compact handle to workers, so tests assert the counter stays at zero across
-# a parallel precompute (spawn serialises in the parent, where the test runs).
-_PICKLE_COUNT = 0
-
-
-def trace_pickle_count() -> int:
-    """Number of Trace pickles performed by this process since last reset."""
-    return _PICKLE_COUNT
-
-
-def reset_trace_pickle_count() -> None:
-    global _PICKLE_COUNT
-    _PICKLE_COUNT = 0
-
 
 def _rebuild_trace(accesses, catalog, active_friends, avg_views, duration, viral):
     return Trace(
@@ -132,10 +113,7 @@ class Trace:
         # fields: the ad-hoc instance state (notably the memoised
         # ``SegmentPlan`` attached by ``SegmentPlan.for_trace``, whose
         # per-capacity batch lists dwarf the trace itself) must never ride
-        # along to worker processes.  Also counts pickles for the
-        # no-per-task-serialisation tests.
-        global _PICKLE_COUNT
-        _PICKLE_COUNT += 1
+        # along to worker processes.
         return (
             _rebuild_trace,
             (
@@ -156,8 +134,7 @@ class Trace:
         The mapping contains :data:`TRACE_COLUMNS` always and
         ``"viral_mask"`` when present; together with ``duration`` it is the
         complete round-trip state — ``from_column_arrays`` rebuilds an
-        equivalent trace from it (used by the shared-memory grid workers,
-        which rehydrate these columns as zero-copy views).
+        equivalent trace from it.
         """
         columns = {
             "accesses": self.accesses,
@@ -173,8 +150,8 @@ class Trace:
     def from_column_arrays(cls, columns: dict, duration: float) -> "Trace":
         """Rebuild a trace from :meth:`column_arrays` output.
 
-        Arrays are adopted as-is (no copies), so views into shared memory
-        stay zero-copy.  Validation runs as usual via ``__post_init__``.
+        Arrays are adopted as-is (no copies); validation runs as usual via
+        ``__post_init__``.
         """
         missing = [c for c in TRACE_COLUMNS if c not in columns]
         if missing:

@@ -1,1 +1,1 @@
-"""Tests for the experiment orchestration layer (grid + shared memory)."""
+"""Tests for the experiment orchestration layer (grid fan-out, staging)."""
