@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cache.base import AdmissionPolicy, CacheObserver, CachePolicy
 from repro.cache.simulator import SimulationResult, simulate
 from repro.ssd.cmt import MappingTableCache
@@ -72,9 +70,9 @@ class CacheSSD(CacheObserver):
         )
         self.temperature = temperature
         self.trim_on_evict = trim_on_evict
-        # Free logical pages as a stack; object -> array of owned lpns.
+        # Free logical pages as a stack; object -> list of owned lpns.
         self._free_lpns: list[int] = list(range(geometry.user_pages - 1, -1, -1))
-        self._owned: dict[int, np.ndarray] = {}
+        self._owned: dict[int, list[int]] = {}
 
     @classmethod
     def for_capacity(
@@ -157,15 +155,21 @@ class CacheSSD(CacheObserver):
         if oid in self._owned:
             raise RuntimeError(f"object {oid} inserted twice without eviction")
         n = self.geometry.pages_for(size)
-        if n > len(self._free_lpns):
+        free = self._free_lpns
+        if n > len(free):
             raise RuntimeError(
                 "logical page pool exhausted: increase the device slack "
-                f"(object needs {n} pages, {len(self._free_lpns)} free)"
+                f"(object needs {n} pages, {len(free)} free)"
             )
-        lpns = np.array([self._free_lpns.pop() for _ in range(n)], dtype=np.int64)
+        # Resolve the stream before taking pages, so a bad one leaks none.
         stream = self.temperature(oid, size) if self.temperature else 0
+        if not 0 <= stream < self.ftl.n_streams:
+            raise ValueError(f"stream {stream} out of range")
+        lpns = free[:-n - 1:-1]  # the top n of the stack, in pop order
+        del free[-n:]
+        write = self.ftl.write
         for lpn in lpns:
-            self.ftl.write(int(lpn), stream)
+            write(lpn, stream)
         self._owned[oid] = lpns
 
     def on_evict(self, oid: int) -> None:
@@ -173,11 +177,12 @@ class CacheSSD(CacheObserver):
         if lpns is None:
             raise RuntimeError(f"eviction of unknown object {oid}")
         if self.trim_on_evict:
+            trim = self.ftl.trim
             for lpn in lpns:
-                self.ftl.trim(int(lpn))
+                trim(lpn)
         # Without TRIM the pages stay valid until the lpns are reused —
         # the FTL sees the death only at overwrite time.
-        self._free_lpns.extend(int(x) for x in lpns)
+        self._free_lpns.extend(lpns)
 
     # -------------------------------------------------------------- report
 

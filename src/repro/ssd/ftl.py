@@ -13,12 +13,18 @@ Models the device behaviour the paper's lifetime argument rests on:
   a cache SSD's GC cheap;
 * wear accounting per block, feeding :mod:`repro.ssd.endurance`.
 
-The mapping tables are flat NumPy arrays (one int per page), so even
-multi-GiB devices simulate comfortably.
+The mapping tables are stdlib typed arrays (``array("q")`` per page,
+``array("i")`` per block — the footprint of the equivalent NumPy arrays),
+so even multi-GiB devices simulate comfortably and the per-page ``write``
+/ ``trim`` index plain Python ints instead of boxing NumPy scalars.  The
+few vector passes (GC victim choice, live-page scan, invariants) build a
+NumPy view on demand with ``np.frombuffer``; no view is stored, so a
+pickled or deep-copied FTL owns exactly one copy of each table.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,9 +118,11 @@ class PageMappedFTL:
         self.cmt = cmt
         g = geometry
 
-        self._l2p = np.full(g.user_pages, _UNMAPPED, dtype=np.int64)
-        self._p2l = np.full(g.total_pages, _UNMAPPED, dtype=np.int64)
-        self._valid = np.zeros(g.n_blocks, dtype=np.int32)
+        self._ppb = g.pages_per_block
+        self._user_pages = g.user_pages
+        self._l2p = array("q", [_UNMAPPED]) * g.user_pages
+        self._p2l = array("q", [_UNMAPPED]) * g.total_pages
+        self._valid = array("i", [0]) * g.n_blocks
         self._erases = np.zeros(g.n_blocks, dtype=np.int64)
         self._is_free = np.ones(g.n_blocks, dtype=bool)
         self._free: deque[int] = deque(range(g.n_blocks))
@@ -140,35 +148,9 @@ class PageMappedFTL:
         self._is_free[block] = False
         return block
 
-    def _page_of(self, block: int, offset: int) -> int:
-        return block * self.geometry.pages_per_block + offset
-
-    def _invalidate(self, lpn: int) -> None:
-        ppn = self._l2p[lpn]
-        if ppn != _UNMAPPED:
-            self._p2l[ppn] = _UNMAPPED
-            self._valid[ppn // self.geometry.pages_per_block] -= 1
-            self._l2p[lpn] = _UNMAPPED
-
-    def _program(self, lpn: int, stream: int) -> None:
-        """Append one page for ``lpn`` at the stream's write pointer.
-
-        The caller guarantees the stream's active block has room
-        (non-reentrant by construction: GC never triggers inside a
-        program).
-        """
-        assert self._ptr[stream] < self.geometry.pages_per_block
-        block = self._active[stream]
-        ppn = self._page_of(block, self._ptr[stream])
-        self._l2p[lpn] = ppn
-        self._p2l[ppn] = lpn
-        self._valid[block] += 1
-        self.stats.nand_pages_written += 1
-        self._ptr[stream] += 1
-
     def _advance_active(self, stream: int) -> None:
         """Open a fresh active block when the stream's block is full."""
-        if self._ptr[stream] < self.geometry.pages_per_block:
+        if self._ptr[stream] < self._ppb:
             return
         self._active[stream] = self._take_free_block()
         self._ptr[stream] = 0
@@ -189,9 +171,10 @@ class PageMappedFTL:
         candidates = self._victim_candidates()
         if candidates.shape[0] == 0:
             return None
-        valid = self._valid[candidates]
-        best = candidates[np.argmin(valid)]
-        if self._valid[best] >= self.geometry.pages_per_block:
+        ppb = self._ppb
+        valid = np.frombuffer(self._valid, dtype=np.intc)
+        best = candidates[np.argmin(valid[candidates])]
+        if valid[best] >= ppb:
             return None  # no space to reclaim anywhere
         if self.wear_leveling == "static":
             spread = self._erases.max() - self._erases.min()
@@ -199,7 +182,7 @@ class PageMappedFTL:
                 # Force the least-erased (cold) block into rotation even if
                 # it is mostly valid — classic static wear levelling.
                 cold = candidates[np.argmin(self._erases[candidates])]
-                if self._valid[cold] < self.geometry.pages_per_block:
+                if valid[cold] < ppb:
                     return int(cold)
         return int(best)
 
@@ -208,36 +191,40 @@ class PageMappedFTL:
         victim = self._pick_victim()
         if victim is None:
             return False
-        self.stats.gc_runs += 1
-        ppb = self.geometry.pages_per_block
+        stats = self.stats
+        stats.gc_runs += 1
+        l2p, p2l, valid, ptr = self._l2p, self._p2l, self._valid, self._ptr
+        ppb = self._ppb
         base = victim * ppb
-        live = np.nonzero(self._p2l[base : base + ppb] != _UNMAPPED)[0]
-        for offset in live:
-            lpn = int(self._p2l[base + offset])
-            # Relocate: invalidate old location, program at the append point.
-            self._p2l[base + offset] = _UNMAPPED
-            self._valid[victim] -= 1
-            self._l2p[lpn] = _UNMAPPED
-            self.stats.gc_pages_relocated += 1
+        live = np.flatnonzero(
+            np.frombuffer(p2l, dtype=np.int64)[base : base + ppb] != _UNMAPPED
+        )
+        # Relocations always land on the dedicated GC stream.
+        gc_stream = self.n_streams
+        for old in (base + live).tolist():
             # A victim has < ppb valid pages, so at most one fresh
             # destination block (the GC spare) is ever needed per run.
-            # Relocations always land on the dedicated GC stream.
-            gc_stream = self.n_streams
             self._advance_active(gc_stream)
-            self._program(lpn, gc_stream)
+            # Relocate: invalidate the old location, program at the GC
+            # append point.
+            lpn = p2l[old]
+            p2l[old] = _UNMAPPED
+            valid[victim] -= 1
+            stats.gc_pages_relocated += 1
+            block = self._active[gc_stream]
+            ppn = block * ppb + ptr[gc_stream]
+            l2p[lpn] = ppn
+            p2l[ppn] = lpn
+            valid[block] += 1
+            stats.nand_pages_written += 1
+            ptr[gc_stream] += 1
         # Erase and return to the free pool.
-        assert self._valid[victim] == 0
+        assert valid[victim] == 0
         self._erases[victim] += 1
-        self.stats.erases += 1
+        stats.erases += 1
         self._is_free[victim] = True
         self._free.append(victim)
         return True
-
-    def _translate(self, lpn: int) -> None:
-        """Host-side L2P consultation: counted, routed through the CMT."""
-        self.stats.translation_lookups += 1
-        if self.cmt is not None:
-            self.cmt.lookup(lpn)
 
     # -------------------------------------------------------------- public
 
@@ -248,46 +235,65 @@ class PageMappedFTL:
         classifier's temperature verdict): data that dies together stays
         in the same blocks, so GC finds mostly-invalid victims and write
         amplification falls.
+
+        The whole per-page step is this one frame (plus the CMT lookup):
+        it runs once per host page, so translation, invalidation and the
+        program are inlined rather than helper calls.
         """
-        if not 0 <= lpn < self.geometry.user_pages:
+        if not 0 <= lpn < self._user_pages:
             raise ValueError(f"lpn {lpn} out of range")
         if not 0 <= stream < self.n_streams:
             raise ValueError(f"stream {stream} out of range")
-        self._translate(lpn)
-        self._invalidate(lpn)
-        self.stats.host_pages_written += 1
-        if self._ptr[stream] == self.geometry.pages_per_block:
+        stats = self.stats
+        # Host-side L2P consultation: counted, routed through the CMT.
+        stats.translation_lookups += 1
+        if self.cmt is not None:
+            self.cmt.lookup(lpn)
+        l2p, p2l, valid, ptr = self._l2p, self._p2l, self._valid, self._ptr
+        ppb = self._ppb
+        old = l2p[lpn]
+        if old != _UNMAPPED:
+            p2l[old] = _UNMAPPED
+            valid[old // ppb] -= 1
+            l2p[lpn] = _UNMAPPED
+        stats.host_pages_written += 1
+        if ptr[stream] == ppb:
             self._ensure_free_headroom()
             if not self._free:
                 raise DeviceFullError(
                     "device full: every block is completely valid"
                 )
             self._advance_active(stream)
-        self._program(lpn, stream)
-
-    def write_range(self, lpn_start: int, n_pages: int, stream: int = 0) -> None:
-        """Host write of ``n_pages`` consecutive logical pages."""
-        if n_pages <= 0:
-            raise ValueError("n_pages must be positive")
-        for lpn in range(lpn_start, lpn_start + n_pages):
-            self.write(lpn, stream)
+        # Program at the stream's write pointer (GC never runs in between).
+        block = self._active[stream]
+        offset = ptr[stream]
+        ppn = block * ppb + offset
+        l2p[lpn] = ppn
+        p2l[ppn] = lpn
+        valid[block] += 1
+        stats.nand_pages_written += 1
+        ptr[stream] = offset + 1
 
     def trim(self, lpn: int) -> None:
         """Host TRIM: the logical page no longer holds useful data."""
-        if not 0 <= lpn < self.geometry.user_pages:
+        if not 0 <= lpn < self._user_pages:
             raise ValueError(f"lpn {lpn} out of range")
+        stats = self.stats
         # The device must consult the mapping to learn whether the page is
         # live, so even a no-op TRIM is one translation.
-        self._translate(lpn)
-        if self._l2p[lpn] != _UNMAPPED:
-            self._invalidate(lpn)
-            self.stats.trims += 1
-
-    def trim_range(self, lpn_start: int, n_pages: int) -> None:
-        for lpn in range(lpn_start, lpn_start + n_pages):
-            self.trim(lpn)
+        stats.translation_lookups += 1
+        if self.cmt is not None:
+            self.cmt.lookup(lpn)
+        ppn = self._l2p[lpn]
+        if ppn != _UNMAPPED:
+            self._p2l[ppn] = _UNMAPPED
+            self._valid[ppn // self._ppb] -= 1
+            self._l2p[lpn] = _UNMAPPED
+            stats.trims += 1
 
     def is_mapped(self, lpn: int) -> bool:
+        if not 0 <= lpn < self._user_pages:
+            raise ValueError(f"lpn {lpn} out of range")
         return self._l2p[lpn] != _UNMAPPED
 
     @property
@@ -297,15 +303,17 @@ class PageMappedFTL:
 
     @property
     def valid_pages(self) -> int:
-        return int(self._valid.sum())
+        return sum(self._valid)
 
     def check_invariants(self) -> None:
         """Internal consistency (used by tests)."""
-        mapped = np.nonzero(self._l2p != _UNMAPPED)[0]
-        assert (self._p2l[self._l2p[mapped]] == mapped).all()
+        l2p = np.frombuffer(self._l2p, dtype=np.int64)
+        p2l = np.frombuffer(self._p2l, dtype=np.int64)
+        valid = np.frombuffer(self._valid, dtype=np.intc)
+        mapped = np.nonzero(l2p != _UNMAPPED)[0]
+        assert (p2l[l2p[mapped]] == mapped).all()
         per_block = np.bincount(
-            self._l2p[mapped] // self.geometry.pages_per_block,
-            minlength=self.geometry.n_blocks,
+            l2p[mapped] // self._ppb, minlength=self.geometry.n_blocks
         )
-        assert (per_block == self._valid).all()
-        assert (self._valid >= 0).all()
+        assert (per_block == valid).all()
+        assert (valid >= 0).all()

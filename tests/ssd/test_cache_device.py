@@ -88,6 +88,21 @@ class TestCacheSSD:
         blocks1 = {int(dev.ftl._l2p[int(l)]) // ppb for l in dev._owned[1]}
         assert blocks0.isdisjoint(blocks1)
 
+    def test_bad_stream_leaks_no_pages(self):
+        dev = CacheSSD(
+            SSDGeometry(
+                user_bytes=2**22, page_bytes=4096, pages_per_block=32
+            ),
+            n_streams=2,
+            temperature=lambda oid, size: 2,
+        )
+        free = len(dev._free_lpns)
+        with pytest.raises(ValueError, match="stream 2 out of range"):
+            dev.on_insert(7, 16384)
+        assert len(dev._free_lpns) == free
+        assert dev.resident_objects == 0
+        assert dev.ftl.stats.host_pages_written == 0
+
     def test_temperature_needs_streams(self):
         with pytest.raises(ValueError, match="n_streams"):
             CacheSSD(

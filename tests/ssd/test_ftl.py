@@ -49,7 +49,8 @@ class TestBasicMapping:
 
     def test_write_range(self):
         ftl = PageMappedFTL(tiny_geometry())
-        ftl.write_range(0, 10)
+        for lpn in range(10):
+            ftl.write(lpn)
         assert ftl.valid_pages == 10
         assert all(ftl.is_mapped(i) for i in range(10))
 
@@ -59,6 +60,17 @@ class TestBasicMapping:
             ftl.write(10**9)
         with pytest.raises(ValueError):
             ftl.trim(-1)
+
+    def test_is_mapped_range_checked(self):
+        """Both ends: -1 must not answer for the last page, and one past
+        the end is the same ValueError as write / trim."""
+        g = tiny_geometry()
+        ftl = PageMappedFTL(g)
+        ftl.write(g.user_pages - 1)
+        assert ftl.is_mapped(g.user_pages - 1)
+        for lpn in (-1, g.user_pages):
+            with pytest.raises(ValueError, match="out of range"):
+                ftl.is_mapped(lpn)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
