@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["ARCCache"]
 
@@ -96,13 +96,13 @@ class ARCCache(CachePolicy):
             self._t1_bytes -= sz
             self._t2[oid] = sz
             self._t2_bytes += sz
-            return AccessResult(hit=True)
+            return HIT
         if oid in self._t2:
             self._t2.move_to_end(oid)
-            return AccessResult(hit=True)
+            return HIT
 
         if not admit or size > c:
-            return AccessResult(hit=False)
+            return MISS
 
         evicted: list[int] = []
 

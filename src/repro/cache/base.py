@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "AccessResult",
+    "HIT",
+    "MISS",
     "CachePolicy",
     "CacheStats",
     "AdmissionPolicy",
@@ -27,9 +30,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one request.
+class AccessResult(NamedTuple):
+    """Outcome of one request (a plain hit / miss is :data:`HIT` / :data:`MISS`).
 
     ``hit``       — object was resident.
     ``inserted``  — object was written into the cache (an SSD write).
@@ -44,6 +46,10 @@ class AccessResult:
     churn: bool = False
 
 
+HIT = AccessResult(True)
+MISS = AccessResult(False)
+
+
 class CachePolicy(ABC):
     """Size-aware replacement policy over integer object ids."""
 
@@ -56,11 +62,11 @@ class CachePolicy(ABC):
     def access(self, oid: int, size: int, admit: bool = True) -> AccessResult:
         """Process one request for object ``oid`` of ``size`` bytes.
 
-        On a hit, recency/frequency state is updated and
-        ``AccessResult(hit=True)`` returned.  On a miss with ``admit=True``
-        the object is inserted (evicting residents as needed) unless it is
-        larger than the whole cache; with ``admit=False`` only internal
-        metadata (ghosts/history) is updated.
+        On a hit, recency/frequency state is updated and :data:`HIT`
+        returned.  On a miss with ``admit=True`` the object is inserted
+        (evicting residents as needed) unless it is larger than the whole
+        cache; with ``admit=False`` only internal metadata (ghosts/history)
+        is updated.
         """
 
     def access_if_present(self, oid: int, size: int) -> "AccessResult | None":
@@ -217,6 +223,7 @@ class CacheStats:
     admissions_denied: int = 0
 
     def record(self, size: int, result: AccessResult, denied: bool) -> None:
+        """Count one request (``replay_range`` counts the same in locals)."""
         self.requests += 1
         self.bytes_requested += size
         if result.hit:

@@ -22,7 +22,7 @@ import heapq
 
 import numpy as np
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["BeladyCache", "compute_next_use"]
 
@@ -81,14 +81,14 @@ class BeladyCache(CachePolicy):
         if oid in self._size:
             self._obj_next[oid] = nxt
             heapq.heappush(self._heap, (-nxt, oid))
-            return AccessResult(hit=True)
+            return HIT
 
         if (
             not admit
             or size > self.capacity
             or (self.bypass_dead and nxt == _NEVER)
         ):
-            return AccessResult(hit=False)
+            return MISS
 
         evicted = []
         while self._used + size > self.capacity:

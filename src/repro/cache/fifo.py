@@ -6,12 +6,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["FIFOCache"]
-
-#: Shared frozen hit result — see the note in :mod:`repro.cache.lru`.
-_HIT = AccessResult(hit=True)
 
 
 class FIFOCache(CachePolicy):
@@ -25,7 +22,7 @@ class FIFOCache(CachePolicy):
     def access_if_present(self, oid: int, size: int) -> AccessResult | None:
         # A FIFO hit has no side effects, so the peek is one lookup.
         self._validate_request(size)
-        return _HIT if oid in self._entries else None
+        return HIT if oid in self._entries else None
 
     def can_batch_hits(self) -> bool:
         return True
@@ -52,9 +49,9 @@ class FIFOCache(CachePolicy):
     def access(self, oid: int, size: int, admit: bool = True) -> AccessResult:
         self._validate_request(size)
         if oid in self._entries:
-            return _HIT
+            return HIT
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
         evicted = []
         while self._used + size > self.capacity:
             victim, vsize = self._entries.popitem(last=False)

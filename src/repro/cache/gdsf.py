@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["GDSFCache"]
 
@@ -53,9 +53,9 @@ class GDSFCache(CachePolicy):
         if oid in self._size:
             self._freq[oid] += 1
             self._push(oid)
-            return AccessResult(hit=True)
+            return HIT
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
         evicted = []
         while self._used + size > self.capacity:
             evicted.append(self._evict_one())

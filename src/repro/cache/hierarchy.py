@@ -23,7 +23,7 @@ the flash writes the paper counts.  L1 state is observable via
 
 from __future__ import annotations
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 from repro.cache.lru import LRUCache
 
 __all__ = ["HierarchicalCache"]
@@ -71,7 +71,7 @@ class HierarchicalCache(CachePolicy):
             # deferred write — so the L2's own hit result is the answer.
             if oid in self.ssd:
                 return self.ssd.access(oid, size)
-            return AccessResult(hit=True)
+            return HIT
 
         if oid in self.ssd:
             self.l2_hits += 1
@@ -83,7 +83,7 @@ class HierarchicalCache(CachePolicy):
         # Miss everywhere: DRAM always takes it; SSD only if admitted.
         self.dram.access(oid, size)
         if not admit or size > self.ssd.capacity:
-            return AccessResult(hit=False)
+            return MISS
         return self.ssd.access(oid, size, admit=True)
 
     @classmethod

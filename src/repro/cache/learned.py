@@ -83,13 +83,11 @@ from math import log2
 
 import numpy as np
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 from repro.ml.fastpath import fast_predictor
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = ["LearnedCache", "OnlineReuseTrainer", "eviction_metadata"]
-
-_HIT = AccessResult(hit=True)
 
 #: Feature-space cap for unknown/huge gaps, and the horizon-matured label
 #: ceiling (log₂ of requests): 2^26 ≈ 67M requests is beyond any replay.
@@ -583,7 +581,7 @@ class LearnedCache(CachePolicy):
         self._spin_wheel(t)
         self._touch(oid, size, t)
         self._draw_training_sample(t)
-        return _HIT
+        return HIT
 
     def access(self, oid: int, size: int, admit: bool = True) -> AccessResult:
         self._validate_request(size)
@@ -593,10 +591,10 @@ class LearnedCache(CachePolicy):
         if oid in self._recency:
             self._touch(oid, size, t)
             self._draw_training_sample(t)
-            return _HIT
+            return HIT
         self._draw_training_sample(t)
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
         evicted = self._evict_for(size, t)
         churn = self._admit(oid, size, t)
         return AccessResult(hit=False, inserted=True, evicted=tuple(evicted), churn=churn)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["LFUCache"]
 
@@ -61,9 +61,9 @@ class LFUCache(CachePolicy):
         self._validate_request(size)
         if oid in self._size:
             self._bump(oid)
-            return AccessResult(hit=True)
+            return HIT
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
         evicted = []
         while self._used + size > self.capacity:
             evicted.append(self._evict_one())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["LIRSCache"]
 
@@ -152,7 +152,7 @@ class LIRSCache(CachePolicy):
         if state == _LIR:
             stack.move_to_end(oid)
             self._prune()
-            return AccessResult(hit=True)
+            return HIT
 
         # --- resident HIR hit
         if oid in self._queue:
@@ -169,11 +169,11 @@ class LIRSCache(CachePolicy):
                 self._queue.move_to_end(oid)
                 stack[oid] = _HIR
                 self._bound_history()
-            return AccessResult(hit=True)
+            return HIT
 
         # --- miss
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
 
         evicted: list[int] = []
         self._make_room(size, evicted)

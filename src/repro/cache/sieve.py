@@ -17,7 +17,7 @@ clears).
 
 from __future__ import annotations
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["SieveCache"]
 
@@ -123,9 +123,9 @@ class SieveCache(CachePolicy):
         node = self._nodes.get(oid)
         if node is not None:
             node.visited = True  # lazy promotion: no list movement
-            return AccessResult(hit=True)
+            return HIT
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
         evicted = []
         while self._used + size > self.capacity:
             evicted.append(self._evict_one())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["S3LRUCache"]
 
@@ -73,10 +73,10 @@ class S3LRUCache(CachePolicy):
             # A hit can only demote others, never evict: bottom-level
             # overflow is impossible while total bytes are unchanged —
             # except when segment quotas round down; guard anyway.
-            return AccessResult(hit=True, evicted=tuple(evicted))
+            return AccessResult(hit=True, evicted=tuple(evicted)) if evicted else HIT
         if not admit or size > self._seg_cap:
             # An object larger than one segment can never be resident.
-            return AccessResult(hit=False)
+            return MISS
         evicted = []
         self._segments[0][oid] = size
         self._seg_used[0] += size

@@ -46,7 +46,7 @@ the device observer.
 
 from __future__ import annotations
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 from repro.cache.lru import LRUCache
 
 __all__ = ["CounterFlashiness", "FlashinessPredicate", "StagingCache"]
@@ -193,7 +193,7 @@ class StagingCache(CachePolicy):
             if oid in self.ssd:
                 result = self.ssd.access(oid, size)
                 flashiness.on_request(index, oid, size)
-                return AccessResult(hit=True, evicted=result.evicted)
+                return AccessResult(hit=True, evicted=result.evicted) if result.evicted else HIT
             entry = self._staged.get(oid)
             if entry is None:
                 # DRAM-resident but neither on the SSD nor staged: its SSD
@@ -201,7 +201,7 @@ class StagingCache(CachePolicy):
                 # its next miss, never from the hit path (keeps bar-zero
                 # bit-identical to HierarchicalCache).
                 flashiness.on_request(index, oid, size)
-                return AccessResult(hit=True)
+                return HIT
             entry[0] += 1
             promoted = False
             redeeming = False
@@ -228,7 +228,7 @@ class StagingCache(CachePolicy):
                     promoted = True
                     evicted = result.evicted
             flashiness.on_request(index, oid, size)
-            return AccessResult(hit=True, inserted=promoted, evicted=evicted)
+            return AccessResult(hit=True, inserted=True, evicted=evicted) if promoted else HIT
 
         if oid in self.ssd:
             self.l2_hits += 1
@@ -236,7 +236,7 @@ class StagingCache(CachePolicy):
             dram_result = dram.access(oid, size)
             self._forget(dram_result.evicted)
             flashiness.on_request(index, oid, size)
-            return AccessResult(hit=True, evicted=result.evicted)
+            return AccessResult(hit=True, evicted=result.evicted) if result.evicted else HIT
 
         # Miss everywhere: DRAM always takes it; the SSD write waits for
         # the flashiness bar unless the bar is already crossed at zero.
@@ -255,7 +255,7 @@ class StagingCache(CachePolicy):
             # staging space means no flashiness estimate).
             self._staged[oid] = [0, eligible]
         flashiness.on_request(index, oid, size)
-        return AccessResult(hit=False)
+        return MISS
 
     def _forget(self, evicted) -> None:
         """Drop staged evidence for objects evicted from DRAM."""

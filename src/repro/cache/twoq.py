@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.cache.base import AccessResult, CachePolicy
+from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 
 __all__ = ["TwoQCache"]
 
@@ -85,12 +85,12 @@ class TwoQCache(CachePolicy):
         self._validate_request(size)
         if oid in self._am:
             self._am.move_to_end(oid)
-            return AccessResult(hit=True)
+            return HIT
         if oid in self._a1in:
             # 2Q leaves A1in order untouched on hit (correlated references).
-            return AccessResult(hit=True)
+            return HIT
         if not admit or size > self.capacity:
-            return AccessResult(hit=False)
+            return MISS
 
         evicted: list[int] = []
         if oid in self._a1out:

@@ -37,45 +37,25 @@ class HistoryTable:
     def __contains__(self, oid: int) -> bool:
         return oid in self._entries
 
-    def record(self, oid: int, index: int) -> None:
-        """Remember that ``oid`` was judged one-time at trace position ``index``."""
-        entries = self._entries
-        if oid in entries:
-            # Refresh the verdict position; keep FIFO age (no move_to_end —
-            # FIFO evicts by insertion order, not recency).
-            entries[oid] = index
-            return
-        if len(entries) >= self.capacity:
-            entries.popitem(last=False)
-        entries[oid] = index
-
-    def rectify(self, oid: int, index: int, m_threshold: float) -> bool:
-        """Check whether a renewed miss proves the earlier verdict wrong.
-
-        Returns True — and forgets the entry — when ``oid`` was tabled and
-        has come back within ``m_threshold`` requests; the caller should
-        then admit the object.  Returns False otherwise (entry, if any, is
-        left in place).
-        """
-        stored = self._entries.get(oid)
-        if stored is None:
-            return False
-        if index - stored < m_threshold:
-            del self._entries[oid]
-            self.rectifications += 1
-            return True
-        return False
-
     def overrules(self, oid: int, index: int, m_threshold: float) -> bool:
         """The whole §4.4.2 rule for a miss the classifier judged one-time.
 
-        True — the table overrules the verdict (``oid`` was tabled within
-        ``m_threshold`` requests; admit it).  False — the verdict stands:
-        it is tabled at ``index`` and the caller denies admission.
+        True — ``oid`` was tabled within ``m_threshold`` requests: the entry
+        is forgotten, counted in :attr:`rectifications`, and the caller
+        admits.  False — the verdict stands (the caller denies): ``oid`` is
+        tabled at ``index``, in place if already there (FIFO age is
+        insertion order), else evicting the oldest entry of a full table.
         """
-        if self.rectify(oid, index, m_threshold):
+        entries = self._entries
+        stored = entries.get(oid)
+        if stored is None:
+            if len(entries) >= self.capacity:
+                entries.popitem(last=False)
+        elif index - stored < m_threshold:
+            del entries[oid]
+            self.rectifications += 1
             return True
-        self.record(oid, index)
+        entries[oid] = index
         return False
 
     def clear(self) -> None:

@@ -17,21 +17,25 @@ from repro.core.labeling import ONE_TIME, REUSED
 class TestHistoryTable:
     def test_record_and_rectify_within_window(self):
         t = HistoryTable(capacity=10)
-        t.record(42, index=100)
+        assert t.overrules(42, index=100, m_threshold=100) is False  # tabled
         assert 42 in t
-        assert t.rectify(42, index=150, m_threshold=100) is True
+        assert t.overrules(42, index=150, m_threshold=100) is True
         assert 42 not in t  # forgotten after rectification
         assert t.rectifications == 1
 
     def test_rectify_outside_window_fails(self):
         t = HistoryTable(capacity=10)
-        t.record(42, index=100)
-        assert t.rectify(42, index=300, m_threshold=100) is False
-        assert 42 in t  # entry stays
+        t.overrules(42, index=100, m_threshold=100)
+        assert t.overrules(42, index=300, m_threshold=100) is False
+        assert 42 in t and len(t) == 1  # re-tabled, not duplicated
+        assert t.rectifications == 0
+        # ... at the new index: 350 is within M of 300, not of 100.
+        assert t.overrules(42, index=350, m_threshold=100) is True
 
     def test_unknown_object_not_rectified(self):
         t = HistoryTable(capacity=10)
-        assert t.rectify(1, 5, 100) is False
+        assert t.overrules(1, 5, 100) is False
+        assert 1 in t and t.rectifications == 0
 
     def test_overrules_is_rectify_else_table_the_verdict(self):
         """The whole §4.4.2 rule: first one-time verdict is tabled and
@@ -49,25 +53,28 @@ class TestHistoryTable:
     def test_fifo_eviction(self):
         t = HistoryTable(capacity=3)
         for oid in (1, 2, 3):
-            t.record(oid, oid)
-        t.record(4, 4)  # evicts 1 (oldest insertion)
+            t.overrules(oid, oid, 100)
+        t.overrules(4, 4, 100)  # evicts 1 (oldest insertion)
         assert 1 not in t
         assert 2 in t and 3 in t and 4 in t
+        assert len(t) == 3
 
     def test_refresh_keeps_fifo_age(self):
         t = HistoryTable(capacity=3)
         for oid in (1, 2, 3):
-            t.record(oid, oid)
-        t.record(1, 10)  # refresh verdict, but 1 keeps its FIFO slot
-        t.record(4, 11)  # still evicts 1
+            t.overrules(oid, oid, 5)
+        # Outside the window: refresh the verdict, but 1 keeps its FIFO slot.
+        assert t.overrules(1, 10, 5) is False
+        t.overrules(4, 11, 5)  # still evicts 1
         assert 1 not in t
+        assert 2 in t and 3 in t and 4 in t
 
     def test_refresh_updates_index(self):
         t = HistoryTable(capacity=5)
-        t.record(7, index=0)
-        t.record(7, index=500)
+        t.overrules(7, index=0, m_threshold=450)
+        assert t.overrules(7, index=500, m_threshold=450) is False
         # Against the refreshed index, a gap of 400 < M=450 rectifies.
-        assert t.rectify(7, index=900, m_threshold=450)
+        assert t.overrules(7, index=900, m_threshold=450)
 
     def test_paper_capacity_rule(self):
         cap = HistoryTable.paper_capacity(
@@ -84,8 +91,9 @@ class TestHistoryTable:
 
     def test_clear(self):
         t = HistoryTable(5)
-        t.record(1, 0)
-        t.rectify(1, 1, 10)
+        t.overrules(1, 0, 10)
+        assert t.overrules(1, 1, 10) and t.rectifications == 1
+        t.overrules(2, 2, 10)
         t.clear()
         assert len(t) == 0 and t.rectifications == 0
 
