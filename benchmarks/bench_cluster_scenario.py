@@ -1,6 +1,6 @@
 """Cluster-scenario benchmark: the reference fault timeline, end to end.
 
-Dual-mode module, like ``bench_hotpath.py``:
+Dual-mode module, like ``bench_staging.py``:
 
 * **Script / CI**: ``python benchmarks/bench_cluster_scenario.py [--quick]``
   synthesises a workload, runs the repository's reference scenario
@@ -9,8 +9,8 @@ Dual-mode module, like ``bench_hotpath.py``:
   prints the per-phase table and writes ``BENCH_cluster_scenario.json``.
   Exits non-zero if the pristine phases diverge from the failure-free
   baseline (exact counter equality) — that equality is the scenario
-  engine's correctness gate, the analogue of bench_hotpath's parity
-  checks.  ``--quick`` shrinks the trace for the CI smoke job (< 30 s);
+  engine's correctness gate, the analogue of the served == offline
+  parity checks.  ``--quick`` shrinks the trace for the CI smoke job (< 30 s);
   the default run uses the full ISSUE-6 scale (200 k base requests).
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs quick mode and persists the table under ``results/``.

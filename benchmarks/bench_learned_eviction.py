@@ -254,7 +254,7 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def check_report(report: dict, *, quick: bool | None = None) -> None:
+def check_gates(report: dict, *, quick: bool | None = None) -> None:
     """Raise :class:`BenchError` on any failed floor or parity break."""
     if not report["segment_parity"]["all_equal"]:
         bad = [
@@ -294,7 +294,7 @@ def bench_learned_eviction(benchmark, capsys):
     report = benchmark.pedantic(
         lambda: run_learned_eviction_bench(quick=True), rounds=1, iterations=1
     )
-    check_report(report)  # parity always; floors are full-mode only
+    check_gates(report)  # parity always; floors are full-mode only
     emit(capsys, "learned_eviction", format_report(report))
 
 
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     path = write_report(report, args.output)
     print(f"[report written to {path}]")
     try:
-        check_report(report)
+        check_gates(report)
     except BenchError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

@@ -118,7 +118,7 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def check_report(report: dict) -> None:
+def check_gates(report: dict) -> None:
     """Raise :class:`BenchError` when the composition contract fails.
 
     Unlike the perf floors elsewhere, this gates in *both* modes: the
@@ -144,7 +144,7 @@ def bench_staging(benchmark, capsys):
     report = benchmark.pedantic(
         lambda: run_staging_bench(quick=True), rounds=1, iterations=1
     )
-    check_report(report)
+    check_gates(report)
     emit(capsys, "staging", format_report(report))
 
 
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     path = write_report(report, args.output)
     print(f"[report written to {path}]")
     try:
-        check_report(report)
+        check_gates(report)
     except BenchError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,11 @@
 """Bench-trend gate: diff two benchmark JSON reports in CI.
 
-The perf-smoke, scenario-smoke, learned-eviction-smoke and staging-smoke
-jobs upload their reports as artifacts on every run; on the next run they
-download the previous report and call this script to diff it against the
-fresh one.  Four report kinds are understood, dispatched on the reports'
-``"kind"`` field:
+The scenario-smoke, learned-eviction-smoke and staging-smoke jobs upload
+their reports as artifacts on every run; on the next run they download
+the previous report and call this script to diff it against the fresh
+one.  Three report kinds are understood, dispatched on the reports'
+``"kind"`` field (:data:`KINDS`); ``--threshold`` defaults to 20 %:
 
-* **hot-path reports** (``BENCH_hotpath.json``, no kind tag): ns/op per
-  component.  A component more than ``--threshold`` (default 20 %)
-  slower fails the job, which is what makes a perf regression *visible
-  at the PR that introduced it* instead of months later in a profile.
 * **cluster-scenario reports** (``BENCH_cluster_scenario.json``,
   ``"kind": "cluster_scenario"``): per-phase oracle gaps — the
   hit/write-rate distance between the faulted cluster and an idealised
@@ -33,17 +29,22 @@ fresh one.  Four report kinds are understood, dispatched on the reports'
 
 Robustness rules, in order:
 
+* **Unknown kind**: a *current* report whose ``kind`` is missing or not
+  one of the three exits 2 and names the known kinds — an untagged or
+  misspelled report must not pass with an empty table.
 * **No baseline** (first run on a branch, expired artifact, download
   failure): print a notice and exit 0 — the gate cannot diff against
   nothing, and failing would block every fresh branch.
-* **Disjoint components** (a group was added/removed or the selection
-  changed): only the intersection is compared; additions and removals are
-  listed but never fail the gate.
+* **Kind mismatch** (the baseline is another kind, or none): a pipeline
+  change, not a regression — print a notice and exit 0.
+* **Disjoint points** (a capacity point, scheme or phase was added or
+  removed): only the intersection is compared; additions and removals
+  are listed but never fail the gate.
 * **Quick-vs-full mismatch**: mode is reported in the table header; the
   numbers are still compared because CI always runs the same mode.
 
 Exit status: 0 = no regression beyond threshold, 1 = regression,
-2 = bad invocation (unreadable *current* report).
+2 = bad invocation (unreadable *current* report, or one of unknown kind).
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ import sys
 from pathlib import Path
 
 __all__ = [
+    "KINDS",
     "compare_eviction_reports",
-    "compare_reports",
     "compare_scenario_reports",
     "compare_staging_reports",
     "format_eviction_markdown",
-    "format_markdown",
     "format_scenario_markdown",
     "format_staging_markdown",
     "main",
@@ -86,94 +86,6 @@ STAGING_HIT_SLACK = 0.02
 #: Absolute write-count slack: a handful of writes moving on a tiny
 #: quick-mode trace is a workload detail, not an admission regression.
 STAGING_WRITE_SLACK = 16
-
-
-def compare_reports(
-    baseline: dict, current: dict, *, threshold: float = DEFAULT_THRESHOLD
-) -> dict:
-    """Diff per-component ``ns_per_op`` between two bench reports.
-
-    Returns ``{rows, added, removed, regressions, threshold, modes}``
-    where each row is ``{component, baseline_ns, current_ns, delta}``
-    (``delta`` is fractional change: +0.25 = 25 % slower) and
-    ``regressions`` lists the components whose delta exceeds
-    ``threshold``.
-    """
-    base_components = baseline.get("components", {})
-    cur_components = current.get("components", {})
-    shared = sorted(set(base_components) & set(cur_components))
-    rows = []
-    regressions = []
-    for name in shared:
-        b = base_components[name]["ns_per_op"]
-        c = cur_components[name]["ns_per_op"]
-        delta = (c - b) / b if b > 0 else 0.0
-        rows.append(
-            {
-                "component": name,
-                "baseline_ns": b,
-                "current_ns": c,
-                "delta": delta,
-            }
-        )
-        if delta > threshold:
-            regressions.append(name)
-    return {
-        "rows": rows,
-        "added": sorted(set(cur_components) - set(base_components)),
-        "removed": sorted(set(base_components) - set(cur_components)),
-        "regressions": regressions,
-        "threshold": threshold,
-        "modes": {
-            "baseline": "quick" if baseline.get("quick") else "full",
-            "current": "quick" if current.get("quick") else "full",
-        },
-    }
-
-
-def _fmt_delta(delta: float) -> str:
-    return f"{100 * delta:+.1f}%"
-
-
-def format_markdown(result: dict) -> str:
-    """GitHub-flavoured markdown delta table for ``$GITHUB_STEP_SUMMARY``."""
-    modes = result["modes"]
-    lines = [
-        "## Hot-path bench trend",
-        "",
-        f"Threshold: **{100 * result['threshold']:.0f}%** slower fails "
-        f"(baseline: {modes['baseline']} mode, current: {modes['current']} "
-        "mode).",
-        "",
-        "| component | baseline ns/op | current ns/op | delta | status |",
-        "|---|---:|---:|---:|---|",
-    ]
-    for row in result["rows"]:
-        if row["delta"] > result["threshold"]:
-            status = "REGRESSION"
-        elif row["delta"] < -result["threshold"]:
-            status = "improved"
-        else:
-            status = "ok"
-        lines.append(
-            f"| `{row['component']}` | {row['baseline_ns']:,.0f} "
-            f"| {row['current_ns']:,.0f} | {_fmt_delta(row['delta'])} "
-            f"| {status} |"
-        )
-    if not result["rows"]:
-        lines.append("| _no shared components_ | | | | |")
-    if result["added"]:
-        lines += ["", "New components (no baseline): "
-                  + ", ".join(f"`{c}`" for c in result["added"])]
-    if result["removed"]:
-        lines += ["", "Dropped components: "
-                  + ", ".join(f"`{c}`" for c in result["removed"])]
-    if result["regressions"]:
-        lines += ["", "**FAILED** — regressed beyond threshold: "
-                  + ", ".join(f"`{c}`" for c in result["regressions"])]
-    else:
-        lines += ["", "No component regressed beyond the threshold."]
-    return "\n".join(lines)
 
 
 def compare_scenario_reports(
@@ -476,6 +388,14 @@ def format_staging_markdown(result: dict) -> str:
     return "\n".join(lines)
 
 
+#: ``kind`` → (comparator, markdown formatter).
+KINDS = {
+    SCENARIO_KIND: (compare_scenario_reports, format_scenario_markdown),
+    EVICTION_KIND: (compare_eviction_reports, format_eviction_markdown),
+    STAGING_KIND: (compare_staging_reports, format_staging_markdown),
+}
+
+
 def _load(path: str) -> dict | None:
     p = Path(path)
     if not p.is_file():
@@ -488,15 +408,15 @@ def _load(path: str) -> dict | None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        description="Diff two BENCH_hotpath.json reports and fail on "
-        "per-component ns/op regressions."
+        description="Diff two benchmark reports of one kind ("
+        + ", ".join(KINDS) + ") and fail on regressions."
     )
     ap.add_argument("--baseline", required=True,
-                    help="previous run's BENCH_hotpath.json (may be missing)")
+                    help="previous run's report (may be missing)")
     ap.add_argument("--current", required=True,
-                    help="this run's BENCH_hotpath.json")
+                    help="this run's report")
     ap.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                    help="fractional slowdown that fails (default: 0.20)")
+                    help="fractional regression that fails (default: 0.20)")
     ap.add_argument("--summary", default=None,
                     help="append the markdown table to this file (e.g. "
                          "$GITHUB_STEP_SUMMARY); defaults to the "
@@ -507,46 +427,32 @@ def main(argv: list[str] | None = None) -> int:
     if current is None:
         print(f"cannot read current report {args.current!r}", file=sys.stderr)
         return 2
+    cur_kind = current.get("kind")
+    if cur_kind not in KINDS:
+        print(f"current report {args.current!r} has kind {cur_kind!r}; "
+              f"known kinds: {', '.join(KINDS)}", file=sys.stderr)
+        return 2
 
     baseline = _load(args.baseline)
     summary_path = args.summary or os.environ.get("GITHUB_STEP_SUMMARY")
     if baseline is None:
         msg = (f"no baseline report at {args.baseline!r} — first run on this "
                "branch or expired artifact; trend gate skipped")
-        print(msg)
-        if summary_path:
-            with open(summary_path, "a") as fh:
-                fh.write(f"## Hot-path bench trend\n\n{msg}\n")
-        return 0
-
-    base_kind = baseline.get("kind")
-    cur_kind = current.get("kind")
-    if base_kind != cur_kind:
-        msg = (f"report kinds differ (baseline={base_kind!r}, "
+    elif baseline.get("kind") != cur_kind:
+        msg = (f"report kinds differ (baseline={baseline.get('kind')!r}, "
                f"current={cur_kind!r}) — trend gate skipped")
+    else:
+        msg = None
+    if msg is not None:
         print(msg)
         if summary_path:
             with open(summary_path, "a") as fh:
                 fh.write(f"## Bench trend\n\n{msg}\n")
         return 0
-    if cur_kind == SCENARIO_KIND:
-        result = compare_scenario_reports(
-            baseline, current, threshold=args.threshold
-        )
-        table = format_scenario_markdown(result)
-    elif cur_kind == EVICTION_KIND:
-        result = compare_eviction_reports(
-            baseline, current, threshold=args.threshold
-        )
-        table = format_eviction_markdown(result)
-    elif cur_kind == STAGING_KIND:
-        result = compare_staging_reports(
-            baseline, current, threshold=args.threshold
-        )
-        table = format_staging_markdown(result)
-    else:
-        result = compare_reports(baseline, current, threshold=args.threshold)
-        table = format_markdown(result)
+
+    compare, format_markdown = KINDS[cur_kind]
+    result = compare(baseline, current, threshold=args.threshold)
+    table = format_markdown(result)
     print(table)
     if summary_path:
         with open(summary_path, "a") as fh:

@@ -18,8 +18,6 @@ Subcommands
                 (the TCP ``TRACE`` verb) as JSON lines
 ``spans-dump``  drain a serving node's span ring buffer (the TCP ``SPANS``
                 verb) as Chrome trace-event JSON for Perfetto
-``bench-hotpath``  measure ns/decision through the admission hot path,
-                assert fast/reference parity, write ``BENCH_hotpath.json``
 ``scenario``    deterministic fault-injection replay against the two-tier
                 cluster (node kills/restarts, hot-key floods, rolling
                 deploys) with per-phase stats and an oracle gap
@@ -212,26 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record client-side send/recv spans and write them "
                         "as Chrome trace-event JSON to this path")
     _add_log_args(p)
-
-    p = sub.add_parser(
-        "bench-hotpath",
-        help="benchmark the per-miss admission hot path (BENCH_hotpath.json)",
-    )
-    _add_trace_args(p)
-    p.add_argument("--quick", action="store_true",
-                   help="small trace + short timing budgets (CI smoke mode)")
-    p.add_argument("--output", default="BENCH_hotpath.json",
-                   help="report path (default: ./BENCH_hotpath.json)")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="compiled single-row speedup floor (default: 5.0 in "
-                        "full mode, unchecked with --quick)")
-    p.add_argument("--min-segment-speedup", type=float, default=None,
-                   help="segmented-simulation speedup floor (default: 3.0 in "
-                        "full mode, unchecked with --quick)")
-    p.add_argument("--components", default=None,
-                   help="comma-separated measurement groups "
-                        "(tree,tracker,admission,segments,spans,gbdt; "
-                        "default: all)")
 
     p = sub.add_parser(
         "scenario",
@@ -585,45 +563,6 @@ def _cmd_loadgen(args) -> int:
     return 0 if result.errors == 0 else 1
 
 
-def _cmd_bench_hotpath(args) -> int:
-    from repro.perf.hotpath import (
-        BenchError,
-        check_report,
-        format_report,
-        run_hotpath_bench,
-        write_report,
-    )
-
-    trace = load_trace(args.trace) if args.trace else None
-    # Without an explicit trace, let the harness pick its mode-dependent
-    # scale unless the generator knobs were changed from the CLI defaults.
-    objects = args.objects if args.objects != 25_000 else None
-    days = args.days if args.days != 9.0 else None
-    components = None
-    if args.components is not None:
-        components = [c.strip() for c in args.components.split(",") if c.strip()]
-    report = run_hotpath_bench(
-        trace=trace, objects=objects, days=days, seed=args.seed,
-        quick=args.quick, components=components,
-    )
-    path = write_report(report, args.output)
-    print(format_report(report))
-    print(f"[saved to {path}]")
-    min_speedup = args.min_speedup
-    if min_speedup is None:
-        min_speedup = 0.0 if args.quick else 5.0
-    min_segment_speedup = args.min_segment_speedup
-    if min_segment_speedup is None:
-        min_segment_speedup = 0.0 if args.quick else 3.0
-    try:
-        check_report(report, min_speedup=min_speedup,
-                     min_segment_speedup=min_segment_speedup)
-    except BenchError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _write_chrome_trace(tracer, path: str, process_name: str) -> None:
     """Validate and write a tracer's buffer as Chrome trace-event JSON."""
     import json
@@ -826,7 +765,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
-    "bench-hotpath": _cmd_bench_hotpath,
     "scenario": _cmd_scenario,
     "staging": _cmd_staging,
     "trace-dump": _cmd_trace_dump,

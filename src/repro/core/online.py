@@ -352,7 +352,7 @@ class OnlineClassifierAdmission(AdmissionPolicy):
     * ``use_fast_path`` (default on) — the generated decision over
       :func:`repro.ml.fastpath.fast_predictor`.  Off = the un-fused
       reference ``tracker.features(i)`` → ``model.predict`` path; verdicts
-      are identical either way (asserted by the perf harness).
+      are identical either way (asserted by ``tests/core/test_online.py``).
     * ``timing_capacity`` — ``0`` disables timing (the decision is
       generated without a clock read at all) for pure-throughput runs.
       Otherwise each decision reads ``perf_counter_ns`` three times and

@@ -118,8 +118,6 @@ def compile_tree_arrays(
     children_left,
     children_right,
     leaf_labels,
-    *,
-    out_dtype=None,
 ) -> CompiledPredictor:
     """Compile a flattened decision tree into native Python functions.
 
@@ -127,7 +125,8 @@ def compile_tree_arrays(
     :class:`~repro.ml.tree.DecisionTreeClassifier`; ``leaf_labels`` holds
     the label every node would report *as a leaf* (internal-node entries
     are ignored), which lets callers bake custom decision rules — e.g. the
-    Elkan threshold shift — directly into the compiled code.
+    Elkan threshold shift — directly into the compiled code.  Batch
+    predictions come back in ``leaf_labels``' dtype.
     """
     feat = np.asarray(feature, dtype=np.int64).tolist()
     thr = np.asarray(threshold, dtype=np.float64).tolist()
@@ -138,8 +137,7 @@ def compile_tree_arrays(
     n_nodes = len(feat)
     if not (len(thr) == len(left) == len(right) == len(labels) == n_nodes):
         raise ValueError("tree arrays disagree on node count")
-    if out_dtype is None:
-        out_dtype = labels_arr.dtype
+    out_dtype = labels_arr.dtype
 
     depths = _tree_depths(feat, left, right)
     if int(depths.max(initial=0)) > _MAX_CODEGEN_DEPTH:

@@ -12,8 +12,8 @@ Design constraints, in order:
 * **Strict no-op when disabled.**  ``Tracer(enabled=False)`` (and the
   shared :data:`NULL_TRACER`) return a singleton :data:`NULL_SPAN` from
   :meth:`Tracer.span` — no allocation, no clock read, no buffer touch.
-  The hot-path bench (``bench-hotpath --components spans``) measures
-  exactly this path so regressions gate CI.
+  ``tests/obs/test_spans.py::TestDisabledNoOp`` pins it: a disabled
+  tracer never reads its clock.
 * **Trees survive asyncio interleaving.**  Chrome "complete" events
   (``ph: "X"``) nest purely by time containment *per tid*; concurrent
   request batches would interleave into nonsense on a single track.  The

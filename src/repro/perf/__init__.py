@@ -1,24 +1,6 @@
-"""Performance measurement harnesses for the hot decision path.
+"""Workload shapes shared by the benchmarks and the tests.
 
-:mod:`repro.perf.hotpath` benchmarks every layer of the per-miss
-admission stack (feature tracker, tree inference, end-to-end admission),
-asserts exact decision parity between the fast and reference paths, and
-writes the ``BENCH_hotpath.json`` trajectory file consumed by CI and the
-performance docs.
+Performance is measured by ``benchmarks/e2e`` (every layer's ns/op under
+``--trace 1``) and pinned in Tier-1 as exact counts; see
+``docs/PERFORMANCE.md``.
 """
-
-from repro.perf.hotpath import (
-    BenchError,
-    check_report,
-    format_report,
-    run_hotpath_bench,
-    write_report,
-)
-
-__all__ = [
-    "BenchError",
-    "check_report",
-    "format_report",
-    "run_hotpath_bench",
-    "write_report",
-]

@@ -15,7 +15,10 @@ path then has exactly one frame sequence:
   table rectified a one-time verdict, plus one ``AccessResult``
   construction when it inserts.
 
-That is 3.41 frames per request over the replay's 11,851 requests.
+That is 3.41 frames per request over the replay's 11,851 requests.  The
+clock is counted the same way: a timed decision reads ``perf_counter_ns``
+three times (before the gather, between gather and tree, after the tree),
+a hit never.
 Before ``AccessResult`` became a ``NamedTuple`` with shared ``HIT`` /
 ``MISS``, before ``replay_range`` counted in its locals and before
 ``overrules`` held the whole §4.4.2 rule, the same replay took 6.36: a hit
@@ -27,6 +30,7 @@ miss 8, or 10 when rectified (``overrules`` → ``rectify``).
 
 import gc
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -48,6 +52,7 @@ CFG = NodeConfig(dram_fraction=0.0)
 
 LOOKUP = "LRUCache.access_if_present"
 CONSTRUCT = "AccessResult()"
+CLOCK = "perf_counter_ns()"
 
 
 def _labels() -> dict:
@@ -79,7 +84,8 @@ def _labels() -> dict:
 
 @pytest.fixture(scope="module")
 def replay():
-    """``(frames per request, outcomes, admission)`` of the pinned replay."""
+    """``(frames per request, outcomes, admission, clock reads per request)``
+    of the pinned replay."""
     trace = generate_trace(WorkloadConfig(n_objects=3000, seed=51))
     criteria = solve_node_criteria(trace, CFG)
     model = train_seed_model(trace, CFG, criteria)
@@ -97,6 +103,8 @@ def replay():
         if event == "call":
             code = frame.f_code
             seen.append(labels.get(code, code.co_name))
+        elif event == "c_call" and arg is time.perf_counter_ns:
+            seen.append(CLOCK)
 
     # No collection mid-replay: a gc callback is a frame of no request.
     stats, outcomes = CacheStats(), []
@@ -113,12 +121,17 @@ def replay():
     assert seen[0] == "replay_range"
     assert seen[-2:] == ["CacheStats.__init__", "CacheStats.__iadd__"]
     per_request: list[list[str]] = []
+    clocks: list[int] = []
     for name in seen[seen.index(LOOKUP):-2]:
         if name == LOOKUP:  # every request starts with the lookup
             per_request.append([])
-        per_request[-1].append(name)
+            clocks.append(0)
+        if name == CLOCK:
+            clocks[-1] += 1
+        else:
+            per_request[-1].append(name)
     assert len(per_request) == len(outcomes) == n
-    return per_request, outcomes, admission
+    return per_request, outcomes, admission, clocks
 
 
 def expected_frames(result: AccessResult, denied: bool, rectified: bool) -> list[str]:
@@ -134,7 +147,7 @@ def expected_frames(result: AccessResult, denied: bool, rectified: bool) -> list
 
 
 def test_frames_per_request_path(replay):
-    per_request, outcomes, admission = replay
+    per_request, outcomes, admission, _ = replay
     paths = Counter()
     for frames, (result, denied) in zip(per_request, outcomes):
         rectified = not denied and "HistoryTable.overrules" in frames
@@ -154,7 +167,7 @@ def test_frames_per_request_path(replay):
 
 
 def test_retired_frames_never_run(replay):
-    per_request, _, _ = replay
+    per_request, _, _, _ = replay
     entered = set().union(*map(set, per_request))
     # The table's old ``rectify`` / ``record`` are gone, so only their
     # bare names can be looked for.
@@ -167,3 +180,11 @@ def test_retired_frames_never_run(replay):
     assert sum(f.count(CONSTRUCT) for f in per_request) == sum(
         r.inserted for r, _ in replay[1]
     )
+
+
+def test_clock_reads_per_timed_decision(replay):
+    _, outcomes, admission, clocks = replay
+    assert [n for (r, _), n in zip(outcomes, clocks) if r.hit] == [0] * 6_311
+    assert admission.decisions == 5_540
+    assert [n for (r, _), n in zip(outcomes, clocks) if not r.hit] == [3] * 5_540
+    assert sum(clocks) == 16_620

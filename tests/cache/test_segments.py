@@ -10,6 +10,10 @@ batching engages even on tiny traces (bypassing the coverage gate), which
 maximises the number of batch/loop boundary crossings per trace byte.
 """
 
+import gc
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +21,13 @@ from hypothesis import strategies as st
 
 from repro.cache import POLICY_REGISTRY, make_policy, simulate
 from repro.cache.base import AdmissionPolicy, CacheObserver
+from repro.cache.lru import LRUCache
 from repro.cache.segments import DEFAULT_MIN_RUN, SegmentPlan
+from repro.cache.simulator import replay_range
 from repro.core.admission import AlwaysAdmit, OracleAdmission
 from repro.core.labeling import one_time_labels
+from repro.perf.hotpath import SEGMENT_TRACE_QUICK
+from repro.trace import WorkloadConfig, generate_trace
 from repro.trace.analysis import COLD_MISS
 from repro.trace.records import ACCESS_DTYPE, CATALOG_DTYPE, Trace
 
@@ -311,3 +319,45 @@ class TestSimulatorIntegration:
         policy.access_batch = lambda *a, **k: calls.append(1) or orig(*a, **k)
         simulate(trace, policy, segment_plan=plan)
         assert calls, "access_batch was never reached despite explicit plan"
+
+    def test_hit_dominated_replay_counts(self):
+        """Segment batching on a hit-dominated trace, counted not clocked.
+
+        Admit-all LRU at 20 % of the footprint over ``SEGMENT_TRACE_QUICK``
+        (seed 0) with an explicit plan: one ``access_batch`` per candidate
+        run, one ``replay_range`` for the gap before each, and a per-request
+        ``access`` only for what the runs do not cover.  Under admit-all
+        every run is a proven hit, so no batch stalls and the looped
+        requests are exactly the uncovered share.
+        """
+        trace = generate_trace(WorkloadConfig(seed=0, **SEGMENT_TRACE_QUICK))
+        cap = int(0.20 * trace.footprint_bytes)
+        plan = SegmentPlan(trace)
+        n = trace.n_accesses
+        assert n == 47_984
+        assert plan.coverage(cap) == pytest.approx(0.880, abs=5e-4)
+
+        names = {
+            LRUCache.access.__code__: "access",
+            LRUCache.access_batch.__code__: "access_batch",
+            replay_range.__code__: "replay_range",
+        }
+        calls: Counter = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            result = simulate(trace, LRUCache(cap), segment_plan=plan)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+
+        runs = len(plan.batches(cap))
+        assert calls == {"access_batch": 840, "replay_range": 840, "access": 5_744}
+        assert calls["access_batch"] == runs
+        assert calls["access"] == n - round(plan.coverage(cap) * n)
+        assert result.stats.requests == n

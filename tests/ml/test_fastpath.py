@@ -7,11 +7,18 @@ code-generated :class:`~repro.ml.fastpath.CompiledPredictor` (single-row
 wrappers (both Elkan methods) and trees refitted under a tighter budget.
 """
 
+import gc
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.criteria import solve_criteria
+from repro.core.features import PAPER_FEATURE_NAMES, extract_features
+from repro.core.labeling import one_time_labels, reaccess_distances
 from repro.ml import LogisticRegression
 from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
 from repro.ml.fastpath import (
@@ -21,6 +28,7 @@ from repro.ml.fastpath import (
 )
 from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.trace import WorkloadConfig, generate_trace
 
 
 def _dataset(rng, n, d, n_classes):
@@ -209,3 +217,52 @@ class TestCompileInternals:
         pred = fast_predictor(model.fit(X, y))
         assert pred.compiled is True
         np.testing.assert_array_equal(pred.predict(X), model.predict(X))
+
+
+def test_paper_cart_predict_one_is_one_frame_and_no_c_calls():
+    """The compiled admission tree, counted rather than clocked.
+
+    The paper's classifier — cost-sensitive CART, 30 splits, false
+    positives at twice the cost (§3.1.2) — on the five paper features of a
+    pinned trace, compiled by ``fast_predictor``.  A verdict is the one
+    generated ``_predict_one`` frame and nothing else: no helper frame, no
+    C call (a NumPy scalar, a ``len``, a ``float()`` would each show up).
+    """
+    trace = generate_trace(WorkloadConfig(n_objects=3000, seed=51))
+    criteria = solve_criteria(
+        reaccess_distances(trace.object_ids),
+        max(1, trace.footprint_bytes // 100),
+        trace.mean_object_size(),
+    )
+    labels = one_time_labels(trace.object_ids, criteria.m_threshold)
+    X = extract_features(trace).select(PAPER_FEATURE_NAMES).X
+    model = CostSensitiveClassifier(
+        DecisionTreeClassifier(max_splits=30, rng=0),
+        CostMatrix(fn_cost=1.0, fp_cost=2.0),
+    ).fit(X, labels)
+    predictor = fast_predictor(model)
+    assert predictor.compiled
+    predict_one = predictor.predict_one
+    rows = [row.tolist() for row in X[:1000]]
+
+    events: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            events[frame.f_code.co_name] += 1
+        elif event == "c_call" and arg is not sys.setprofile:
+            events["c_call"] += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for row in rows:
+            predict_one(row)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+    assert events == {"_predict_one": len(rows)}
+    np.testing.assert_array_equal(
+        [predict_one(row) for row in rows], model.predict(X[:1000])
+    )

@@ -16,76 +16,6 @@ sys.modules["bench_trend"] = bench_trend
 _spec.loader.exec_module(bench_trend)
 
 
-def report(quick=True, **ns_per_component):
-    return {
-        "schema": "repro.bench_hotpath/v1",
-        "quick": quick,
-        "components": {
-            name: {"ns_per_op": ns, "ops": 1000, "speedup_vs_reference": 1.0}
-            for name, ns in ns_per_component.items()
-        },
-    }
-
-
-class TestCompareReports:
-    def test_injected_regression_beyond_threshold_fails(self):
-        base = report(simulate_segments=100.0, admission_fast=1000.0)
-        cur = report(simulate_segments=125.0, admission_fast=1000.0)  # +25%
-        result = bench_trend.compare_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == ["simulate_segments"]
-
-    def test_small_regression_within_threshold_passes(self):
-        base = report(simulate_segments=100.0)
-        cur = report(simulate_segments=115.0)  # +15% < 20%
-        result = bench_trend.compare_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == []
-        assert result["rows"][0]["delta"] == pytest.approx(0.15)
-
-    def test_improvement_passes(self):
-        base = report(admission_fast=2000.0)
-        cur = report(admission_fast=900.0)
-        result = bench_trend.compare_reports(base, cur)
-        assert result["regressions"] == []
-        assert result["rows"][0]["delta"] < 0
-
-    def test_boundary_is_strict(self):
-        base = report(x=100.0)
-        cur = report(x=120.0)  # exactly +20%
-        result = bench_trend.compare_reports(base, cur, threshold=0.20)
-        assert result["regressions"] == []
-
-    def test_only_intersection_compared(self):
-        base = report(old_only=10.0, shared=100.0)
-        cur = report(new_only=10.0, shared=100.0)
-        result = bench_trend.compare_reports(base, cur)
-        assert [r["component"] for r in result["rows"]] == ["shared"]
-        assert result["added"] == ["new_only"]
-        assert result["removed"] == ["old_only"]
-
-    def test_zero_baseline_does_not_divide(self):
-        base = report(weird=0.0)
-        cur = report(weird=50.0)
-        result = bench_trend.compare_reports(base, cur)
-        assert result["regressions"] == []
-
-
-class TestFormatMarkdown:
-    def test_table_contains_deltas_and_status(self):
-        base = report(simulate_segments=100.0, admission_fast=100.0)
-        cur = report(simulate_segments=150.0, admission_fast=60.0)
-        result = bench_trend.compare_reports(base, cur)
-        table = bench_trend.format_markdown(result)
-        assert "| `simulate_segments` |" in table
-        assert "+50.0%" in table and "REGRESSION" in table
-        assert "-40.0%" in table and "improved" in table
-        assert "**FAILED**" in table
-
-    def test_clean_run_says_so(self):
-        result = bench_trend.compare_reports(report(a=10.0), report(a=10.0))
-        table = bench_trend.format_markdown(result)
-        assert "No component regressed" in table
-
-
 def scenario_report(gaps, *, baseline_equal=True):
     """Minimal cluster-scenario report: ``gaps`` is [(hit_gap, write_gap)]."""
     return {
@@ -314,6 +244,11 @@ class TestCompareStagingReports:
         assert "No scheme's hit rate or write count regressed" in text
 
 
+def staging_writes(writes):
+    """One-point staging report: the ``composed`` scheme at ``writes``."""
+    return staging_report({0.02: {"composed": (0.33, writes)}})
+
+
 class TestMain:
     def _write(self, tmp_path, name, rep):
         p = tmp_path / name
@@ -321,49 +256,70 @@ class TestMain:
         return str(p)
 
     def test_regression_exits_nonzero(self, tmp_path):
-        base = self._write(tmp_path, "base.json", report(a=100.0))
-        cur = self._write(tmp_path, "cur.json", report(a=200.0))
+        base = self._write(tmp_path, "base.json", staging_writes(400))
+        cur = self._write(tmp_path, "cur.json", staging_writes(800))
         assert bench_trend.main(["--baseline", base, "--current", cur]) == 1
 
     def test_clean_exits_zero_and_writes_summary(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        base = self._write(tmp_path, "base.json", report(a=100.0))
-        cur = self._write(tmp_path, "cur.json", report(a=101.0))
+        base = self._write(tmp_path, "base.json", staging_writes(400))
+        cur = self._write(tmp_path, "cur.json", staging_writes(404))
         summary = tmp_path / "summary.md"
         rc = bench_trend.main(
             ["--baseline", base, "--current", cur, "--summary", str(summary)]
         )
         assert rc == 0
-        assert "Hot-path bench trend" in summary.read_text()
+        assert "Staging admission trend" in summary.read_text()
 
     def test_missing_baseline_skips_gracefully(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        cur = self._write(tmp_path, "cur.json", report(a=100.0))
+        cur = self._write(tmp_path, "cur.json", staging_writes(400))
+        summary = tmp_path / "summary.md"
         rc = bench_trend.main(
-            ["--baseline", str(tmp_path / "nope.json"), "--current", cur]
+            ["--baseline", str(tmp_path / "nope.json"), "--current", cur,
+             "--summary", str(summary)]
         )
         assert rc == 0
+        assert summary.read_text().startswith("## Bench trend\n")
 
     def test_corrupt_baseline_skips_gracefully(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        cur = self._write(tmp_path, "cur.json", report(a=100.0))
+        cur = self._write(tmp_path, "cur.json", staging_writes(400))
         assert bench_trend.main(
             ["--baseline", str(bad), "--current", cur]
         ) == 0
 
     def test_missing_current_is_an_error(self, tmp_path):
-        base = self._write(tmp_path, "base.json", report(a=100.0))
+        base = self._write(tmp_path, "base.json", staging_writes(400))
         rc = bench_trend.main(
             ["--baseline", base, "--current", str(tmp_path / "nope.json")]
         )
         assert rc == 2
 
+    def test_unknown_kind_is_an_error(self, tmp_path, monkeypatch, capsys):
+        """An untagged or misspelled report must not pass on an empty
+        table, with or without a baseline of the same shape."""
+        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
+        untagged = {k: v for k, v in staging_writes(400).items() if k != "kind"}
+        misspelled = {**staging_writes(400), "kind": "stagign"}
+        for rep in (untagged, misspelled):
+            cur = self._write(tmp_path, "cur.json", rep)
+            for base in (cur, str(tmp_path / "nope.json")):
+                assert bench_trend.main(
+                    ["--baseline", base, "--current", cur]
+                ) == 2
+                err = capsys.readouterr().err
+                assert all(kind in err for kind in (
+                    "cluster_scenario", "learned_eviction", "staging"
+                ))
+
     def test_custom_threshold(self, tmp_path):
-        base = self._write(tmp_path, "base.json", report(a=100.0))
-        cur = self._write(tmp_path, "cur.json", report(a=110.0))
+        base = self._write(tmp_path, "base.json", staging_writes(400))
+        cur = self._write(tmp_path, "cur.json", staging_writes(460))
         args = ["--baseline", base, "--current", cur]
+        # Write ceiling 400 × (1 + threshold) + 16: 436 fails, 496 passes.
         assert bench_trend.main([*args, "--threshold", "0.05"]) == 1
         assert bench_trend.main([*args, "--threshold", "0.20"]) == 0
 
@@ -382,25 +338,24 @@ class TestMain:
         assert bench_trend.main(["--baseline", base, "--current", worse]) == 1
 
     def test_kind_mismatch_skips_gracefully(self, tmp_path, monkeypatch):
-        """A hotpath baseline against a scenario current (or vice versa)
+        """An eviction baseline against a scenario current (or vice versa)
         is a pipeline change, not a regression — the gate steps aside."""
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        hotpath = self._write(tmp_path, "hot.json", report(a=100.0))
+        eviction = self._write(
+            tmp_path, "evi.json", eviction_report([(0.01, 0.30)])
+        )
         scenario = self._write(
             tmp_path, "scn.json", scenario_report([(0.9, 0.9)])
         )
-        staging = self._write(
-            tmp_path, "stg.json",
-            staging_report({0.02: {"composed": (0.33, 400)}}),
-        )
+        staging = self._write(tmp_path, "stg.json", staging_writes(400))
         assert bench_trend.main(
-            ["--baseline", hotpath, "--current", scenario]
+            ["--baseline", eviction, "--current", scenario]
         ) == 0
         assert bench_trend.main(
-            ["--baseline", scenario, "--current", hotpath]
+            ["--baseline", scenario, "--current", eviction]
         ) == 0
         assert bench_trend.main(
-            ["--baseline", hotpath, "--current", staging]
+            ["--baseline", eviction, "--current", staging]
         ) == 0
         assert bench_trend.main(
             ["--baseline", staging, "--current", scenario]
@@ -437,9 +392,11 @@ class TestMain:
             tmp_path, "worse.json",
             staging_report({0.02: {"composed": (0.10, 400)}}),
         )
-        hotpath = self._write(tmp_path, "hot.json", report(a=100.0))
+        eviction = self._write(
+            tmp_path, "evi.json", eviction_report([(0.01, 0.30)])
+        )
         assert bench_trend.main(["--baseline", base, "--current", clean]) == 0
         assert bench_trend.main(["--baseline", base, "--current", worse]) == 1
         # Kind mismatch is a pipeline change, not a regression.
-        assert bench_trend.main(["--baseline", hotpath, "--current", base]) == 0
-        assert bench_trend.main(["--baseline", base, "--current", hotpath]) == 0
+        assert bench_trend.main(["--baseline", eviction, "--current", base]) == 0
+        assert bench_trend.main(["--baseline", base, "--current", eviction]) == 0

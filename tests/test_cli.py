@@ -35,8 +35,6 @@ class TestParser:
              "86400"],
             ["loadgen", "--rate", "5000", "--connections", "8", "--limit",
              "1000"],
-            ["bench-hotpath", "--quick"],
-            ["bench-hotpath", "--components", "spans"],
             ["scenario", "--requests", "500", "--no-oracle"],
             ["staging", "--fractions", "0.02", "0.05", "--redemption-delta",
              "2", "--no-check"],
@@ -152,20 +150,6 @@ class TestCommands:
         assert main(["analyze", *BASE]) == 0
         out = capsys.readouterr().out
         assert "Zipf" in out and "reuse" in out and "stack profile" in out
-
-    def test_bench_hotpath_quick(self, tmp_path, capsys):
-        import json
-
-        output = tmp_path / "BENCH_hotpath.json"
-        argv = ["bench-hotpath", "--quick", "--output", str(output),
-                "--objects", "600", "--days", "1", "--seed", "3"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "decision parity" in out and "IDENTICAL" in out
-        report = json.loads(output.read_text())
-        assert report["schema"] == "repro.bench_hotpath/v1"
-        assert report["parity"]["identical"] is True
-        assert "tree_single_compiled" in report["components"]
 
     def test_scenario_reference(self, tmp_path, capsys):
         import json
