@@ -361,3 +361,44 @@ class TestSimulatorIntegration:
         assert calls["access_batch"] == runs
         assert calls["access"] == n - round(plan.coverage(cap) * n)
         assert result.stats.requests == n
+
+    def test_hit_dominated_default_plan_parity(self):
+        """Segments on vs off over ``SEGMENT_TRACE_QUICK`` with its own plan.
+
+        The parity suite above forces ``min_run=1`` on tiny traces; this
+        replays the hit-dominated shape at 20 % of the footprint with the
+        default plan ``simulate`` builds for a grid.  Admit-all and a
+        deny-every-seventh admission must give the same stats, the same
+        insert/evict order and the same admission callbacks, and the
+        denying run must actually deny.
+        """
+        trace = generate_trace(WorkloadConfig(seed=0, **SEGMENT_TRACE_QUICK))
+        cap = int(0.20 * trace.footprint_bytes)
+        plan = SegmentPlan.for_trace(trace)
+        assert 0.0 < plan.coverage(cap) <= 1.0
+        for factory in (None, lambda: DenySome(modulus=7)):
+            out = []
+            for use in (False, True):
+                rec = Recorder()
+                adm = factory() if factory is not None else None
+                result = simulate(
+                    trace,
+                    LRUCache(cap),
+                    admission=adm,
+                    observer=rec,
+                    use_segments=use,
+                    segment_plan=plan if use else None,
+                )
+                out.append((
+                    vars(result.stats).copy(),
+                    rec.events,
+                    list(adm.calls) if adm is not None else None,
+                ))
+            off, on = out
+            assert on[0] == off[0]
+            assert on[1] == off[1]
+            assert on[2] == off[2]
+            assert off[0]["requests"] == trace.n_accesses
+            if factory is not None:
+                verdicts = [c[3] for c in off[2] if c[0] == "miss"]
+                assert False in verdicts and True in verdicts

@@ -282,6 +282,35 @@ class TestFastPath:
         assert fast_adm.verdict_log == ref_adm.verdict_log
         assert fast_result.stats == ref_result.stats
 
+    def test_replay_parity_covers_admits_and_denials(self, trace, fitted_model):
+        """The parity replay decides both ways, and both paths count alike.
+
+        A 1024-entry history table and 5 % of the footprint: the fast and
+        reference paths make the same number of decisions, the verdict
+        sequence holds at least one admit and one deny, and every miss
+        the cache saw was a decision.
+        """
+        model, _ = fitted_model
+        cap = max(1, trace.footprint_bytes // 20)
+        runs = {}
+        for fast in (True, False):
+            adm = _RecordingAdmission(
+                model,
+                OnlineFeatureTracker(trace),
+                300.0,
+                HistoryTable(1024),
+                use_fast_path=fast,
+            )
+            runs[fast] = (adm, simulate(trace, LRUCache(cap), admission=adm))
+        fast_adm, fast_result = runs[True]
+        ref_adm, ref_result = runs[False]
+        assert fast_result.stats.requests == trace.n_accesses
+        assert fast_adm.decisions == ref_adm.decisions == len(fast_adm.verdict_log)
+        assert fast_adm.decisions == fast_result.stats.misses
+        assert True in fast_adm.verdict_log and False in fast_adm.verdict_log
+        assert fast_adm.verdict_log == ref_adm.verdict_log
+        assert fast_result.stats == ref_result.stats
+
     def test_timing_disabled_records_nothing(self, trace, fitted_model):
         """timing_capacity=0 must skip timing entirely, on both paths."""
         model, _ = fitted_model

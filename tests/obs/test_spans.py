@@ -197,6 +197,35 @@ class TestDisabledNoOp:
         with tr.span("x", "test"):
             pass
 
+    def test_enabled_and_disabled_paths_counted(self):
+        """What a span costs each way, in clock reads and ring writes.
+
+        Recording reads the clock twice per span and stores one event; the
+        disabled path hands back :data:`NULL_SPAN` and does neither.
+        """
+        reads = {True: 0, False: 0}
+
+        def counting_clock(enabled):
+            def clock():
+                reads[enabled] += 1
+                return 1_000 * reads[enabled]
+
+            return clock
+
+        tracers = {
+            enabled: Tracer(capacity=4096, enabled=enabled,
+                            clock=counting_clock(enabled))
+            for enabled in (True, False)
+        }
+        for _ in range(256):
+            for tr in tracers.values():
+                with tr.span("bench", "perf") as sp:
+                    pass
+        assert sp is NULL_SPAN
+        assert reads == {True: 512, False: 0}
+        assert tracers[True].recorded == len(tracers[True]) == 256
+        assert tracers[False].recorded == len(tracers[False]) == 0
+
 
 class TestChromeExport:
     def test_to_chrome_rebases_and_scales_to_us(self):
