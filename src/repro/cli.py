@@ -664,32 +664,17 @@ def _cmd_trace_dump(args) -> int:
     import asyncio
 
     from repro.obs.structlog import json_line
-    from repro.server.protocol import read_message, write_message
+    from repro.server.loadgen import ask
 
-    async def _dump() -> tuple[dict, list]:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
-        try:
-            request = {"op": "TRACE", "clear": bool(args.clear)}
-            if args.limit is not None:
-                request["limit"] = args.limit
-            await write_message(writer, request)
-            msg = await read_message(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if msg is None or not msg.get("ok"):
-            error = (msg or {}).get("error", "connection closed")
-            raise ConnectionError(error)
-        return msg, msg["events"]
-
+    request = {"op": "TRACE", "clear": bool(args.clear)}
+    if args.limit is not None:
+        request["limit"] = args.limit
     try:
-        msg, events = asyncio.run(_dump())
+        msg = asyncio.run(ask(args.host, args.port, request))
     except (ConnectionError, OSError) as exc:
         print(f"trace-dump failed: {exc}", file=sys.stderr)
         return 1
+    events = msg["events"]
     lines = "\n".join(json_line(event) for event in events)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -711,29 +696,13 @@ def _cmd_spans_dump(args) -> int:
     import json
 
     from repro.obs import chrome_trace, validate_chrome_trace
-    from repro.server.protocol import read_message, write_message
+    from repro.server.loadgen import ask
 
-    async def _dump() -> dict:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
-        try:
-            request = {"op": "SPANS"}
-            if args.limit is not None:
-                request["limit"] = args.limit
-            await write_message(writer, request)
-            msg = await read_message(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if msg is None or not msg.get("ok"):
-            error = (msg or {}).get("error", "connection closed")
-            raise ConnectionError(error)
-        return msg
-
+    request = {"op": "SPANS"}
+    if args.limit is not None:
+        request["limit"] = args.limit
     try:
-        msg = asyncio.run(_dump())
+        msg = asyncio.run(ask(args.host, args.port, request))
     except (ConnectionError, OSError) as exc:
         print(f"spans-dump failed: {exc}", file=sys.stderr)
         return 1

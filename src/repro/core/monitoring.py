@@ -10,13 +10,24 @@ you *when* the deployed model has drifted enough to matter).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.labeling import ONE_TIME, one_time_labels
 
-__all__ = ["WindowedQuality", "evaluate_admission_decisions"]
+__all__ = ["WindowedQuality", "evaluate_admission_decisions", "label_horizon"]
+
+
+def label_horizon(m_threshold: float) -> int:
+    """Requests after which a verdict's one-time label has matured.
+
+    Both scorers share this rule: ``M`` must be positive and finite.
+    """
+    if not (m_threshold > 0 and math.isfinite(m_threshold)):
+        raise ValueError("m_threshold must be positive and finite")
+    return math.ceil(m_threshold)
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,28 @@ class WindowedQuality:
     @property
     def n_windows(self) -> int:
         return int(self.n_scored.shape[0])
+
+    @classmethod
+    def from_counts(cls, window_size: int, counts: np.ndarray) -> "WindowedQuality":
+        """Quality from ``(n_windows, 4)`` confusion counts per window.
+
+        Columns are ``[tp, fp, fn, tn]`` with "one-time" (denied) the
+        positive class.  A window with no scored verdict has NaN accuracy;
+        precision and recall are NaN where their denominator is zero.
+        """
+        tp, fp, fn, tn = np.asarray(counts, dtype=np.int64).T
+
+        def ratio(num, den):
+            return np.divide(num, den, out=np.full(den.shape, np.nan), where=den > 0)
+
+        n_scored = tp + fp + fn + tn
+        return cls(
+            window_size=window_size,
+            precision=ratio(tp, tp + fp),
+            recall=ratio(tp, tp + fn),
+            accuracy=ratio(tp + tn, n_scored),
+            n_scored=n_scored,
+        )
 
     def worst_window(self) -> int:
         """Index of the lowest-accuracy window (drift alarm candidate)."""
@@ -70,41 +103,16 @@ def evaluate_admission_decisions(
     denied = np.asarray(denied, dtype=bool)
     if object_ids.shape != denied.shape or object_ids.ndim != 1:
         raise ValueError("object_ids and denied must be 1-D of equal length")
-    if m_threshold <= 0:
-        raise ValueError("m_threshold must be positive")
+    horizon = label_horizon(m_threshold)
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
 
     n = object_ids.shape[0]
-    labels = one_time_labels(object_ids, m_threshold) == ONE_TIME
-    horizon = int(np.ceil(m_threshold))
     scored_n = max(0, n - horizon)
-
+    y = (one_time_labels(object_ids, m_threshold) == ONE_TIME)[:scored_n]
+    d = denied[:scored_n]
     n_windows = max(1, -(-n // window_size))
-    precision = np.full(n_windows, np.nan)
-    recall = np.full(n_windows, np.nan)
-    accuracy = np.full(n_windows, np.nan)
-    counts = np.zeros(n_windows, dtype=np.int64)
-
-    for w in range(n_windows):
-        lo = w * window_size
-        hi = min((w + 1) * window_size, scored_n)
-        if hi <= lo:
-            continue
-        y = labels[lo:hi]
-        d = denied[lo:hi]
-        counts[w] = hi - lo
-        tp = int(np.sum(d & y))
-        fp = int(np.sum(d & ~y))
-        fn = int(np.sum(~d & y))
-        accuracy[w] = float(np.mean(d == y))
-        precision[w] = tp / (tp + fp) if tp + fp else np.nan
-        recall[w] = tp / (tp + fn) if tp + fn else np.nan
-
-    return WindowedQuality(
-        window_size=window_size,
-        precision=precision,
-        recall=recall,
-        accuracy=accuracy,
-        n_scored=counts,
-    )
+    # Cell (window, [tp, fp, fn, tn]) of every matured verdict, counted at once.
+    cell = np.arange(scored_n) // window_size * 4 + 2 * ~d + ~y
+    counts = np.bincount(cell, minlength=4 * n_windows).reshape(n_windows, 4)
+    return WindowedQuality.from_counts(window_size, counts)

@@ -6,13 +6,13 @@ positive, causing future cache misses) costs ``v`` while the opposite error
 (cache-space waste) costs 1.  ``v = 2`` for 2–12 GB caches and ``v = 3`` for
 12–20 GB in the paper's configuration.
 
-Two standard reductions are provided:
-
-* **reweighting** — scale each training sample's weight by the cost of
-  misclassifying it (works with any estimator accepting ``sample_weight``);
-* **thresholding** — fit normally, then shift the decision threshold to the
-  cost-minimising posterior p* = c01 / (c01 + c10) (Elkan 2001, Thm. 1),
-  for estimators exposing ``predict_proba``.
+:class:`CostSensitiveClassifier` applies the matrix the way the paper does,
+by **reweighting**: each training sample's weight is scaled by the cost of
+misclassifying it, so any estimator accepting ``sample_weight`` learns the
+cost rule and its fitted model serves the verdicts unchanged.
+:attr:`CostMatrix.optimal_threshold` (Elkan 2001, Thm. 1) and
+:func:`tune_threshold` are the posterior-side view of the same costs, for
+analysing calibrated scores.
 """
 
 from __future__ import annotations
@@ -132,12 +132,10 @@ class CostSensitiveClassifier(BaseEstimator):
     Parameters
     ----------
     estimator:
-        Unfitted base estimator (cloned at fit time).
+        Unfitted base estimator (cloned at fit time); it must accept
+        ``sample_weight``.
     cost_matrix:
         The asymmetric costs.
-    method:
-        ``"reweight"`` (default; multiplies sample weights) or
-        ``"threshold"`` (Elkan posterior shift; needs ``predict_proba``).
     pos_label:
         Label of the one-time-access class.
     """
@@ -147,17 +145,14 @@ class CostSensitiveClassifier(BaseEstimator):
         estimator: BaseEstimator,
         cost_matrix: CostMatrix,
         *,
-        method: str = "reweight",
         pos_label=1,
     ):
-        if method not in ("reweight", "threshold"):
-            raise ValueError(f"unknown method: {method!r}")
         self.estimator = estimator
         self.cost_matrix = cost_matrix
-        self.method = method
         self.pos_label = pos_label
 
     def fit(self, X, y, sample_weight=None) -> "CostSensitiveClassifier":
+        """Fit the base on the cost weights times ``sample_weight``."""
         y = np.asarray(y)
         classes = np.unique(y)
         if classes.shape[0] != 2:
@@ -166,15 +161,10 @@ class CostSensitiveClassifier(BaseEstimator):
             raise ValueError(f"pos_label {self.pos_label!r} not present in y")
         self.classes_ = classes
         self.model_ = copy.deepcopy(self.estimator)
-        if self.method == "reweight":
-            w = self.cost_matrix.sample_weights(y, self.pos_label)
-            if sample_weight is not None:
-                w = w * np.asarray(sample_weight, dtype=np.float64)
-            self.model_.fit(X, y, sample_weight=w)
-        else:
-            if not hasattr(self.estimator, "predict_proba"):
-                raise TypeError("threshold method needs predict_proba")
-            self.model_.fit(X, y, sample_weight=sample_weight)
+        w = self.cost_matrix.sample_weights(y, self.pos_label)
+        if sample_weight is not None:
+            w = w * np.asarray(sample_weight, dtype=np.float64)
+        self.model_.fit(X, y, sample_weight=w)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -183,102 +173,20 @@ class CostSensitiveClassifier(BaseEstimator):
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
-        X = check_array(X)
-        if self.method == "reweight":
-            return self.model_.predict(X)
-        proba = self.model_.predict_proba(X)
-        pos_col = int(np.nonzero(self.model_.classes_ == self.pos_label)[0][0])
-        neg = self.classes_[self.classes_ != self.pos_label][0]
-        positive = proba[:, pos_col] >= self.cost_matrix.optimal_threshold
-        out = np.where(positive, self.pos_label, neg)
-        return out.astype(self.classes_.dtype)
-
-    # -------------------------------------------------- single-row hot path
+        return self.model_.predict(check_array(X))
 
     def predict_one(self, x):
-        """Single-row verdict, exactly matching ``predict(x[None, :])[0]``.
-
-        Reweighting delegates to the wrapped estimator's own fast path;
-        thresholding applies the Elkan posterior shift to a single-row
-        ``predict_proba`` (using the estimator's allocation-light
-        ``predict_proba_one`` when it has one).
-        """
+        """Single-row verdict: the fitted base's own fast path."""
         self._check_fitted()
-        if self.method == "reweight":
-            return self.model_.predict_one(x)
-        proba_one = getattr(self.model_, "predict_proba_one", None)
-        if proba_one is not None:
-            proba = proba_one(x)
-        else:
-            proba = self.model_.predict_proba(
-                np.asarray(x, dtype=np.float64).reshape(1, -1)
-            )[0]
-        pos_col = int(np.nonzero(self.model_.classes_ == self.pos_label)[0][0])
-        neg = self.classes_[self.classes_ != self.pos_label][0]
-        if proba[pos_col] >= self.cost_matrix.optimal_threshold:
-            return self.pos_label
-        return neg
+        return self.model_.predict_one(x)
 
     def compile_predictor(self):
-        """Compile the fitted wrapper into fast exact-parity functions.
+        """The fitted base's fastest exact-parity predictor.
 
-        With a decision-tree base the whole decision rule — including the
-        thresholding method's posterior shift — is baked into the
-        code-generated tree (each leaf's label is precomputed under the
-        cost rule), so one compiled call replaces proba + threshold +
-        relabel.  Margin models exposing ``compile_proba`` (the GBDT) get
-        a compiled-posterior threshold instead: the ensemble's compiled
-        walkers produce the margin, one sigmoid + comparison produces the
-        verdict, bit-identical to ``predict``.  Other bases fall back to
-        the generic fast wrapper.
+        The cost rule lives in the training weights, so the base's own
+        compiled tree (or GBDT walkers) already serves the wrapper's verdicts.
         """
-        from repro.ml.fastpath import CompiledPredictor, _wrap_generic, fast_predictor
+        from repro.ml.fastpath import fast_predictor
 
         self._check_fitted()
-        inner = self.model_
-        if self.method == "reweight":
-            return fast_predictor(inner)
-        if hasattr(inner, "value_") and hasattr(inner, "compile_predictor"):
-            pos_col = int(np.nonzero(inner.classes_ == self.pos_label)[0][0])
-            neg = self.classes_[self.classes_ != self.pos_label][0]
-            dist = inner.value_
-            totals = dist.sum(axis=1)
-            totals[totals == 0] = 1.0
-            p_pos = dist[:, pos_col] / totals
-            labels = np.where(
-                p_pos >= self.cost_matrix.optimal_threshold, self.pos_label, neg
-            ).astype(self.classes_.dtype)
-            return inner.compile_predictor(leaf_labels=labels)
-        proba_compile = getattr(inner, "compile_proba", None)
-        if callable(proba_compile):
-            cp = proba_compile()
-            # ``compile_proba`` yields P(class 1); the reference compares
-            # ``proba[:, pos_col]``, i.e. 1 − p1 when pos_label is class 0.
-            pos_is_col1 = (
-                int(np.nonzero(inner.classes_ == self.pos_label)[0][0]) == 1
-            )
-            neg = self.classes_[self.classes_ != self.pos_label][0]
-            neg_scalar = neg.item()
-            pos_label = self.pos_label
-            thr = self.cost_matrix.optimal_threshold
-            dtype = self.classes_.dtype
-            proba_one = cp.predict_one
-            proba_batch = cp.predict
-
-            def predict_one(x):
-                p1 = proba_one(x)
-                p = p1 if pos_is_col1 else 1.0 - p1
-                return pos_label if p >= thr else neg_scalar
-
-            def predict(X):
-                p1 = proba_batch(X)
-                p = p1 if pos_is_col1 else 1.0 - p1
-                return np.where(p >= thr, pos_label, neg).astype(dtype)
-
-            return CompiledPredictor(
-                predict_one=predict_one,
-                predict=predict,
-                compiled=cp.compiled,
-                n_nodes=cp.n_nodes,
-            )
-        return _wrap_generic(self)
+        return fast_predictor(self.model_)

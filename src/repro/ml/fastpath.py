@@ -123,10 +123,9 @@ def compile_tree_arrays(
 
     Parameters mirror the fitted attributes of
     :class:`~repro.ml.tree.DecisionTreeClassifier`; ``leaf_labels`` holds
-    the label every node would report *as a leaf* (internal-node entries
-    are ignored), which lets callers bake custom decision rules — e.g. the
-    Elkan threshold shift — directly into the compiled code.  Batch
-    predictions come back in ``leaf_labels``' dtype.
+    the label (or, for a regressor, the value) every node would report *as
+    a leaf*; internal-node entries are ignored.  Batch predictions come
+    back in ``leaf_labels``' dtype.
     """
     feat = np.asarray(feature, dtype=np.int64).tolist()
     thr = np.asarray(threshold, dtype=np.float64).tolist()

@@ -195,31 +195,6 @@ class GradientBoostingClassifier(BaseEstimator):
             n_nodes=sum(t.n_nodes for t in trees),
         )
 
-    def compile_proba(self):
-        """Compiled positive-class posterior (``predict_proba[:, 1]``).
-
-        The scalar twin pushes its margin through :func:`_sigmoid` on a
-        one-element array so the exact same elementwise exp is used as the
-        batch/reference path — ``math.exp`` may differ from ``np.exp`` in
-        the last ulp, which would break bit-parity at the threshold.
-        """
-        df = self.compile_decision_function()
-        decision_one = df.predict_one
-        decision_batch = df.predict
-
-        def proba_one(x):
-            return float(_sigmoid(np.array([decision_one(x)]))[0])
-
-        def proba_batch(X):
-            return _sigmoid(decision_batch(X))
-
-        return CompiledPredictor(
-            predict_one=proba_one,
-            predict=proba_batch,
-            compiled=df.compiled,
-            n_nodes=df.n_nodes,
-        )
-
     def compile_predictor(self):
         """Compiled class predictions, bit-identical to ``predict``."""
         df = self.compile_decision_function()

@@ -78,6 +78,20 @@ def _cut_positions(vs: np.ndarray, min_leaf: int) -> np.ndarray:
     return cut
 
 
+def _exact_cuts(X: np.ndarray, indices: np.ndarray, feats, min_leaf: int):
+    """The exact searches' per-feature scan: for each feature ``j`` in
+    ``feats`` with at least one valid cut, yield ``(j, order, vs, cut)`` —
+    the node's stable sort order on ``X[indices, j]``, the sorted values
+    and the cut positions (:func:`_cut_positions`)."""
+    for j in feats:
+        v = X[indices, j]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cut = _cut_positions(vs, min_leaf)
+        if cut.shape[0]:
+            yield j, order, vs, cut
+
+
 def _cut_threshold(vs: np.ndarray, i: int) -> float:
     """Midpoint after sorted position ``i``, guarded against rounding onto
     the right value (routing is ``x <= threshold``)."""
@@ -253,7 +267,7 @@ class _FlatTree(BaseEstimator):
         feature, threshold, left, right, labels = self._single_plan()
         return labels[walk(x, feature, threshold, left, right)]
 
-    def compile_predictor(self, leaf_labels=None):
+    def compile_predictor(self):
         """Code-generate this fitted tree into native Python functions.
 
         Returns a :class:`~repro.ml.fastpath.CompiledPredictor` whose
@@ -262,14 +276,11 @@ class _FlatTree(BaseEstimator):
         rows) and whose ``predict`` is the vectorised ``numpy.where``
         twin.  The generated code returns literals whose ``repr``
         round-trips exactly, so compiled predictions are bit-identical to
-        :meth:`predict`.  ``leaf_labels`` overrides the per-node labels,
-        letting cost-sensitive wrappers bake their decision rule into the
-        code.
+        :meth:`predict`.  A cost-sensitive tree needs nothing more: its
+        costs are in the training weights, hence in the leaf labels.
         """
         self._check_fitted()
-        if leaf_labels is None:
-            leaf_labels = self._node_labels()
-        return compile_tree_arrays(*self._structure(), leaf_labels)
+        return compile_tree_arrays(*self._structure(), self._node_labels())
 
     # ------------------------------------------------------------ inspection
 
@@ -388,14 +399,7 @@ class DecisionTreeClassifier(_FlatTree):
         onehot_w[np.arange(n), y_node] = w_node
 
         best: Split | None = None
-        for j in feats:
-            v = X[indices, j]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            cut = _cut_positions(vs, self.min_samples_leaf)
-            if cut.shape[0] == 0:
-                continue
-
+        for j, order, vs, cut in _exact_cuts(X, indices, feats, self.min_samples_leaf):
             cw = np.cumsum(onehot_w[order], axis=0)  # (n, k)
             left_cw = cw[cut]
             right_cw = class_w - left_cw
@@ -434,13 +438,6 @@ class DecisionTreeClassifier(_FlatTree):
     def _node_labels(self) -> np.ndarray:
         """Per-node majority label (what each node reports as a leaf)."""
         return self.classes_[np.argmax(self.value_, axis=1)]
-
-    def predict_proba_one(self, x) -> np.ndarray:
-        """Class distribution at the leaf ``x`` lands in (single row)."""
-        leaf = walk(x, *self._single_plan()[:4])
-        dist = self.value_[leaf]
-        total = dist.sum()
-        return dist / total if total > 0 else dist
 
     # ------------------------------------------------------------ inspection
 
@@ -591,13 +588,8 @@ class DecisionTreeRegressor(_FlatTree):
         base = total_wy * total_wy / total_w
 
         best: Split | None = None
-        for j in range(X.shape[1]):
-            v = X[indices, j]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            cut = _cut_positions(vs, self.min_samples_leaf)
-            if cut.shape[0] == 0:
-                continue
+        feats = range(X.shape[1])
+        for j, order, vs, cut in _exact_cuts(X, indices, feats, self.min_samples_leaf):
             cw = np.cumsum(w_node[order])[cut]
             cwy = np.cumsum((w_node * y_node)[order])[cut]
             rw = total_w - cw

@@ -22,12 +22,11 @@ stream length.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
 
-from repro.core.monitoring import WindowedQuality
+from repro.core.monitoring import WindowedQuality, label_horizon
 from repro.obs.structlog import get_logger
 
 __all__ = ["DriftMonitor"]
@@ -69,14 +68,12 @@ class DriftMonitor:
         registry=None,
         on_alarm=(),
     ):
-        if not (m_threshold > 0 and math.isfinite(m_threshold)):
-            raise ValueError("m_threshold must be positive and finite")
+        self.horizon = label_horizon(m_threshold)
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
         if alarm_threshold is not None and not 0.0 <= alarm_threshold <= 1.0:
             raise ValueError("alarm_threshold must be in [0, 1]")
         self.m_threshold = float(m_threshold)
-        self.horizon = int(math.ceil(m_threshold))
         self.window_size = int(window_size)
         self.alarm_threshold = alarm_threshold
         self.on_alarm = list(on_alarm)
@@ -226,26 +223,11 @@ class DriftMonitor:
             n_windows = max(1, max(self._counts, default=0) + 1)
         else:
             n_windows = max(1, -(-n_total // self.window_size))
-        precision = np.full(n_windows, np.nan)
-        recall = np.full(n_windows, np.nan)
-        accuracy = np.full(n_windows, np.nan)
-        n_scored = np.zeros(n_windows, dtype=np.int64)
-        for w, (tp, fp, fn, tn) in self._counts.items():
-            if w >= n_windows:
-                continue
-            total = tp + fp + fn + tn
-            n_scored[w] = total
-            if total:
-                accuracy[w] = (tp + tn) / total
-            precision[w] = tp / (tp + fp) if tp + fp else np.nan
-            recall[w] = tp / (tp + fn) if tp + fn else np.nan
-        return WindowedQuality(
-            window_size=self.window_size,
-            precision=precision,
-            recall=recall,
-            accuracy=accuracy,
-            n_scored=n_scored,
-        )
+        counts = np.zeros((n_windows, 4), dtype=np.int64)
+        for w, window in self._counts.items():
+            if w < n_windows:
+                counts[w] = window
+        return WindowedQuality.from_counts(self.window_size, counts)
 
     def snapshot(self) -> dict:
         """JSON-able summary for STATS / ``/statsz``."""

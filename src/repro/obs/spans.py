@@ -22,8 +22,8 @@ Design constraints, in order:
   (including those in ``await``-ed code and tasks created inside the
   span) inherit it, and independent roots never share a tid.
 * **Bounded memory.**  The ring keeps the newest ``capacity`` finished
-  spans; :attr:`Tracer.dropped` counts evictions so a drain can report
-  loss honestly.
+  spans; :attr:`Tracer.dropped` counts evictions (never drained spans)
+  so a drain can report loss honestly.
 
 Span bodies use the context-manager form::
 
@@ -157,6 +157,7 @@ class Tracer:
         self.clock = clock
         self._spans: deque[dict] = deque(maxlen=capacity)
         self.recorded = 0      # spans ever finished (ring may have evicted)
+        self._drained = 0      # spans removed by ``events(clear=True)``
         self._next_track = _TrackCounter()
 
     # ------------------------------------------------------------ recording
@@ -225,8 +226,8 @@ class Tracer:
 
     @property
     def dropped(self) -> int:
-        """Finished spans evicted by the ring bound."""
-        return self.recorded - len(self._spans)
+        """Finished spans evicted by the ring bound (a drain is not a drop)."""
+        return self.recorded - self._drained - len(self._spans)
 
     def events(self, limit: int | None = None, *, clear: bool = False) -> list[dict]:
         """The newest buffered spans, oldest-first (up to ``limit``)."""
@@ -234,12 +235,14 @@ class Tracer:
         if limit is not None and limit < len(spans):
             spans = spans[len(spans) - limit:]
         if clear:
+            self._drained += len(self._spans)
             self._spans.clear()
         return spans
 
     def clear(self) -> None:
         self._spans.clear()
         self.recorded = 0
+        self._drained = 0
 
     def to_chrome(self, *, process_name: str = "repro") -> dict:
         """Chrome trace-event JSON of the buffered spans."""

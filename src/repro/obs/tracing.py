@@ -70,6 +70,7 @@ class DecisionTrace:
         self._events: deque[dict] = deque(maxlen=self.capacity)
         self.seen = 0      # requests offered to the sampler
         self.sampled = 0   # events actually recorded
+        self._drained = 0  # events removed by ``events(clear=True)``
 
     def should_sample(self, index: int) -> bool:
         """Deterministic per-position sampling decision."""
@@ -86,8 +87,8 @@ class DecisionTrace:
 
     @property
     def dropped(self) -> int:
-        """Sampled events evicted by the ring bound."""
-        return self.sampled - len(self._events)
+        """Sampled events evicted by the ring bound (a drain is not a drop)."""
+        return self.sampled - self._drained - len(self._events)
 
     def events(self, limit: int | None = None, *, clear: bool = False) -> list[dict]:
         """Most recent events, oldest first (at most ``limit``)."""
@@ -97,6 +98,7 @@ class DecisionTrace:
                 raise ValueError("limit must be >= 0")
             out = out[-limit:] if limit else []
         if clear:
+            self._drained += len(self._events)
             self._events.clear()
         return out
 
@@ -104,6 +106,7 @@ class DecisionTrace:
         self._events.clear()
         self.seen = 0
         self.sampled = 0
+        self._drained = 0
 
     def __len__(self) -> int:
         return len(self._events)

@@ -49,7 +49,7 @@ from repro.server.protocol import (
 )
 from repro.trace.records import Trace
 
-__all__ = ["LoadgenConfig", "LoadgenResult", "run_loadgen", "replay"]
+__all__ = ["LoadgenConfig", "LoadgenResult", "ask", "run_loadgen", "replay"]
 
 #: Flush the sender's request buffer at this size even without a
 #: schedule gap — bounds client memory at unsustainable offered rates.
@@ -263,21 +263,30 @@ async def _replay_connection(
             pass
 
 
-async def fetch_stats(host: str, port: int) -> dict:
-    """One-shot STATS request on a fresh connection."""
+async def ask(host: str, port: int, message: dict) -> dict:
+    """One control verb on a fresh connection; the server's ``ok`` reply.
+
+    Raises :class:`ConnectionError` with the server's error text (or
+    "connection closed") when the reply is missing or not ``ok``.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        await write_message(writer, {"op": "STATS"})
+        await write_message(writer, message)
         msg = await read_message(reader)
-        if msg is None or not msg.get("ok"):
-            raise ConnectionError(f"STATS failed: {msg!r}")
-        return msg["stats"]
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+    if msg is None or not msg.get("ok"):
+        raise ConnectionError((msg or {}).get("error", "connection closed"))
+    return msg
+
+
+async def fetch_stats(host: str, port: int) -> dict:
+    """One-shot STATS request on a fresh connection."""
+    return (await ask(host, port, {"op": "STATS"}))["stats"]
 
 
 def _publish(result: LoadgenResult, latencies: list[float], registry) -> None:

@@ -84,6 +84,21 @@ from repro.trace.records import Trace
 
 logger = get_logger("server.node")
 
+#: The bounded-drain verbs: the node's ring, the reply key of the drained
+#: entries, the error when that ring is off, and the ring's accounting.
+_DRAINS = {
+    "TRACE": (
+        "tracer", "events", "decision tracing disabled",
+        lambda t: {"seen": t.seen, "sampled": t.sampled, "dropped": t.dropped,
+                   "sample_rate": t.sample_rate},
+    ),
+    "SPANS": (
+        "spans", "spans", "span tracing disabled",
+        lambda s: {"recorded": s.recorded, "dropped": s.dropped,
+                   "capacity": s.capacity},
+    ),
+}
+
 __all__ = [
     "NodeConfig",
     "CacheNode",
@@ -1122,10 +1137,8 @@ class CacheNodeServer:
             )
         elif op == "PING":
             conn.send({"ok": True, "op": "PING"})
-        elif op == "TRACE":
-            self._dispatch_trace(message, conn)
-        elif op == "SPANS":
-            self._dispatch_spans(message, conn)
+        elif op in _DRAINS:
+            self._dispatch_drain(op, message, conn)
         elif op == "RESET":
             if self.queue_depth:
                 conn.send(error_response("RESET", "requests still in flight"))
@@ -1143,67 +1156,30 @@ class CacheNodeServer:
         else:
             conn.send(error_response(op, f"unknown op {op!r}"))
 
-    def _dispatch_trace(self, message: dict, conn: _Connection) -> None:
-        tracer = self.node.tracer
-        if tracer is None:
-            conn.send(error_response("TRACE", "decision tracing disabled"))
-            return
-        limit = message.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-        ):
-            conn.send(
-                error_response("TRACE", "limit must be a non-negative integer")
-            )
-            return
-        seen, sampled, dropped = tracer.seen, tracer.sampled, tracer.dropped
-        # One frame drains at most 10k events (bounded response size); an
-        # omitted limit means "everything buffered" up to that cap.
-        events = tracer.events(
-            limit=10_000 if limit is None else min(limit, 10_000),
-            clear=bool(message.get("clear")),
-        )
-        conn.send(
-            {
-                "ok": True,
-                "op": "TRACE",
-                "events": events,
-                "seen": seen,
-                "sampled": sampled,
-                "dropped": dropped,
-                "sample_rate": tracer.sample_rate,
-            }
-        )
+    def _dispatch_drain(self, op: str, message: dict, conn: _Connection) -> None:
+        """``TRACE`` / ``SPANS``: the ring's newest entries and its accounting.
 
-    def _dispatch_spans(self, message: dict, conn: _Connection) -> None:
-        spans = self.node.spans
-        if spans is None:
-            conn.send(error_response("SPANS", "span tracing disabled"))
+        One frame drains at most 10k entries (bounded response size); an
+        omitted limit means "everything buffered" up to that cap.  ``clear``
+        empties the whole ring, delivered or not.
+        """
+        attr, key, disabled, accounting = _DRAINS[op]
+        ring = getattr(self.node, attr)
+        if ring is None:
+            conn.send(error_response(op, disabled))
             return
         limit = message.get("limit")
         if limit is not None and (
             not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
         ):
-            conn.send(
-                error_response("SPANS", "limit must be a non-negative integer")
-            )
+            conn.send(error_response(op, "limit must be a non-negative integer"))
             return
-        recorded, dropped = spans.recorded, spans.dropped
-        # Same bounded-drain contract as TRACE: at most 10k spans a frame.
-        events = spans.events(
+        counts = accounting(ring)
+        entries = ring.events(
             limit=10_000 if limit is None else min(limit, 10_000),
             clear=bool(message.get("clear")),
         )
-        conn.send(
-            {
-                "ok": True,
-                "op": "SPANS",
-                "spans": events,
-                "recorded": recorded,
-                "dropped": dropped,
-                "capacity": spans.capacity,
-            }
-        )
+        conn.send({"ok": True, "op": op, key: entries, **counts})
 
 
 async def run_server(

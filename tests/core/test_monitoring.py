@@ -77,3 +77,8 @@ class TestEvaluateDecisions:
             evaluate_admission_decisions(
                 np.zeros(3), np.zeros(3, bool), 10, window_size=0
             )
+
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_m_rejected_like_the_drift_monitor(self, m):
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate_admission_decisions(np.zeros(3), np.zeros(3, bool), m)

@@ -126,26 +126,36 @@ class TestCostSensitiveClassifier:
         assert p1 >= p0
         assert r1 <= r0
 
-    def test_threshold_method_equivalent_direction(self):
+    def test_fit_is_the_base_fit_on_cost_times_sample_weights(self):
+        """The paper's reduction (§4.4.1), pinned: fitting the wrapper is
+        fitting its base on the Elkan cost weights times the caller's."""
+        X, y = _imbalanced_noisy_dataset(seed=3, n=800)
+        s = np.random.default_rng(3).uniform(0.5, 2.0, size=y.shape[0])
+        cm = CostMatrix(fn_cost=1.0, fp_cost=3.0)
+        wrapped = CostSensitiveClassifier(DecisionTreeClassifier(rng=0), cm).fit(
+            X, y, sample_weight=s
+        )
+        direct = DecisionTreeClassifier(rng=0).fit(
+            X, y, sample_weight=cm.sample_weights(y) * s
+        )
+        for name in (
+            "feature_", "threshold_", "children_left_", "children_right_", "value_"
+        ):
+            np.testing.assert_array_equal(
+                getattr(wrapped.model_, name), getattr(direct, name)
+            )
+        assert wrapped.compile_predictor().source == direct.compile_predictor().source
+
+    def test_logistic_base_is_reweighted_too(self):
+        """A base without a tree still gets the weights and a predictor."""
         X, y = _imbalanced_noisy_dataset(seed=1)
         cs = CostSensitiveClassifier(
-            LogisticRegression(max_iter=500),
-            CostMatrix(fn_cost=1.0, fp_cost=4.0),
-            method="threshold",
+            LogisticRegression(max_iter=500), CostMatrix(fn_cost=1.0, fp_cost=4.0)
         ).fit(X, y)
         base = LogisticRegression(max_iter=500).fit(X, y)
-        # Raising the positive threshold can only shrink the positive set.
+        # Costlier false positives can only shrink the positive set.
         assert cs.predict(X).sum() <= base.predict(X).sum()
-
-    def test_threshold_method_needs_proba(self):
-        class NoProba:
-            def fit(self, X, y, sample_weight=None):
-                return self
-
-        with pytest.raises(TypeError):
-            CostSensitiveClassifier(
-                NoProba(), CostMatrix(), method="threshold"
-            ).fit(np.zeros((4, 1)), [0, 1, 0, 1])
+        np.testing.assert_array_equal(cs.compile_predictor().predict(X), cs.predict(X))
 
     def test_multiclass_rejected(self):
         with pytest.raises(ValueError):
@@ -158,12 +168,6 @@ class TestCostSensitiveClassifier:
             CostSensitiveClassifier(
                 DecisionTreeClassifier(), CostMatrix(), pos_label=5
             ).fit(np.random.random((4, 2)), [0, 1, 0, 1])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            CostSensitiveClassifier(
-                DecisionTreeClassifier(), CostMatrix(), method="magic"
-            )
 
     def test_original_estimator_not_mutated(self):
         X, y = _imbalanced_noisy_dataset(seed=2, n=500)

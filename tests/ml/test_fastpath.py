@@ -4,7 +4,7 @@ The contract: :meth:`DecisionTreeClassifier.predict_one`, the
 code-generated :class:`~repro.ml.fastpath.CompiledPredictor` (single-row
 *and* vectorised batch), and the reference ``predict`` must agree on
 **every** input for **every** fitted tree — including cost-sensitive
-wrappers (both Elkan methods) and trees refitted under a tighter budget.
+(reweighted) wrappers and trees refitted under a tighter budget.
 """
 
 import gc
@@ -57,14 +57,8 @@ _SERVED_MODELS = {
     "regressor": DecisionTreeRegressor(),
     "regressor-binned": DecisionTreeRegressor(bins=8),
     "gbdt": GradientBoostingClassifier(3),
-    **{
-        f"{method}-{base_name}": CostSensitiveClassifier(base, _COSTS, method=method)
-        for base_name, base in (
-            ("cart", DecisionTreeClassifier()),
-            ("gbdt", GradientBoostingClassifier(3)),
-        )
-        for method in ("reweight", "threshold")
-    },
+    "reweight-cart": CostSensitiveClassifier(DecisionTreeClassifier(), _COSTS),
+    "reweight-gbdt": CostSensitiveClassifier(GradientBoostingClassifier(3), _COSTS),
 }
 
 
@@ -110,16 +104,15 @@ class TestTreeParity:
 
 
 class TestCostSensitiveParity:
-    @given(case=fitted_tree_cases, method=st.sampled_from(["reweight", "threshold"]))
+    @given(case=fitted_tree_cases)
     @settings(max_examples=30, deadline=None)
-    def test_both_elkan_methods(self, case, method):
+    def test_reweighted_tree_parity(self, case):
         seed, n, d, _, max_splits = case
         rng = np.random.default_rng(seed)
         X, y = _dataset(rng, n, d, 2)
         clf = CostSensitiveClassifier(
             DecisionTreeClassifier(max_splits=max_splits, rng=0),
             CostMatrix(fn_cost=1.0, fp_cost=3.0),
-            method=method,
         ).fit(X, y)
         compiled = clf.compile_predictor()
 

@@ -53,9 +53,10 @@ class TestFitBasics:
         """The cached scalar walk is fitted state: a clone must not keep it."""
         tree = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
         assert tree.predict_one([0.0]) == 0  # populates the cache
-        for call in ("predict_one", "predict_proba_one", "compile_predictor"):
-            with pytest.raises(RuntimeError, match="not fitted"):
-                getattr(_clone(tree), call)([1.0])
+        with pytest.raises(RuntimeError, match="not fitted"):
+            _clone(tree).predict_one([1.0])
+        with pytest.raises(RuntimeError, match="not fitted"):
+            _clone(tree).compile_predictor()
 
     def test_feature_count_mismatch_raises(self):
         tree = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])

@@ -150,6 +150,23 @@ class TestRingBounds:
         assert len(tr) == 0
         assert tr.recorded == 1
 
+    def test_drained_spans_are_not_dropped(self):
+        """``dropped`` counts ring evictions only, never delivered spans."""
+        tr = Tracer(capacity=100)
+        for i in range(10):
+            tr.add(f"s{i}", "test", i, i + 1)
+        assert len(tr.events(clear=True)) == 10
+        assert tr.dropped == 0
+        tr = Tracer(capacity=5)
+        for i in range(8):
+            tr.add(f"s{i}", "test", i, i + 1)
+        assert tr.dropped == 3
+        tr.events(limit=1, clear=True)  # clears all five, delivers one
+        assert tr.dropped == 3
+        for i in range(7):
+            tr.add(f"t{i}", "test", i, i + 1)
+        assert tr.dropped == 5 and tr.recorded == 15
+
     def test_clear_resets_everything(self):
         tr = Tracer(capacity=1)
         tr.add("a", "test", 0, 1)

@@ -70,6 +70,23 @@ class TestRingBuffer:
         assert len(t) == 0
         assert t.seen == 4 and t.sampled == 4
 
+    def test_drained_events_are_not_dropped(self):
+        """``dropped`` counts ring evictions only, never delivered events."""
+        t = DecisionTrace(capacity=100)
+        for i in range(10):
+            t.record(event(i))
+        assert len(t.events(clear=True)) == 10
+        assert t.dropped == 0
+        t = DecisionTrace(capacity=5)
+        for i in range(8):
+            t.record(event(i))
+        assert t.dropped == 3
+        t.events(limit=1, clear=True)  # clears all five, delivers one
+        assert t.dropped == 3
+        for i in range(7):
+            t.record(event(i))
+        assert t.dropped == 5 and t.sampled == 15
+
     def test_clear_resets_counters(self):
         t = DecisionTrace(capacity=10)
         t.should_sample(0)
