@@ -50,6 +50,15 @@ PARENT_DIGEST = (
     "1e2ccb1537a7c2641f844fa00b32fa021507ef11cd6d73c6da487cf3870fc5ab"
 )
 
+#: sha256 over ``run_experiment`` at every (policy, fraction) of
+#: ``_GRID_KW`` (so the cost boundary is straddled): every configuration's
+#: counters, the criterion, ``v``, both Eq. 3–6 latencies, the daily
+#: predictions and quality, and ``summary()``.  Recorded at the parent of
+#: the PR that made ``run_experiment`` one capacity block of the grid.
+PIPELINE_DIGEST = (
+    "61015cee76ad829a93a00f7674e9364171b55a4e3abea3be37d3d5eff593d937"
+)
+
 
 def _make_trace(seed=33, n_objects=1500, days=2.0):
     return generate_trace(
@@ -75,6 +84,21 @@ def _grid_digest(runner):
     return h.hexdigest()
 
 
+def _pipeline_digest(trace):
+    h = hashlib.sha256()
+    for policy in _GRID_KW["policies"]:
+        for fraction in _GRID_KW["fractions"]:
+            r = run_experiment(trace, policy=policy, capacity_fraction=fraction)
+            for config in CONFIGS:
+                stats = getattr(r, config).stats
+                h.update(repr((config, dataclasses.astuple(stats))).encode())
+            h.update(repr((r.criteria, r.cost_v, r.latency_original,
+                           r.latency_proposal, r.training.overall,
+                           r.summary())).encode())
+            h.update(r.training.predictions.tobytes())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def trace():
     return _make_trace()
@@ -97,6 +121,9 @@ def no_workers_left():
 class TestCrossStartMethod:
     def test_inline_grid_matches_parent_digest(self, inline_grid):
         assert _grid_digest(inline_grid) == PARENT_DIGEST
+
+    def test_run_experiment_matches_parent_digest(self, trace):
+        assert _pipeline_digest(trace) == PIPELINE_DIGEST
 
     @pytest.mark.parametrize("method", MP_METHODS)
     def test_bit_identical_across_methods(self, method, trace, inline_grid,
