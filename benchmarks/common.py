@@ -15,7 +15,6 @@ from pathlib import Path
 from repro.experiments.grid import (  # noqa: F401  (re-exported for benches)
     CONFIGS,
     POLICIES,
-    GridPoint,
     GridRunner,
     format_sweep_table,
 )

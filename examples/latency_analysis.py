@@ -13,8 +13,8 @@ from repro.config import LatencyConstants
 from repro.core.latency import LatencyModel
 
 
-def main() -> None:
-    trace_cfg = WorkloadConfig(n_objects=25_000, seed=9)
+def main(n_objects: int = 25_000) -> None:
+    trace_cfg = WorkloadConfig(n_objects=n_objects, seed=9)
 
     print("=== measured latency per policy (Fig. 10 style) ===")
     print(f"{'policy':8s} {'orig ms':>9s} {'prop ms':>9s} {'gain':>7s}")
@@ -22,7 +22,7 @@ def main() -> None:
     for policy in ("lru", "fifo", "s3lru", "arc", "lirs"):
         r = run_experiment(
             trace_cfg, policy=policy, capacity_fraction=0.01,
-            include_belady=False, include_ideal=False, rng=0,
+            include_belady=False, rng=0,
         )
         results[policy] = r
         print(f"{policy:8s} {1e3 * r.latency_original:9.3f} "

@@ -21,14 +21,9 @@ from repro.trace import compute_stats, generate_trace
 from repro.trace.stats import type_request_histogram
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--objects", type=int, default=60_000)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
+def main(n_objects: int = 60_000, seed: int = 7) -> None:
     print("=== generating 9-day QQPhoto-like trace ===")
-    trace = generate_trace(WorkloadConfig(n_objects=args.objects, seed=args.seed))
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=seed))
     stats = compute_stats(trace)
     print(stats.summary())
 
@@ -59,4 +54,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--objects", type=int, default=60_000)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    main(args.objects, args.seed)

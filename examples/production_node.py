@@ -22,8 +22,7 @@ from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
 from repro.core.labeling import one_time_labels, reaccess_distances
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
-from repro.ml import DecisionTreeClassifier
-from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
+from repro.core.training import paper_classifier
 from repro.ssd import simulate_on_ssd
 from repro.trace import WorkloadConfig, generate_trace
 
@@ -34,8 +33,8 @@ def build_node(ssd_capacity: int) -> HierarchicalCache:
     )
 
 
-def main() -> None:
-    trace = generate_trace(WorkloadConfig(n_objects=15_000, seed=13))
+def main(n_objects: int = 15_000) -> None:
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=13))
     ssd_capacity = max(1, trace.footprint_bytes // 60)
     print(
         f"node: DRAM {0.05 * ssd_capacity / 2**20:.0f} MiB + "
@@ -49,10 +48,9 @@ def main() -> None:
     labels = one_time_labels(trace.object_ids, criteria.m_threshold)
     fm = extract_features(trace).select(PAPER_FEATURE_NAMES)
     day1 = trace.timestamps < 86400.0
-    model = CostSensitiveClassifier(
-        DecisionTreeClassifier(max_splits=30, rng=0),
-        CostMatrix(fn_cost=1.0, fp_cost=2.0),
-    ).fit(fm.X[day1], labels[day1])
+    model = paper_classifier(cost_v=2.0, max_splits=30, seed=0).fit(
+        fm.X[day1], labels[day1]
+    )
 
     # ---- baseline node
     base = simulate_on_ssd(

@@ -11,8 +11,8 @@ Run:  python examples/quickstart.py
 from repro import WorkloadConfig, run_experiment
 
 
-def main() -> None:
-    workload = WorkloadConfig(n_objects=20_000, seed=42)
+def main(n_objects: int = 20_000) -> None:
+    workload = WorkloadConfig(n_objects=n_objects, seed=42)
     result = run_experiment(workload, policy="lru", capacity_fraction=0.01)
 
     print(result.summary())

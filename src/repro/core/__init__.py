@@ -35,9 +35,9 @@ from repro.core.admission import (
 from repro.core.adaptive import AdaptiveThresholdAdmission
 from repro.core.monitoring import WindowedQuality, evaluate_admission_decisions
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
-from repro.core.training import DailyTrainingResult, train_daily_classifier
+from repro.core.training import DailyTrainingResult, paper_classifier, train_daily_classifier
 from repro.core.latency import LatencyModel
-from repro.core.pipeline import ExperimentResult, run_experiment
+from repro.core.pipeline import CapacityBlock, ExperimentResult, capacity_block, run_experiment
 
 __all__ = [
     "Criteria",
@@ -60,8 +60,11 @@ __all__ = [
     "OnlineClassifierAdmission",
     "OnlineFeatureTracker",
     "DailyTrainingResult",
+    "paper_classifier",
     "train_daily_classifier",
     "LatencyModel",
+    "CapacityBlock",
     "ExperimentResult",
+    "capacity_block",
     "run_experiment",
 ]

@@ -1,28 +1,36 @@
-"""End-to-end experiment driver: the Figs. 6–10 comparison in one call.
+"""End-to-end experiment driver: the Figs. 6–10 comparison.
 
-:func:`run_experiment` wires the whole system together for one (policy,
-capacity) point:
+:func:`capacity_block` is the one computation of a Figs. 6–10 point.  For
+one capacity and every policy of the block it:
 
-1. synthesise (or accept) a trace;
-2. simulate the **Original** configuration (plain replacement policy) —
-   its measured hit rate feeds the criterion solve;
-3. solve the one-time-access **criterion** ``M`` (LIRS gets ``M·R_s``);
-4. label every access, extract features, run the **daily training loop**;
-5. simulate **Proposal** (classifier + history table), **Ideal** (oracle
-   labels) and **Belady** (offline optimal);
-6. evaluate the Eq. 3–6 latency model on each configuration.
+1. simulates the **Original** configuration (plain replacement policy);
+2. solves the one-time-access **criterion** ``M`` with LRU's measured hit
+   rate when LRU is in the block, else the first policy's (clamped to
+   0.999); LIRS gets ``M·R_s``;
+3. labels every access and runs the **daily training loop** (§3.2, §4.4),
+   once for the LRU family and once for LIRS, each only when one of its
+   policies is in the block;
+4. simulates **Proposal** (classifier + history table) and **Ideal**
+   (oracle labels) per policy, and **Belady** (offline optimal) once.
+
+:meth:`CapacityBlock.point` reads one policy's :class:`ExperimentResult`
+out of a block, with the Eq. 3–6 latencies; :func:`run_experiment` is one
+block of one policy, and :class:`repro.experiments.GridRunner` one block
+per capacity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.lirs import LIRSCache
 from repro.cache.simulator import SimulationResult, make_policy, simulate
-from repro.config import COST_BOUNDARY_FRACTION, LatencyConstants, DEFAULT_LATENCY
+from repro.config import COST_BOUNDARY_FRACTION
 from repro.core.admission import AlwaysAdmit, ClassifierAdmission, OracleAdmission
 from repro.core.criteria import Criteria, solve_criteria
-from repro.core.features import PAPER_FEATURE_NAMES, extract_features
+from repro.core.features import FeatureMatrix, extract_features
 from repro.core.labeling import one_time_labels, reaccess_distances
 from repro.core.latency import LatencyModel
 from repro.core.training import DailyTrainingResult, train_daily_classifier
@@ -30,7 +38,9 @@ from repro.ml.cost_sensitive import select_cost_v
 from repro.trace.generator import WorkloadConfig, generate_trace
 from repro.trace.records import Trace
 
-__all__ = ["ExperimentResult", "run_experiment"]
+__all__ = ["CapacityBlock", "ExperimentResult", "capacity_block", "run_experiment"]
+
+_LATENCY = LatencyModel()
 
 
 @dataclass
@@ -43,12 +53,16 @@ class ExperimentResult:
     criteria: Criteria
     original: SimulationResult
     proposal: SimulationResult
-    ideal: SimulationResult | None = None
+    ideal: SimulationResult
+    training: DailyTrainingResult
     belady: SimulationResult | None = None
-    training: DailyTrainingResult | None = None
     latency_original: float = 0.0
     latency_proposal: float = 0.0
     cost_v: float = 2.0
+
+    def rate(self, config: str, metric: str) -> float:
+        """``metric`` of one configuration (``"original"`` … ``"belady"``)."""
+        return getattr(getattr(self, config), metric)
 
     @property
     def hit_rate_gain(self) -> float:
@@ -83,9 +97,11 @@ class ExperimentResult:
             f"M={self.criteria.m_threshold:,.0f}  v={self.cost_v:g}",
             f"{'config':10s} {'hit':>7s} {'byte hit':>9s} {'fwrite':>8s} {'bwrite':>8s}",
         ]
-        rows = [("original", self.original), ("proposal", self.proposal)]
-        if self.ideal is not None:
-            rows.append(("ideal", self.ideal))
+        rows = [
+            ("original", self.original),
+            ("proposal", self.proposal),
+            ("ideal", self.ideal),
+        ]
         if self.belady is not None:
             rows.append(("belady", self.belady))
         for name, r in rows:
@@ -101,6 +117,133 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+@dataclass
+class CapacityBlock:
+    """Everything computed for one capacity, all policies of the block.
+
+    A family (LRU-like or LIRS) with no policy in the block shares the
+    other family's labels and training.
+    """
+
+    capacity_bytes: int
+    cost_v: float
+    criteria: Criteria              # LRU family
+    lirs_criteria: Criteria         # M·R_s
+    labels: np.ndarray              # one-time labels under ``criteria``
+    lirs_labels: np.ndarray
+    training: DailyTrainingResult
+    lirs_training: DailyTrainingResult
+    belady: SimulationResult | None
+    originals: dict[str, SimulationResult]
+    proposals: dict[str, SimulationResult]
+    ideals: dict[str, SimulationResult]
+
+    def point(self, policy: str, fraction: float) -> ExperimentResult:
+        """``policy``'s configurations; ``fraction`` is the capacity's share
+        of the trace footprint."""
+        key = policy.lower()
+        lirs = key == "lirs"
+        original, proposal = self.originals[key], self.proposals[key]
+        return ExperimentResult(
+            policy=policy,
+            capacity_bytes=self.capacity_bytes,
+            capacity_fraction=fraction,
+            criteria=self.lirs_criteria if lirs else self.criteria,
+            original=original,
+            proposal=proposal,
+            ideal=self.ideals[key],
+            training=self.lirs_training if lirs else self.training,
+            belady=self.belady,
+            latency_original=_LATENCY.average_latency(
+                original.hit_rate, classified=False
+            ),
+            latency_proposal=_LATENCY.average_latency(
+                proposal.hit_rate, classified=True
+            ),
+            cost_v=self.cost_v,
+        )
+
+
+def capacity_block(
+    trace: Trace,
+    policies,
+    cap: int,
+    *,
+    distances: np.ndarray,
+    features: FeatureMatrix,
+    rng: int | None = 0,
+    cost_v: float | None = None,
+    belady: bool = True,
+) -> CapacityBlock:
+    """Compute one capacity's block (module docstring, steps 1–4).
+
+    ``policies`` are lower-case ``make_policy`` names; ``distances`` and
+    ``features`` are the trace's :func:`reaccess_distances` and
+    :func:`extract_features`.  ``rng`` seeds every daily training run;
+    ``cost_v`` defaults to the paper's capacity-dependent rule (§4.4.1).
+    """
+    policies = tuple(policies)
+    if cost_v is None:
+        cost_v = select_cost_v(
+            cap, boundary_bytes=COST_BOUNDARY_FRACTION * trace.footprint_bytes
+        )
+    originals = {
+        p: simulate(
+            trace, make_policy(p, cap, trace), admission=AlwaysAdmit(),
+            policy_name=p,
+        )
+        for p in policies
+    }
+    h = originals["lru" if "lru" in originals else policies[0]].hit_rate
+    criteria = solve_criteria(
+        distances, cap, trace.mean_object_size(), hit_rate=min(h, 0.999)
+    )
+    lirs_criteria = criteria.for_lirs(LIRSCache(cap).rs)
+
+    def build(crit):
+        labels = one_time_labels(trace.object_ids, crit.m_threshold)
+        return labels, train_daily_classifier(
+            trace, features, labels, cost_v=cost_v, rng=rng
+        )
+
+    lru_family = build(criteria) if set(policies) - {"lirs"} else None
+    lirs_family = build(lirs_criteria) if "lirs" in policies else lru_family
+    lru_family = lru_family or lirs_family
+
+    proposals, ideals = {}, {}
+    for p in policies:
+        crit, (labels, training) = (
+            (lirs_criteria, lirs_family) if p == "lirs" else (criteria, lru_family)
+        )
+        proposals[p] = simulate(
+            trace,
+            make_policy(p, cap, trace),
+            admission=ClassifierAdmission.from_criteria(training.predictions, crit),
+            policy_name=p,
+        )
+        ideals[p] = simulate(
+            trace, make_policy(p, cap, trace), admission=OracleAdmission(labels),
+            policy_name=p,
+        )
+
+    return CapacityBlock(
+        capacity_bytes=cap,
+        cost_v=cost_v,
+        criteria=criteria,
+        lirs_criteria=lirs_criteria,
+        labels=lru_family[0],
+        lirs_labels=lirs_family[0],
+        training=lru_family[1],
+        lirs_training=lirs_family[1],
+        belady=simulate(
+            trace, make_policy("belady", cap, trace), policy_name="belady"
+        ) if belady else None,
+        originals=originals,
+        proposals=proposals,
+        ideals=ideals,
+    )
+
+
 def run_experiment(
     workload: WorkloadConfig | Trace,
     *,
@@ -108,25 +251,15 @@ def run_experiment(
     capacity_fraction: float | None = None,
     capacity_bytes: int | None = None,
     cost_v: float | None = None,
-    include_ideal: bool = True,
     include_belady: bool = True,
-    feature_subset: tuple[str, ...] | None = PAPER_FEATURE_NAMES,
-    latency_constants: LatencyConstants = DEFAULT_LATENCY,
-    training_kwargs: dict | None = None,
-    system_iterations: int = 1,
     rng: int | None = 0,
 ) -> ExperimentResult:
-    """Run the full Original / Proposal / Ideal / Belady comparison.
+    """Run the Original / Proposal / Ideal / Belady comparison of one policy.
 
     Exactly one of ``capacity_fraction`` (of the trace's unique-byte
     footprint) or ``capacity_bytes`` must be given.  ``cost_v`` defaults to
-    the paper's capacity-dependent rule (§4.4.1).
-
-    ``system_iterations`` extends the paper's §4.3 fixed point to the whole
-    system: iteration 1 solves ``M`` with the *Original* run's hit rate (the
-    paper's procedure); each further iteration re-solves ``M`` with the
-    previous *Proposal*'s hit rate, re-labels, retrains and re-simulates —
-    closing the loop between the criterion and the system it shapes.
+    the paper's capacity-dependent rule (§4.4.1).  This is one
+    :func:`capacity_block` of one policy.
     """
     trace = workload if isinstance(workload, Trace) else generate_trace(workload)
 
@@ -140,90 +273,14 @@ def run_experiment(
     else:
         capacity_fraction = capacity_bytes / footprint
 
-    if cost_v is None:
-        cost_v = select_cost_v(
-            capacity_bytes,
-            boundary_bytes=COST_BOUNDARY_FRACTION * footprint,
-        )
-
-    # ---- Original run: the baseline and the measured h for the criterion.
-    original = simulate(
+    block = capacity_block(
         trace,
-        make_policy(policy, capacity_bytes, trace),
-        admission=AlwaysAdmit(),
-        policy_name=policy,
-    )
-
-    if system_iterations < 1:
-        raise ValueError("system_iterations must be >= 1")
-
-    distances = reaccess_distances(trace.object_ids)
-    features = extract_features(trace)
-
-    h_for_criteria = original.hit_rate
-    criteria = labels = training = proposal = None
-    for _ in range(system_iterations):
-        criteria = solve_criteria(
-            distances,
-            capacity_bytes,
-            trace.mean_object_size(),
-            hit_rate=min(h_for_criteria, 0.999),
-        )
-        if policy.lower() == "lirs":
-            criteria = criteria.for_lirs(LIRSCache(capacity_bytes).rs)
-
-        labels = one_time_labels(trace.object_ids, criteria.m_threshold)
-
-        # ---- Classifier: features + daily training (§3.2, §4.4).
-        training = train_daily_classifier(
-            trace,
-            features,
-            labels,
-            cost_v=cost_v,
-            feature_subset=feature_subset,
-            rng=rng,
-            **(training_kwargs or {}),
-        )
-
-        proposal = simulate(
-            trace,
-            make_policy(policy, capacity_bytes, trace),
-            admission=ClassifierAdmission.from_criteria(
-                training.predictions, criteria
-            ),
-            policy_name=policy,
-        )
-        h_for_criteria = proposal.hit_rate
-
-    ideal = None
-    if include_ideal:
-        ideal = simulate(
-            trace,
-            make_policy(policy, capacity_bytes, trace),
-            admission=OracleAdmission(labels),
-            policy_name=policy,
-        )
-
-    belady = None
-    if include_belady:
-        belady = simulate(
-            trace,
-            make_policy("belady", capacity_bytes, trace),
-            policy_name="belady",
-        )
-
-    lm = LatencyModel(latency_constants)
-    return ExperimentResult(
-        policy=policy,
-        capacity_bytes=capacity_bytes,
-        capacity_fraction=capacity_fraction,
-        criteria=criteria,
-        original=original,
-        proposal=proposal,
-        ideal=ideal,
-        belady=belady,
-        training=training,
-        latency_original=lm.average_latency(original.hit_rate, classified=False),
-        latency_proposal=lm.average_latency(proposal.hit_rate, classified=True),
+        (policy.lower(),),
+        capacity_bytes,
+        distances=reaccess_distances(trace.object_ids),
+        features=extract_features(trace),
+        rng=rng,
         cost_v=cost_v,
+        belady=include_belady,
     )
+    return block.point(policy, capacity_fraction)

@@ -25,7 +25,12 @@ from repro.ml.metrics import accuracy_score, precision_score, recall_score
 from repro.ml.tree import DecisionTreeClassifier
 from repro.trace.records import Trace
 
-__all__ = ["DailyTrainingResult", "train_daily_classifier", "sample_per_minute"]
+__all__ = [
+    "DailyTrainingResult",
+    "paper_classifier",
+    "sample_per_minute",
+    "train_daily_classifier",
+]
 
 DAY = 86400.0
 
@@ -101,6 +106,17 @@ def sample_per_minute(
     group_start = np.maximum.accumulate(np.where(new_group, np.arange(ts.shape[0]), 0))
     rank = np.arange(ts.shape[0]) - group_start
     return np.sort(order[rank < limit])
+
+
+def paper_classifier(
+    cost_v: float, max_splits: int, seed: int | None
+) -> CostSensitiveClassifier:
+    """The paper's unfitted model (§4.4.1, Table 4): a ``max_splits``-split
+    CART seeded with ``seed`` under the cost matrix fn = 1, fp = ``cost_v``."""
+    return CostSensitiveClassifier(
+        DecisionTreeClassifier(max_splits=max_splits, rng=seed),
+        CostMatrix(fn_cost=1.0, fp_cost=cost_v),
+    )
 
 
 def train_daily_classifier(
@@ -215,12 +231,7 @@ def train_daily_classifier(
                         if model_factory is not None:
                             model = model_factory(seed)
                         else:
-                            model = CostSensitiveClassifier(
-                                DecisionTreeClassifier(
-                                    max_splits=max_splits, rng=seed
-                                ),
-                                CostMatrix(fn_cost=1.0, fp_cost=cost_v),
-                            )
+                            model = paper_classifier(cost_v, max_splits, seed)
                         model.fit(X[picked], y_train)
                         trained = True
                         if static_model and reusable_model is None:

@@ -14,7 +14,6 @@ from repro.experiments.grid import (
     CONFIGS,
     POLICIES,
     CapacityBlock,
-    GridPoint,
     GridRunner,
     check_policies,
     format_sweep_table,
@@ -43,7 +42,6 @@ __all__ = [
     "CONFIGS",
     "POLICIES",
     "CapacityBlock",
-    "GridPoint",
     "GridRunner",
     "check_policies",
     "format_sweep_table",

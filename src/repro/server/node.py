@@ -61,9 +61,8 @@ from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
 from repro.core.labeling import ONE_TIME, one_time_labels, reaccess_distances
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
-from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
+from repro.core.training import paper_classifier
 from repro.ml.fastpath import fast_predictor
-from repro.ml.tree import DecisionTreeClassifier
 from repro.obs.drift import DriftMonitor
 from repro.obs.exporter import MetricsExporter
 from repro.obs.ledger import WriteLedger, write_cause
@@ -193,10 +192,7 @@ def train_seed_model(trace: Trace, cfg: NodeConfig, criteria: Criteria):
     if np.unique(y).shape[0] < 2:
         return None
     fm = extract_features(trace).select(PAPER_FEATURE_NAMES)
-    model = CostSensitiveClassifier(
-        DecisionTreeClassifier(max_splits=cfg.max_splits, rng=cfg.seed),
-        CostMatrix(fn_cost=1.0, fp_cost=cfg.cost_v),
-    )
+    model = paper_classifier(cfg.cost_v, cfg.max_splits, cfg.seed)
     return model.fit(fm.X[mask], y)
 
 

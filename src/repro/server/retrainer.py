@@ -35,9 +35,7 @@ import numpy as np
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.labeling import one_time_labels
 from repro.core.monitoring import evaluate_admission_decisions
-from repro.core.training import sample_per_minute
-from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
-from repro.ml.tree import DecisionTreeClassifier
+from repro.core.training import paper_classifier, sample_per_minute
 from repro.obs.spans import NULL_TRACER
 from repro.obs.structlog import get_logger
 
@@ -217,11 +215,8 @@ class Retrainer:
                 snap.annotate(rows=record["n_train"])
             if X is not None:
                 seed = int(self._rng.integers(0, 2**63 - 1))
-                model = CostSensitiveClassifier(
-                    DecisionTreeClassifier(
-                        max_splits=node.cfg.max_splits, rng=seed
-                    ),
-                    CostMatrix(fn_cost=1.0, fp_cost=node.cfg.cost_v),
+                model = paper_classifier(
+                    node.cfg.cost_v, node.cfg.max_splits, seed
                 )
                 loop = asyncio.get_running_loop()
                 with spans.span("fit", "retrainer", rows=record["n_train"]):

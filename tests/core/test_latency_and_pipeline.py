@@ -105,11 +105,11 @@ class TestRunExperiment:
         trace = generate_trace(WorkloadConfig(n_objects=4000, days=3.0, seed=22))
         lru = run_experiment(
             trace, policy="lru", capacity_fraction=0.02,
-            include_belady=False, include_ideal=False, rng=0,
+            include_belady=False, rng=0,
         )
         lirs = run_experiment(
             trace, policy="lirs", capacity_fraction=0.02,
-            include_belady=False, include_ideal=False, rng=0,
+            include_belady=False, rng=0,
         )
         assert lirs.criteria.rs < 1.0
         # M_LIRS uses its own h, so compare through the rs mechanism only.
@@ -133,33 +133,15 @@ class TestRunExperiment:
         trace = generate_trace(WorkloadConfig(n_objects=1000, days=2.0, seed=24))
         r = run_experiment(
             trace, capacity_bytes=2**20,
-            include_belady=False, include_ideal=False, rng=0,
+            include_belady=False, rng=0,
         )
         assert r.capacity_bytes == 2**20
         assert 0 < r.capacity_fraction < 1
-
-    def test_system_iterations(self):
-        trace = generate_trace(WorkloadConfig(n_objects=2500, days=2.0, seed=26))
-        one = run_experiment(
-            trace, capacity_fraction=0.01, system_iterations=1,
-            include_belady=False, include_ideal=False, rng=0,
-        )
-        two = run_experiment(
-            trace, capacity_fraction=0.01, system_iterations=2,
-            include_belady=False, include_ideal=False, rng=0,
-        )
-        # Iteration 2 re-solves M against the proposal's (higher) hit rate,
-        # so the criterion must loosen (larger M).
-        assert two.criteria.m_threshold > one.criteria.m_threshold
-        # And the iterated system must not collapse.
-        assert two.proposal.hit_rate >= one.original.hit_rate - 0.02
-        with pytest.raises(ValueError):
-            run_experiment(trace, capacity_fraction=0.01, system_iterations=0)
 
     def test_workload_config_accepted(self):
         r = run_experiment(
             WorkloadConfig(n_objects=1000, days=2.0, seed=25),
             capacity_fraction=0.05,
-            include_belady=False, include_ideal=False, rng=0,
+            include_belady=False, rng=0,
         )
         assert r.original.stats.requests > 0

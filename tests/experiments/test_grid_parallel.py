@@ -8,6 +8,10 @@
 * **What a worker is sent** — a pickled trace leaves its memoised
   ``SegmentPlan`` behind, so the once-per-worker payload is the arrays and
   nothing else (a gate in bytes, not clocks).
+* **One point** — ``run_experiment`` is one capacity block of one policy:
+  its output matches a digest recorded before it became one, and a
+  one-policy grid point equals it for every policy, whatever the case of
+  the policy name.
 * **Failures surface in the parent** — an unknown policy is rejected by the
   constructor before any process starts; a worker's exception reaches the
   caller as itself, a killed worker as ``BrokenProcessPool``, and neither
@@ -32,7 +36,12 @@ from repro.cli import main
 from repro.core.features import extract_features
 from repro.core.labeling import reaccess_distances
 from repro.core.pipeline import run_experiment
-from repro.experiments import CONFIGS, GridRunner, resolve_start_method
+from repro.experiments import (
+    CONFIGS,
+    POLICIES,
+    GridRunner,
+    resolve_start_method,
+)
 from repro.experiments import grid as grid_mod
 from repro.trace import WorkloadConfig, generate_trace
 
@@ -73,7 +82,7 @@ def _grid_fingerprint(runner):
         for fraction in runner.fractions:
             point = runner.point(policy, fraction)
             for config in CONFIGS:
-                out[(policy, fraction, config)] = point.results[config].stats
+                out[(policy, fraction, config)] = getattr(point, config).stats
     return out
 
 
@@ -213,8 +222,7 @@ class TestFailures:
     @pytest.mark.skipif("fork" not in MP_METHODS, reason="needs fork")
     def test_worker_exception_reaches_caller(self, trace, monkeypatch,
                                              no_workers_left):
-        monkeypatch.setattr(grid_mod, "_compute_block_impl",
-                            _raise_block_failed)
+        monkeypatch.setattr(grid_mod, "capacity_block", _raise_block_failed)
         runner = GridRunner(trace, fractions=[0.02], policies=("lru",))
         with pytest.raises(_BlockFailed, match="block failed"):
             runner.precompute(max_workers=2, start_method="fork")
@@ -222,25 +230,44 @@ class TestFailures:
     @pytest.mark.skipif("fork" not in MP_METHODS, reason="needs fork")
     def test_sigkilled_worker_breaks_the_pool(self, trace, monkeypatch,
                                               no_workers_left):
-        monkeypatch.setattr(grid_mod, "_compute_block_impl", _kill_self)
+        monkeypatch.setattr(grid_mod, "capacity_block", _kill_self)
         runner = GridRunner(trace, **_GRID_KW)
         with pytest.raises(BrokenProcessPool):
             runner.precompute(max_workers=2, start_method="fork")
 
 
 class TestOneCostBoundary:
-    def test_pipeline_and_grid_agree_across_the_boundary(self, trace,
-                                                         inline_grid):
+    def test_pipeline_and_grid_agree_across_the_boundary(self, inline_grid):
         # The paper's 12 GB boundary is ~2.8 % of the footprint: the two
         # grid capacities sit on either side of it.
-        costs = []
-        for fraction in _GRID_KW["fractions"]:
-            result = run_experiment(
-                trace,
-                capacity_bytes=inline_grid.capacity_bytes(fraction),
-                include_ideal=False,
-                include_belady=False,
-            )
-            assert result.cost_v == inline_grid.block_info(fraction)["cost_v"]
-            costs.append(result.cost_v)
+        costs = [inline_grid.block(f).cost_v for f in _GRID_KW["fractions"]]
         assert costs == [2.0, 3.0]
+
+
+def _configs(point):
+    return [dataclasses.astuple(getattr(point, c).stats) for c in CONFIGS]
+
+
+class TestOnePoint:
+    @pytest.mark.parametrize("policy", [*POLICIES, "learned"])
+    def test_grid_point_is_run_experiment(self, trace, policy):
+        grid = GridRunner(trace, fractions=[0.02], policies=(policy,))
+        point = grid.point(policy, 0.02)
+        result = run_experiment(
+            trace, policy=policy, capacity_bytes=grid.capacity_bytes(0.02)
+        )
+        assert _configs(point) == _configs(result)
+        assert point.criteria == result.criteria
+
+    def test_policy_names_are_case_insensitive(self, trace):
+        upper = GridRunner(trace, fractions=[0.02], policies=("LIRS",))
+        lower = GridRunner(trace, fractions=[0.02], policies=("lirs",))
+        assert _configs(upper.point("LIRS", 0.02)) == _configs(
+            lower.point("lirs", 0.02)
+        )
+        assert upper.policies == ("lirs",)
+
+    def test_a_lirs_only_block_trains_once(self, trace):
+        block = GridRunner(trace, fractions=[0.02], policies=("lirs",)).block(0.02)
+        assert block.training is block.lirs_training
+        assert block.labels is block.lirs_labels

@@ -1,0 +1,24 @@
+"""The examples that drive ``run_experiment`` or the paper's model, run at
+≈1,500 objects through ``runpy`` (each ``main`` takes the object count)."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: example -> a line its last section prints
+LAST_SECTION = {
+    "quickstart": "SSD writes avoided",
+    "latency_analysis": "faster backends shrink the payoff",
+    "photo_cache_study": "one-time-access exclusion for LRU",
+    "production_node": "SSD lifetime",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAST_SECTION))
+def test_example_runs_small(name, capsys):
+    main = runpy.run_path(str(EXAMPLES / f"{name}.py"))["main"]
+    main(1_500)
+    assert LAST_SECTION[name] in capsys.readouterr().out

@@ -18,7 +18,7 @@ def small_grid():
 class TestGridRunner:
     def test_point_has_all_configs(self, small_grid):
         gp = small_grid.point("lru", 0.01)
-        assert set(gp.results) == set(CONFIGS)
+        assert all(getattr(gp, config) is not None for config in CONFIGS)
         assert gp.capacity_bytes == small_grid.capacity_bytes(0.01)
 
     def test_unknown_policy_rejected(self, small_grid):
@@ -29,7 +29,7 @@ class TestGridRunner:
         a = small_grid.point("lru", 0.01)
         b = small_grid.point("fifo", 0.01)
         # Belady is capacity-level, identical object for both policies.
-        assert a.results["belady"] is b.results["belady"]
+        assert a.belady is b.belady
 
     def test_sweep_lengths(self, small_grid):
         sweep = small_grid.sweep("lru", "hit_rate")
@@ -43,9 +43,9 @@ class TestGridRunner:
         assert (belady + 1e-9 >= original).all()
 
     def test_lirs_uses_scaled_criterion(self, small_grid):
-        info = small_grid.block_info(0.01)
-        assert info["lirs_criteria_m"] < info["criteria_m"]
-        assert info["cost_v"] in (2.0, 3.0)
+        block = small_grid.block(0.01)
+        assert block.lirs_criteria.m_threshold < block.criteria.m_threshold
+        assert block.cost_v in (2.0, 3.0)
 
     def test_block_exposes_full_state(self, small_grid):
         block = small_grid.block(0.01)
@@ -54,12 +54,12 @@ class TestGridRunner:
 
     def test_classifier_metrics_attached(self, small_grid):
         gp = small_grid.point("lru", 0.01)
-        assert {"precision", "recall", "accuracy"} <= set(gp.classifier_metrics)
+        assert {"precision", "recall", "accuracy"} <= set(gp.training.overall)
 
     def test_memoisation(self, small_grid):
         a = small_grid.point("lru", 0.01)
         b = small_grid.point("lru", 0.01)
-        assert a.results["original"] is b.results["original"]
+        assert a.original is b.original
 
 
 class TestParallelPrecompute:
