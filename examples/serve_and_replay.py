@@ -51,8 +51,8 @@ async def serve_and_replay(trace, cfg: NodeConfig):
     return node, result
 
 
-def main() -> None:
-    trace = generate_trace(WorkloadConfig(n_objects=4000, seed=21))
+def main(n_objects: int = 4000) -> None:
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=21))
     cfg = NodeConfig(capacity_fraction=0.02)
     print(
         f"replaying {trace.n_accesses:,} requests over {CONNECTIONS} "

@@ -88,6 +88,15 @@ def _bucket_lines(dst: str, seconds: str) -> list[str]:
     ]
 
 
+def _static_column(trace: Trace, name: str, oids=slice(None)) -> np.ndarray:
+    """The static feature ``name`` of the objects ``oids`` (default: all), as
+    float64."""
+    catalog = trace.catalog
+    if name in ("owner_avg_views", "owner_active_friends"):
+        return getattr(trace, name)[catalog["owner_id"][oids]].astype(np.float64)
+    return catalog["size" if name == "photo_size" else name][oids].astype(np.float64)
+
+
 class OnlineFeatureTracker:
     """Incrementally compute the §3.2 features, one request at a time.
 
@@ -112,23 +121,6 @@ class OnlineFeatureTracker:
             raise ValueError(f"unknown features: {sorted(unknown)}")
         self._has_recent = "recent_requests" in self.feature_names
 
-        # Columnar float64 arrays: the source of the packed scalar columns
-        # below, and what ``features_into_batch`` gathers from.
-        self._np_ts = np.ascontiguousarray(trace.timestamps, dtype=np.float64)
-        self._np_oids = np.ascontiguousarray(trace.object_ids, dtype=np.int64)
-        self._np_terminal = trace.accesses["terminal"].astype(np.float64)
-        catalog = trace.catalog
-        owner = catalog["owner_id"]
-        self._np_static = {
-            "owner_avg_views": trace.owner_avg_views[owner].astype(np.float64),
-            "owner_active_friends": trace.owner_active_friends[owner].astype(
-                np.float64
-            ),
-            "photo_type": catalog["photo_type"].astype(np.float64),
-            "photo_size": catalog["size"].astype(np.float64),
-        }
-        self._np_upload = catalog["upload_time"].astype(np.float64)
-
         # Scratch row for features(): reused across calls, copied on return.
         self._scratch = [0.0] * len(self.feature_names)
 
@@ -143,18 +135,20 @@ class OnlineFeatureTracker:
     def _generate(self) -> None:
         """Build the packed columns and compile the per-request functions."""
         names = self.feature_names
+        trace = self.trace
         self._static_names = [
             n for n in dict.fromkeys(names) if n in _STATIC_FEATURES
         ]
         self._needs_upload = "recency" in names or "photo_age" in names
         # Plain Python floats: a list/tuple index is ~10× cheaper than a
         # NumPy scalar extraction.
-        columns = [self._np_static[n].tolist() for n in self._static_names]
+        columns = [_static_column(trace, n).tolist() for n in self._static_names]
         if self._needs_upload:
-            columns.append(self._np_upload.tolist())
+            columns.append(trace.catalog["upload_time"].tolist())
         self._env = {
-            "_ts": self._np_ts.tolist(),
-            "_oids": self._np_oids.tolist(),
+            "_ts": trace.timestamps.tolist(),
+            # The trace's memoised list: the served node indexes the same one.
+            "_oids": trace.request_lists()[0],
             "_static": list(zip(*columns)),
             "_last": self._last_access,
             "_last_get": self._last_access.get,
@@ -163,7 +157,9 @@ class OnlineFeatureTracker:
             "_recent_popleft": self._recent.popleft,
         }
         if "terminal" in names:
-            self._env["_terminal"] = self._np_terminal.tolist()
+            self._env["_terminal"] = trace.accesses["terminal"].astype(
+                np.float64
+            ).tolist()
         self.source = (
             "def features_into(index, out):\n"
             "    oid = _oids[index]\n"
@@ -259,17 +255,18 @@ class OnlineFeatureTracker:
         rows = out[:n]
         if n == 0:
             return rows
+        trace = self.trace
         idx = np.asarray(indices, dtype=np.intp)
-        oids = self._np_oids[idx]
-        ts = self._np_ts[idx]
+        oids = trace.object_ids[idx]
+        ts = trace.timestamps[idx]
         oid_list = oids.tolist()
         ts_list = ts.tolist()
+        uploads = trace.catalog["upload_time"][oids]
 
         for slot, name in enumerate(self.feature_names):
             if name in _STATIC_FEATURES:
-                rows[:, slot] = self._np_static[name][oids]
+                rows[:, slot] = _static_column(trace, name, oids)
             elif name == "recency":
-                uploads = self._np_upload[oids]
                 # dict.get at C speed with the per-object upload time as
                 # the miss default, exactly as the scalar path.
                 last = np.fromiter(
@@ -291,14 +288,14 @@ class OnlineFeatureTracker:
                 np.minimum(b, _MAX_BUCKET, out=b)
                 rows[:, slot] = np.where(d > 0.0, b, 0.0)
             elif name == "photo_age":
-                d = ts - self._np_upload[oids]
+                d = ts - uploads
                 b = np.floor_divide(d, _TEN_MINUTES)
                 np.minimum(b, _MAX_BUCKET, out=b)
                 rows[:, slot] = np.where(d > 0.0, b, 0.0)
             elif name == "access_hour":
                 rows[:, slot] = np.floor_divide(np.mod(ts, 86400.0), 3600.0)
             elif name == "terminal":
-                rows[:, slot] = self._np_terminal[idx]
+                rows[:, slot] = trace.accesses["terminal"][idx]
             else:  # recent_requests
                 cutoff = ts - 60.0
                 recent = self._recent

@@ -566,8 +566,12 @@ class DecisionTreeRegressor(_FlatTree):
                 return self._best_split_binned(codes, edges, wy, hist_w, indices)
 
         def weighted_mean(indices: np.ndarray) -> float:
+            # Not np.dot: from ~10k rows OpenBLAS wakes a second thread that
+            # bills as CPU, and the leaf would depend on the BLAS kernel.
             wi = w[indices]
-            return float(np.dot(wi, y[indices]) / wi.sum())
+            wy = y[indices]
+            wy *= wi
+            return float(wy.sum() / wi.sum())
 
         self._grow(X, weighted_mean, best_split)
         return self

@@ -185,15 +185,18 @@ def train_seed_model(trace: Trace, cfg: NodeConfig, criteria: Criteria):
     too small or single-class; the node then admits everything.
     """
     labels = one_time_labels(trace.object_ids, criteria.m_threshold)
-    mask = trace.timestamps < cfg.train_seconds
-    if int(mask.sum()) < cfg.min_train_samples:
+    n = int(np.searchsorted(trace.timestamps, cfg.train_seconds))
+    if n < cfg.min_train_samples:
         return None
-    y = labels[mask]
+    y = labels[:n]
     if np.unique(y).shape[0] < 2:
         return None
-    fm = extract_features(trace).select(PAPER_FEATURE_NAMES)
+    # Every feature looks only backwards, so the prefix's own matrix equals
+    # the whole trace's first n rows.
+    prefix = trace.slice_time(-np.inf, cfg.train_seconds)
+    fm = extract_features(prefix).select(PAPER_FEATURE_NAMES)
     model = paper_classifier(cfg.cost_v, cfg.max_splits, cfg.seed)
-    return model.fit(fm.X[mask], y)
+    return model.fit(fm.X, y)
 
 
 def classifier_admission(
@@ -261,8 +264,8 @@ class CacheNode:
     ):
         self.trace = trace
         self.cfg = cfg if cfg is not None else NodeConfig()
-        self._oid_list = trace.object_ids.tolist()
-        self._size_list = trace.catalog["size"][trace.object_ids].tolist()
+        # One copy per trace, shared with the admission's feature tracker.
+        self._oid_list, self._size_list = trace.request_lists()
         self._ts = trace.timestamps
 
         self.criteria: Criteria | None = None

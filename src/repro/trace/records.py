@@ -26,6 +26,11 @@ TRACE_COLUMNS = (
     "owner_avg_views",
 )
 
+#: Attribute memoising :meth:`Trace.request_lists` on the instance (traces
+#: are treated as immutable once built, so the memo can never go stale).
+_REQUEST_LISTS_ATTR = "_request_lists"
+
+
 def _rebuild_trace(accesses, catalog, active_friends, avg_views, duration, viral):
     return Trace(
         accesses=accesses,
@@ -111,9 +116,9 @@ class Trace:
     def __reduce__(self):
         # Explicit reconstruction keeps the payload to the five canonical
         # fields: the ad-hoc instance state (notably the memoised
-        # ``SegmentPlan`` attached by ``SegmentPlan.for_trace``, whose
-        # per-capacity batch lists dwarf the trace itself) must never ride
-        # along to worker processes.
+        # ``SegmentPlan`` attached by ``SegmentPlan.for_trace`` and the
+        # ``request_lists`` memo, both of which dwarf the trace itself)
+        # must never ride along to worker processes.
         return (
             _rebuild_trace,
             (
@@ -187,6 +192,26 @@ class Trace:
     def sizes(self) -> np.ndarray:
         """Per-access object size (bytes)."""
         return self.catalog["size"][self.accesses["object_id"]]
+
+    def request_lists(self) -> tuple[list, list]:
+        """Per-request object ids and sizes as plain Python lists.
+
+        What the served node's request loop and the online feature tracker
+        index per request.  Built once per instance and memoised on it (a
+        pickled trace leaves the lists behind, like the ``SegmentPlan``).
+        Both are gathered from one ``int`` per catalog object, so every
+        access to an object shares that object's id and size instead of
+        holding fresh ones.
+        """
+        lists = getattr(self, _REQUEST_LISTS_ATTR, None)
+        if lists is None:
+            oids = self.accesses["object_id"]
+            lists = (
+                np.arange(self.n_objects).astype(object)[oids].tolist(),
+                self.catalog["size"].astype(object)[oids].tolist(),
+            )
+            setattr(self, _REQUEST_LISTS_ATTR, lists)
+        return lists
 
     @property
     def footprint_bytes(self) -> int:

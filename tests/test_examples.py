@@ -1,5 +1,6 @@
-"""The examples that drive ``run_experiment`` or the paper's model, run at
-≈1,500 objects through ``runpy`` (each ``main`` takes the object count)."""
+"""The examples that drive ``run_experiment``, the paper's model or the
+served node, run at ≈1,500 objects through ``runpy`` (each ``main`` takes
+the object count)."""
 
 import runpy
 from pathlib import Path
@@ -14,6 +15,7 @@ LAST_SECTION = {
     "latency_analysis": "faster backends shrink the payoff",
     "photo_cache_study": "one-time-access exclusion for LRU",
     "production_node": "SSD lifetime",
+    "serve_and_replay": "matured samples → model v",
 }
 
 

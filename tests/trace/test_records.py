@@ -82,3 +82,22 @@ class TestTraceRoundTrip:
         for got in (_via_columns(trace), _via_pickle(trace)):
             assert got.n_accesses == 1
             _assert_same_trace(got, trace)
+
+
+class TestRequestLists:
+    def test_lists_are_the_columns_memoised(self):
+        trace = _random_trace(np.random.default_rng(3), 20, 200)
+        oids, sizes = trace.request_lists()
+        assert oids == trace.object_ids.tolist()
+        assert sizes == trace.sizes.tolist()
+        assert all(type(x) is int for x in oids + sizes)
+        got = trace.request_lists()
+        assert got[0] is oids and got[1] is sizes
+
+    def test_pickle_leaves_the_memo_behind(self):
+        trace = _random_trace(np.random.default_rng(4), 20, 200)
+        lists = trace.request_lists()
+        got = _via_pickle(trace)
+        assert "_request_lists" in vars(trace)
+        assert "_request_lists" not in vars(got)
+        assert got.request_lists() == lists
