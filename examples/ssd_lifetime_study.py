@@ -13,21 +13,22 @@ from repro.cache import make_policy
 from repro.core.admission import AlwaysAdmit, ClassifierAdmission, OracleAdmission
 from repro.core.criteria import solve_criteria
 from repro.core.features import extract_features
-from repro.core.labeling import one_time_labels, reaccess_distances
+from repro.core.labeling import labels_from_distances, reaccess_distances
 from repro.core.training import train_daily_classifier
 from repro.ssd import simulate_on_ssd
 from repro.ssd.endurance import write_density_ratio
 from repro.trace import WorkloadConfig, generate_trace
 
 
-def main() -> None:
-    trace = generate_trace(WorkloadConfig(n_objects=20_000, seed=23))
+def main(n_objects: int = 20_000) -> None:
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=23))
     capacity = max(1, trace.footprint_bytes // 60)
 
-    # Build the classifier admission once (criterion → labels → training).
+    # Build the classifier admission once (criterion → labels → training),
+    # both the criterion and the labels from one reaccess-distance pass.
     distances = reaccess_distances(trace.object_ids)
     criteria = solve_criteria(distances, capacity, trace.mean_object_size())
-    labels = one_time_labels(trace.object_ids, criteria.m_threshold)
+    labels = labels_from_distances(distances, criteria.m_threshold)
     training = train_daily_classifier(
         trace, extract_features(trace), labels, rng=0
     )

@@ -23,8 +23,8 @@ from repro.trace import (
 )
 
 
-def main() -> None:
-    trace = generate_trace(WorkloadConfig(n_objects=30_000, seed=2))
+def main(n_objects: int = 30_000) -> None:
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=2))
     print(compute_stats(trace).summary())
 
     print("\n=== popularity (paper cites Breslau et al.: Zipf-like) ===")
@@ -34,7 +34,8 @@ def main() -> None:
     print(f"top 1% of photos draw {100 * fit.top_1pct_share:.1f}% of requests")
 
     print("\n=== analytic LRU hit-rate curve (Mattson stack distances) ===")
-    caps = np.array([100, 500, 2000, 8000, 30_000])
+    # 1/300 of the catalog up to all of it (100 … 30,000 objects by default).
+    caps = n_objects * np.array([1, 5, 20, 80, 300]) // 300
     profile = stack_distance_profile(trace, caps)
     print(f"{'objects':>9s} {'hit rate':>9s}")
     for cap, h in zip(caps, profile):

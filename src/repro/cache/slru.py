@@ -52,8 +52,8 @@ class S3LRUCache(CachePolicy):
                 self._overflow(level - 1, evicted)
 
     def can_batch_hits(self) -> bool:
-        # Hit promotion is stateful (and can demote/evict via segment-quota
-        # rounding), so batching uses the base early-stopping loop — still
+        # Hit promotion is stateful (it demotes, and the demotion cascade
+        # can evict), so batching uses the base early-stopping loop — still
         # profitable because it skips the simulator's per-request overhead.
         return True
 
@@ -70,9 +70,10 @@ class S3LRUCache(CachePolicy):
             self._where[oid] = up
             evicted: list[int] = []
             self._overflow(up, evicted)
-            # A hit can only demote others, never evict: bottom-level
-            # overflow is impossible while total bytes are unchanged —
-            # except when segment quotas round down; guard anyway.
+            # A hit can evict: demotion moves whole objects, so a level can
+            # take in more bytes than it gave up and overflow in turn, down
+            # to the bottom level — e.g. promoting a large object pushes
+            # two smaller ones down onto a full probationary segment.
             return AccessResult(hit=True, evicted=tuple(evicted)) if evicted else HIT
         if not admit or size > self._seg_cap:
             # An object larger than one segment can never be resident.

@@ -18,7 +18,7 @@ Components (mapped to paper sections):
 """
 
 from repro.core.criteria import Criteria, estimate_hit_rate, solve_criteria
-from repro.core.labeling import one_time_labels, reaccess_distances
+from repro.core.labeling import labels_from_distances, one_time_labels, reaccess_distances
 from repro.core.features import (
     FEATURE_NAMES,
     PAPER_FEATURE_NAMES,
@@ -44,6 +44,7 @@ __all__ = [
     "estimate_hit_rate",
     "solve_criteria",
     "one_time_labels",
+    "labels_from_distances",
     "reaccess_distances",
     "FEATURE_NAMES",
     "PAPER_FEATURE_NAMES",

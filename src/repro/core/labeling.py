@@ -15,6 +15,7 @@ from repro.cache.belady import compute_next_use
 __all__ = [
     "reaccess_distances",
     "one_time_labels",
+    "labels_from_distances",
     "rudimentary_one_time_labels",
     "ONE_TIME",
     "REUSED",
@@ -65,7 +66,16 @@ def one_time_labels(object_ids: np.ndarray, m_threshold: float) -> np.ndarray:
     re-requested within the next ``M`` accesses — the ground truth the
     classifier is trained against and the Ideal admission filter uses.
     """
+    return labels_from_distances(reaccess_distances(object_ids), m_threshold)
+
+
+def labels_from_distances(distances: np.ndarray, m_threshold: float) -> np.ndarray:
+    """:func:`one_time_labels` from precomputed :func:`reaccess_distances`.
+
+    For callers that already hold the distances (the criterion solve reads
+    them too): no second next-use pass, and a prefix of the distances
+    labels just that prefix.
+    """
     if m_threshold <= 0:
         raise ValueError("m_threshold must be positive")
-    dist = reaccess_distances(object_ids)
-    return (dist > m_threshold).astype(np.int64)
+    return (distances > m_threshold).astype(np.int64)

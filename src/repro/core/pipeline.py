@@ -31,7 +31,7 @@ from repro.config import COST_BOUNDARY_FRACTION
 from repro.core.admission import AlwaysAdmit, ClassifierAdmission, OracleAdmission
 from repro.core.criteria import Criteria, solve_criteria
 from repro.core.features import FeatureMatrix, extract_features
-from repro.core.labeling import one_time_labels, reaccess_distances
+from repro.core.labeling import labels_from_distances, reaccess_distances
 from repro.core.latency import LatencyModel
 from repro.core.training import DailyTrainingResult, train_daily_classifier
 from repro.ml.cost_sensitive import select_cost_v
@@ -201,7 +201,7 @@ def capacity_block(
     lirs_criteria = criteria.for_lirs(LIRSCache(cap).rs)
 
     def build(crit):
-        labels = one_time_labels(trace.object_ids, crit.m_threshold)
+        labels = labels_from_distances(distances, crit.m_threshold)
         return labels, train_daily_classifier(
             trace, features, labels, cost_v=cost_v, rng=rng
         )

@@ -30,7 +30,7 @@ from repro.cache.staging import CounterFlashiness, StagingCache
 from repro.config import COST_BOUNDARY_FRACTION
 from repro.core.admission import ClassifierAdmission
 from repro.core.criteria import solve_criteria
-from repro.core.labeling import one_time_labels, reaccess_distances
+from repro.core.labeling import labels_from_distances, reaccess_distances
 from repro.core.training import train_daily_classifier
 from repro.ml.cost_sensitive import select_cost_v
 from repro.ml.flashiness import learned_flashiness_for_trace
@@ -194,7 +194,7 @@ def run_staging_comparison(
         cost_v = select_cost_v(
             cap, boundary_bytes=COST_BOUNDARY_FRACTION * footprint
         )
-        labels = one_time_labels(trace.object_ids, criteria.m_threshold)
+        labels = labels_from_distances(distances, criteria.m_threshold)
         training = train_daily_classifier(
             trace, features, labels, cost_v=cost_v, rng=training_rng
         )

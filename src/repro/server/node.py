@@ -59,7 +59,7 @@ from repro.cache.simulator import SimulationResult, make_policy, replay_range, s
 from repro.core.criteria import Criteria, solve_criteria
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
-from repro.core.labeling import ONE_TIME, one_time_labels, reaccess_distances
+from repro.core.labeling import ONE_TIME, labels_from_distances, reaccess_distances
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
 from repro.core.training import paper_classifier
 from repro.ml.fastpath import fast_predictor
@@ -158,9 +158,16 @@ def build_cache(trace: Trace, cfg: NodeConfig) -> CachePolicy:
     return HierarchicalCache.with_lru_dram(ssd, dram_fraction=cfg.dram_fraction)
 
 
-def solve_node_criteria(trace: Trace, cfg: NodeConfig) -> Criteria:
-    """The §4.3 criterion ``M`` for this node's capacity."""
-    distances = reaccess_distances(trace.object_ids)
+def solve_node_criteria(
+    trace: Trace, cfg: NodeConfig, distances: np.ndarray | None = None
+) -> Criteria:
+    """The §4.3 criterion ``M`` for this node's capacity.
+
+    ``distances`` are the trace's :func:`reaccess_distances`, computed here
+    when not given.
+    """
+    if distances is None:
+        distances = reaccess_distances(trace.object_ids)
     return solve_criteria(
         distances, cfg.resolve_capacity(trace), trace.mean_object_size()
     )
@@ -176,27 +183,55 @@ def history_capacity(criteria: Criteria) -> int:
     )
 
 
-def train_seed_model(trace: Trace, cfg: NodeConfig, criteria: Criteria):
+def train_seed_model(
+    trace: Trace,
+    cfg: NodeConfig,
+    criteria: Criteria,
+    distances: np.ndarray | None = None,
+):
     """Bootstrap classifier: cost-sensitive CART on the first trace day.
 
     Mirrors how a deployment starts — a model trained offline on
     yesterday's log before the node goes live (the retrainer then takes
     over the §4.4.3 daily refresh).  Returns ``None`` when the prefix is
     too small or single-class; the node then admits everything.
+    ``distances`` are the trace's :func:`reaccess_distances`, at least the
+    prefix's (computed here when not given); only the prefix is labelled.
     """
-    labels = one_time_labels(trace.object_ids, criteria.m_threshold)
-    n = int(np.searchsorted(trace.timestamps, cfg.train_seconds))
+    n = _train_rows(trace, cfg)
     if n < cfg.min_train_samples:
         return None
-    y = labels[:n]
-    if np.unique(y).shape[0] < 2:
+    if distances is None:
+        distances = reaccess_distances(trace.object_ids)
+    y = labels_from_distances(distances[:n], criteria.m_threshold)
+    del distances  # if computed here, freed before the fit's temporaries
+    if y.min() == y.max():  # single-class prefix
         return None
     # Every feature looks only backwards, so the prefix's own matrix equals
-    # the whole trace's first n rows.
+    # the whole trace's first n rows.  The projection is feature-major and
+    # the fit copies it row-major; copying here drops the projection first.
     prefix = trace.slice_time(-np.inf, cfg.train_seconds)
-    fm = extract_features(prefix).select(PAPER_FEATURE_NAMES)
+    X = np.ascontiguousarray(extract_features(prefix).select(PAPER_FEATURE_NAMES).X)
     model = paper_classifier(cfg.cost_v, cfg.max_splits, cfg.seed)
-    return model.fit(fm.X, y)
+    return model.fit(X, y)
+
+
+def _train_rows(trace: Trace, cfg: NodeConfig) -> int:
+    """Requests in the seed model's training prefix."""
+    return int(np.searchsorted(trace.timestamps, cfg.train_seconds))
+
+
+def _seed_classifier(trace: Trace, cfg: NodeConfig, model=None):
+    """The node's criterion and seed model (unless ``model`` is given),
+    both read from one reaccess-distance pass that dies on return."""
+    distances = reaccess_distances(trace.object_ids)
+    criteria = solve_node_criteria(trace, cfg, distances)
+    if model is None:
+        # The labels read the training day's distances only; the rest are
+        # freed before the fit allocates its own temporaries.
+        distances = distances[: _train_rows(trace, cfg)].copy()
+        model = train_seed_model(trace, cfg, criteria, distances)
+    return criteria, model
 
 
 def classifier_admission(
@@ -224,9 +259,7 @@ def replay_offline(trace: Trace, cfg: NodeConfig, *, model=None) -> SimulationRe
     """
     admission = None
     if cfg.classifier:
-        criteria = solve_node_criteria(trace, cfg)
-        if model is None:
-            model = train_seed_model(trace, cfg, criteria)
+        criteria, model = _seed_classifier(trace, cfg, model)
         if model is not None:
             admission = classifier_admission(trace, criteria, model)
     return simulate(
@@ -276,8 +309,7 @@ class CacheNode:
         #: The filter the request loop asks on a miss (None: admit all).
         self.admission: AdmissionPolicy | None = None
         if self.cfg.classifier:
-            self.criteria = solve_node_criteria(trace, self.cfg)
-            self.model = train_seed_model(trace, self.cfg, self.criteria)
+            self.criteria, self.model = _seed_classifier(trace, self.cfg)
             if self.model is not None:
                 self.model_version = 1
                 self.admission = classifier_admission(

@@ -26,9 +26,11 @@ TRACE_COLUMNS = (
     "owner_avg_views",
 )
 
-#: Attribute memoising :meth:`Trace.request_lists` on the instance (traces
-#: are treated as immutable once built, so the memo can never go stale).
+#: Attributes memoising :meth:`Trace.request_lists` and the seen-object
+#: statistics on the instance (traces are treated as immutable once built,
+#: so the memos can never go stale).
 _REQUEST_LISTS_ATTR = "_request_lists"
+_SEEN_ATTR = "_seen_memo"
 
 
 def _rebuild_trace(accesses, catalog, active_friends, avg_views, duration, viral):
@@ -116,9 +118,9 @@ class Trace:
     def __reduce__(self):
         # Explicit reconstruction keeps the payload to the five canonical
         # fields: the ad-hoc instance state (notably the memoised
-        # ``SegmentPlan`` attached by ``SegmentPlan.for_trace`` and the
-        # ``request_lists`` memo, both of which dwarf the trace itself)
-        # must never ride along to worker processes.
+        # ``SegmentPlan`` attached by ``SegmentPlan.for_trace``, the
+        # ``request_lists`` memo, which dwarfs the trace itself, and the
+        # seen-object statistics) must never ride along to worker processes.
         return (
             _rebuild_trace,
             (
@@ -213,15 +215,32 @@ class Trace:
             setattr(self, _REQUEST_LISTS_ATTR, lists)
         return lists
 
+    def _seen_stats(self) -> tuple[int, float]:
+        """Total and mean size of the objects requested at least once.
+
+        The objects come from one boolean mask over the catalog — the
+        elements, in the ascending-id order, of ``np.unique(object_ids)``
+        without its sort of every request.  Both numbers are computed once
+        per instance and memoised on it (a pickled trace leaves them
+        behind, like the ``request_lists`` memo).
+        """
+        stats = getattr(self, _SEEN_ATTR, None)
+        if stats is None:
+            seen = np.zeros(self.n_objects, dtype=bool)
+            seen[self.accesses["object_id"]] = True
+            sizes = self.catalog["size"][seen]
+            stats = (int(sizes.sum()), float(sizes.mean()))
+            setattr(self, _SEEN_ATTR, stats)
+        return stats
+
     @property
     def footprint_bytes(self) -> int:
         """Sum of sizes of objects that appear in the trace at least once."""
-        seen = np.unique(self.accesses["object_id"])
-        return int(self.catalog["size"][seen].sum())
+        return self._seen_stats()[0]
 
     def mean_object_size(self) -> float:
-        seen = np.unique(self.accesses["object_id"])
-        return float(self.catalog["size"][seen].mean())
+        """Mean size of the objects that appear in the trace at least once."""
+        return self._seen_stats()[1]
 
     def access_counts(self) -> np.ndarray:
         """Number of accesses per catalog object (0 for never-accessed)."""

@@ -196,6 +196,22 @@ class TestS3LRU:
     def test_three_segments_by_default(self):
         assert S3LRUCache(300).n_segments == 3
 
+    def test_hit_evicts_through_the_demotion_cascade(self):
+        """A hit can evict with quotas that divide evenly (30 // 3 = 10).
+
+        Segment 1 holds 1 (6 B) and 2 (4 B), segment 0 holds 3 (2 B) and
+        4 (8 B).  The hit on 4 moves 8 B up: segment 1 (18 B) demotes 1,
+        then 2, and the 10 B they bring overflow segment 0 (2 + 6 + 4 B),
+        which evicts 3.
+        """
+        c = S3LRUCache(30)
+        for oid, size in ((1, 6), (1, 6), (2, 4), (2, 4), (3, 2), (4, 8)):
+            c.access(oid, size)
+        r = c.access(4, 8)
+        assert r.hit and r.evicted == (3,)
+        assert 3 not in c and all(oid in c for oid in (1, 2, 4))
+        assert c.used_bytes == 18
+
 
 class TestARC:
     def test_ghost_hit_adapts_target(self):

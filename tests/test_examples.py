@@ -1,6 +1,6 @@
-"""The examples that drive ``run_experiment``, the paper's model or the
-served node, run at ≈1,500 objects through ``runpy`` (each ``main`` takes
-the object count)."""
+"""The examples that drive ``run_experiment``, the paper's model, the
+served node, the trace statistics or the SSD model run at ≈1,500 objects
+through ``runpy`` (each ``main`` takes the object count)."""
 
 import runpy
 from pathlib import Path
@@ -16,6 +16,8 @@ LAST_SECTION = {
     "photo_cache_study": "one-time-access exclusion for LRU",
     "production_node": "SSD lifetime",
     "serve_and_replay": "matured samples → model v",
+    "ssd_lifetime_study": "write-density sanity check",
+    "workload_analysis": "one-time share by hour",
 }
 
 

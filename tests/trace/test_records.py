@@ -101,3 +101,40 @@ class TestRequestLists:
         assert "_request_lists" in vars(trace)
         assert "_request_lists" not in vars(got)
         assert got.request_lists() == lists
+
+
+class TestSeenObjects:
+    """``footprint_bytes`` / ``mean_object_size()`` from the seen mask equal
+    the ``np.unique`` reference, never-accessed catalog objects included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_objects=st.integers(min_value=1, max_value=60),
+        n_accesses=st.integers(min_value=1, max_value=80),
+    )
+    def test_equal_the_unique_reference(self, seed, n_objects, n_accesses):
+        trace = _random_trace(np.random.default_rng(seed), n_objects, n_accesses)
+        seen = np.unique(trace.object_ids)
+        sizes = trace.catalog["size"][seen]
+        for _ in range(2):  # computed, then memoised
+            fp, mean = trace.footprint_bytes, trace.mean_object_size()
+            assert type(fp) is int and fp == int(sizes.sum())
+            assert type(mean) is float and mean == float(sizes.mean())
+
+    def test_never_accessed_objects_do_not_count(self):
+        trace = _random_trace(np.random.default_rng(5), 50, 10)
+        seen = np.unique(trace.object_ids)
+        assert seen.shape[0] < trace.n_objects
+        assert trace.footprint_bytes == int(trace.catalog["size"][seen].sum())
+        assert trace.footprint_bytes < int(trace.catalog["size"].sum())
+
+    def test_pickle_leaves_the_memo_behind(self):
+        trace = _random_trace(np.random.default_rng(6), 20, 200)
+        fields = set(vars(trace))
+        stats = trace.footprint_bytes, trace.mean_object_size()
+        memo = set(vars(trace)) - fields
+        assert memo  # the statistics are memoised on the instance ...
+        got = _via_pickle(trace)
+        assert not memo & set(vars(got))  # ... and stay behind
+        assert (got.footprint_bytes, got.mean_object_size()) == stats
