@@ -92,7 +92,6 @@ def run_staging_bench(
         "dram_fraction": comparison.dram_fraction,
         "points": [p.to_dict() for p in comparison.points],
         "violations": check_write_ordering(comparison),
-        "warnings": list(comparison.warnings),
         "table": format_staging_table(comparison),
     }
 
@@ -105,8 +104,6 @@ def format_report(report: dict) -> str:
         f"{w['days']:g} days)",
         report["table"],
     ]
-    for warning in report["warnings"]:
-        lines.append(f"warning: {warning}")
     if report["violations"]:
         lines.append("composition contract VIOLATED:")
         lines.extend(f"  {v}" for v in report["violations"])

@@ -38,11 +38,11 @@ def evaluate(trace, label):
     return base, ideal
 
 
-def main() -> None:
-    album = generate_trace(WorkloadConfig(n_objects=12_000, seed=31))
+def main(n_objects: int = 20_000) -> None:
+    album = generate_trace(WorkloadConfig(n_objects=n_objects * 3 // 5, seed=31))
     cold = generate_trace(
         WorkloadConfig(
-            n_objects=8_000,
+            n_objects=n_objects * 2 // 5,
             seed=32,
             one_time_fraction=0.8,   # a colder tenant (e.g. chat thumbnails)
             mean_accesses=2.2,

@@ -34,8 +34,8 @@ def build_cluster(trace, oc_capacity, dc_capacity, admission_factory=None):
     return TwoTierCluster(nodes, CacheNode("dc", LRUCache(dc_capacity)))
 
 
-def main() -> None:
-    trace = generate_trace(WorkloadConfig(n_objects=25_000, seed=3))
+def main(n_objects: int = 25_000) -> None:
+    trace = generate_trace(WorkloadConfig(n_objects=n_objects, seed=3))
     fp = trace.footprint_bytes
     oc_capacity = max(1, fp // 200)   # each OC node: 0.5 % of footprint
     dc_capacity = max(1, fp // 25)    # DC: 4 % of footprint

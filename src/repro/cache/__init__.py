@@ -29,7 +29,7 @@ from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.learned import LearnedCache, OnlineReuseTrainer, eviction_metadata
 from repro.cache.segments import SegmentPlan
 from repro.cache.simulator import POLICY_REGISTRY, SimulationResult, make_policy, simulate
-from repro.cache.staging import CounterFlashiness, FlashinessPredicate, StagingCache
+from repro.cache.staging import StagingCache
 
 __all__ = [
     "AccessResult",
@@ -54,8 +54,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "SegmentPlan",
     "SimulationResult",
-    "CounterFlashiness",
-    "FlashinessPredicate",
     "StagingCache",
     "make_policy",
     "simulate",

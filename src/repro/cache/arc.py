@@ -143,11 +143,6 @@ class ARCCache(CachePolicy):
     def used_bytes(self) -> int:
         return self._t1_bytes + self._t2_bytes
 
-    @property
-    def p_target(self) -> float:
-        """Current recency/frequency balance (bytes aimed at T1)."""
-        return self._p
-
     def __contains__(self, oid: int) -> bool:
         return oid in self._t1 or oid in self._t2
 

@@ -120,10 +120,6 @@ class HierarchicalCache(CachePolicy):
         """SSD-tier bytes (the figure-relevant resource)."""
         return self.ssd.used_bytes
 
-    @property
-    def dram_used_bytes(self) -> int:
-        return 0 if self.dram is None else self.dram.used_bytes
-
     def __contains__(self, oid: int) -> bool:
         if self.dram is not None and oid in self.dram:
             return True

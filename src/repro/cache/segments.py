@@ -104,7 +104,7 @@ class SegmentPlan:
         self.n_accesses = int(sizes.shape[0])
         # The trace's one occurrence index: next_occ[i] = index of the next
         # access of the same object, or n when there is none.  The distance
-        # pass reads it and _build_batches / export_arrays keep it.
+        # pass reads it and _build_batches keeps it.
         self._next_occ = compute_next_use(self._oids)
         np.minimum(self._next_occ, self.n_accesses, out=self._next_occ)
         distances = stack_distances_from_next_use(self._next_occ, sizes)
@@ -196,29 +196,11 @@ class SegmentPlan:
 
     # ------------------------------------------------------ array round-trip
 
-    def export_arrays(self) -> dict:
-        """The capacity-independent plan state as plain int64 arrays.
-
-        ``demand``, ``prefix_bytes`` and ``next_occ`` are everything the
-        O(n log n) construction produces; :meth:`from_arrays` rebuilds an
-        equivalent plan from them without re-running the grouping sort or
-        the stack-distance pass.  The
-        per-capacity run/batch memos are *not* exported — they are cheap
-        vectorised passes each consumer re-derives for the capacities it
-        actually touches.
-        """
-        return {
-            "oids": self._oids,
-            "demand": self._demand,
-            "prefix_bytes": self.prefix_bytes,
-            "next_occ": self._next_occ,
-        }
-
     @classmethod
     def from_arrays(
         cls, arrays: dict, *, min_run: int = DEFAULT_MIN_RUN
     ) -> "SegmentPlan":
-        """Rebuild a plan from :meth:`export_arrays` output (zero-copy).
+        """Rebuild a plan from its capacity-independent arrays (zero-copy).
 
         ``arrays`` holds ``oids``/``demand``/``prefix_bytes``/``next_occ``
         of matching length.  No stack-distance pass runs.

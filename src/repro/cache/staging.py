@@ -49,46 +49,7 @@ from __future__ import annotations
 from repro.cache.base import HIT, MISS, AccessResult, CachePolicy
 from repro.cache.lru import LRUCache
 
-__all__ = ["CounterFlashiness", "FlashinessPredicate", "StagingCache"]
-
-
-class FlashinessPredicate:
-    """Decides when a staged object has earned its SSD write.
-
-    ``should_promote`` is consulted with the re-access evidence gathered so
-    far (``dram_hits`` is 0 at miss time); ``on_request`` is called exactly
-    once per request *after* any ``should_promote`` for the same position,
-    so learned implementations can consume features before observing.
-    """
-
-    def should_promote(self, index: int, oid: int, size: int, dram_hits: int) -> bool:
-        raise NotImplementedError
-
-    def on_request(self, index: int, oid: int, size: int) -> None:
-        """Optional hook: observe the request (in trace order)."""
-
-    def reset(self) -> None:
-        """Optional hook: clear per-run state before a simulation."""
-
-
-class CounterFlashiness(FlashinessPredicate):
-    """Promote after ``threshold`` re-accesses while staged in DRAM.
-
-    ``threshold=0`` is the always-admit degenerate case (write at miss
-    time); ``threshold=1`` means an object must be seen twice in total
-    before it touches flash.
-    """
-
-    def __init__(self, threshold: int = 1):
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        self.threshold = int(threshold)
-
-    def should_promote(self, index: int, oid: int, size: int, dram_hits: int) -> bool:
-        return dram_hits >= self.threshold
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CounterFlashiness(threshold={self.threshold})"
+__all__ = ["StagingCache"]
 
 
 class StagingCache(CachePolicy):
@@ -101,8 +62,11 @@ class StagingCache(CachePolicy):
         zero-size staging area (transparent shell over ``ssd``).
     ssd:
         The L2 policy whose inserts are the flash writes being avoided.
-    flashiness:
-        The promotion bar; defaults to ``CounterFlashiness(1)``.
+    threshold:
+        The promotion bar: DRAM re-accesses a staged object needs before
+        its SSD write.  ``0`` writes every admitted miss at once (the
+        always-admit degenerate case); ``1`` (default) means an object
+        must be seen twice in total before it touches flash.
     redemption_threshold:
         Optional evidence-overrides-prediction escape hatch for composing
         with an admission classifier: a staged object the caller *denied*
@@ -120,18 +84,18 @@ class StagingCache(CachePolicy):
         self,
         dram: CachePolicy | None,
         ssd: CachePolicy,
-        flashiness: FlashinessPredicate | None = None,
+        threshold: int = 1,
         *,
         redemption_threshold: int | None = None,
     ):
         super().__init__(ssd.capacity)
+        if threshold < 0:
+            raise ValueError("threshold must be >= 0")
         if redemption_threshold is not None and redemption_threshold < 1:
             raise ValueError("redemption_threshold must be >= 1")
         self.dram = dram
         self.ssd = ssd
-        self.flashiness = (
-            flashiness if flashiness is not None else CounterFlashiness(1)
-        )
+        self.threshold = int(threshold)
         self.redemption_threshold = redemption_threshold
         self.l1_hits = 0
         self.l2_hits = 0
@@ -144,7 +108,6 @@ class StagingCache(CachePolicy):
         # oid -> [dram re-accesses while staged, SSD-eligible?].  Entries
         # exist only for DRAM-resident objects that are not on the SSD.
         self._staged: dict[int, list] = {}
-        self._clock = 0
 
     @classmethod
     def for_capacity(
@@ -152,30 +115,25 @@ class StagingCache(CachePolicy):
         capacity_bytes: int,
         *,
         dram_fraction: float = 0.05,
-        flashiness: FlashinessPredicate | None = None,
+        threshold: int = 1,
         redemption_threshold: int | None = None,
     ) -> "StagingCache":
         """LRU tiers sized like ``HierarchicalCache.with_lru_dram``."""
         if not 0.0 <= dram_fraction < 1.0:
             raise ValueError("dram_fraction must be in [0, 1)")
         ssd = LRUCache(capacity_bytes)
-        if dram_fraction == 0.0:
-            return cls(
-                None, ssd, flashiness,
-                redemption_threshold=redemption_threshold,
-            )
-        dram = LRUCache(max(1, int(capacity_bytes * dram_fraction)))
+        dram = (
+            None if dram_fraction == 0.0
+            else LRUCache(max(1, int(capacity_bytes * dram_fraction)))
+        )
         return cls(
-            dram, ssd, flashiness, redemption_threshold=redemption_threshold
+            dram, ssd, threshold, redemption_threshold=redemption_threshold
         )
 
     # --------------------------------------------------------------- access
 
     def access(self, oid: int, size: int, admit: bool = True) -> AccessResult:
         self._validate_request(size)
-        index = self._clock
-        self._clock = index + 1
-        flashiness = self.flashiness
         dram = self.dram
         if dram is None:
             # Zero-size staging area: transparent shell over the L2 policy.
@@ -184,7 +142,6 @@ class StagingCache(CachePolicy):
                 self.l2_hits += 1
             elif result.inserted:
                 self.direct_admits += 1
-            flashiness.on_request(index, oid, size)
             return result
 
         if oid in dram:
@@ -192,7 +149,6 @@ class StagingCache(CachePolicy):
             self.l1_hits += 1
             if oid in self.ssd:
                 result = self.ssd.access(oid, size)
-                flashiness.on_request(index, oid, size)
                 return AccessResult(hit=True, evicted=result.evicted) if result.evicted else HIT
             entry = self._staged.get(oid)
             if entry is None:
@@ -200,24 +156,20 @@ class StagingCache(CachePolicy):
                 # copy was evicted from under it.  It re-enters staging on
                 # its next miss, never from the hit path (keeps bar-zero
                 # bit-identical to HierarchicalCache).
-                flashiness.on_request(index, oid, size)
                 return HIT
             entry[0] += 1
-            promoted = False
-            redeeming = False
-            evicted: tuple[int, ...] = ()
             if entry[1]:
-                promote = flashiness.should_promote(index, oid, size, entry[0])
+                redeeming = False
+                promote = entry[0] >= self.threshold
             else:
                 # Denied at miss time — but observed re-accesses contradict
                 # a one-time prediction, so a configured redemption bar can
                 # still earn the write (never for oversized objects).
-                redeeming = (
+                redeeming = promote = (
                     self.redemption_threshold is not None
                     and entry[0] >= self.redemption_threshold
                     and size <= self.ssd.capacity
                 )
-                promote = redeeming
             if promote:
                 result = self.ssd.access(oid, size, admit=True)
                 if result.inserted:
@@ -225,36 +177,33 @@ class StagingCache(CachePolicy):
                     self.promotions += 1
                     if redeeming:
                         self.redemptions += 1
-                    promoted = True
-                    evicted = result.evicted
-            flashiness.on_request(index, oid, size)
-            return AccessResult(hit=True, inserted=True, evicted=evicted) if promoted else HIT
+                    return AccessResult(
+                        hit=True, inserted=True, evicted=result.evicted
+                    )
+            return HIT
 
         if oid in self.ssd:
             self.l2_hits += 1
             result = self.ssd.access(oid, size)
             dram_result = dram.access(oid, size)
             self._forget(dram_result.evicted)
-            flashiness.on_request(index, oid, size)
             return AccessResult(hit=True, evicted=result.evicted) if result.evicted else HIT
 
         # Miss everywhere: DRAM always takes it; the SSD write waits for
-        # the flashiness bar unless the bar is already crossed at zero.
+        # the flashiness bar unless the bar is zero.
         dram_result = dram.access(oid, size)
         self._forget(dram_result.evicted)
         eligible = admit and size <= self.ssd.capacity
-        if eligible and flashiness.should_promote(index, oid, size, 0):
+        if eligible and self.threshold == 0:
             result = self.ssd.access(oid, size, admit=True)
             if result.inserted:
                 self.direct_admits += 1
-            flashiness.on_request(index, oid, size)
             return result
         if oid in dram:
             # Objects too large for the staging area cannot accrue
             # evidence and are simply never admitted (Flashield: no
             # staging space means no flashiness estimate).
             self._staged[oid] = [0, eligible]
-        flashiness.on_request(index, oid, size)
         return MISS
 
     def _forget(self, evicted) -> None:
@@ -277,26 +226,6 @@ class StagingCache(CachePolicy):
     def used_bytes(self) -> int:
         """SSD-tier bytes (the figure-relevant resource)."""
         return self.ssd.used_bytes
-
-    @property
-    def dram_used_bytes(self) -> int:
-        return 0 if self.dram is None else self.dram.used_bytes
-
-    @property
-    def staged_count(self) -> int:
-        """Objects currently accruing evidence in DRAM."""
-        return len(self._staged)
-
-    def staging_stats(self) -> dict:
-        return {
-            "promotions": self.promotions,
-            "redemptions": self.redemptions,
-            "direct_admits": self.direct_admits,
-            "staged_evicted": self.staged_evicted,
-            "staged_resident": len(self._staged),
-            "l1_hits": self.l1_hits,
-            "l2_hits": self.l2_hits,
-        }
 
     def __contains__(self, oid: int) -> bool:
         if self.dram is not None and oid in self.dram:

@@ -251,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--redemption-delta", type=int, default=1,
                    help="extra re-accesses (beyond the bar) that let the "
                         "composed scheme override a classifier denial")
-    p.add_argument("--learned-flashiness", action="store_true",
-                   help="consult the trained classifier model inside the "
-                        "flashiness bar (LearnedFlashiness) instead of the "
-                        "pure counter")
     p.add_argument("--cmt-fraction", type=float, default=0.25,
                    help="cached mapping table size as a fraction of the "
                         "device's user pages")
@@ -640,13 +636,10 @@ def _cmd_staging(args) -> int:
         dram_fraction=args.dram_fraction,
         flashiness_threshold=args.flashiness_threshold,
         redemption_delta=args.redemption_delta,
-        use_learned_flashiness=args.learned_flashiness,
         training_rng=args.seed,
         cmt_fraction=args.cmt_fraction,
     )
     print(format_staging_table(comparison))
-    for warning in comparison.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(comparison.to_dict(), fh, indent=2)

@@ -199,21 +199,6 @@ class TwoTierCluster:
             ("node",), read=per_node(("admissions_denied",)),
         )
 
-    def attach_ledger(self, ledger) -> None:
-        """Route every node's write provenance into one ``WriteLedger``.
-
-        Covers the OC tier and the DC; nodes added later must be bound by
-        the caller (the scenario engine does, carrying the node's current
-        model label and restart position).  The ledger is cluster-global
-        and monotone: a removed node's recorded writes stay accounted, so
-        per-cause totals always sum to the cumulative cluster write count
-        (``oc_tier_totals().files_written + dc.stats.files_written``, i.e.
-        :attr:`ClusterResult.total_ssd_writes` including retired stats).
-        """
-        for node in self.oc_nodes.values():
-            node.bind_ledger(ledger)
-        self.dc.bind_ledger(ledger)
-
     def reset(self) -> None:
         for node in self.oc_nodes.values():
             node.reset()

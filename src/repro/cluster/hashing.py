@@ -104,10 +104,3 @@ class ConsistentHashRing:
                 if len(owners) == n:
                     break
         return tuple(owners)
-
-    def assignments(self, keys) -> dict[str, int]:
-        """Count of keys per node — handy for balance checks."""
-        counts = {n: 0 for n in self.nodes}
-        for key in keys:
-            counts[self.lookup(key)] += 1
-        return counts

@@ -531,7 +531,7 @@ class OnlineClassifierAdmission(AdmissionPolicy):
     @property
     def decision_times(self) -> Reservoir:
         """Bounded reservoir of per-decision seconds behind the
-        ``t_classify`` percentiles (:func:`repro.server.metrics.admission_timing`).
+        ``t_classify`` percentiles (:func:`repro.server.metrics.timing_stats`).
 
         Amortised like the serving instruments: the hot path only sums
         nanoseconds, and each read enters the decisions made since the

@@ -23,17 +23,16 @@ lifetime, not just write totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache.hierarchy import HierarchicalCache
-from repro.cache.staging import CounterFlashiness, StagingCache
+from repro.cache.staging import StagingCache
 from repro.config import COST_BOUNDARY_FRACTION
 from repro.core.admission import ClassifierAdmission
 from repro.core.criteria import solve_criteria
 from repro.core.labeling import labels_from_distances, reaccess_distances
 from repro.core.training import train_daily_classifier
 from repro.ml.cost_sensitive import select_cost_v
-from repro.ml.flashiness import learned_flashiness_for_trace
 from repro.ssd.cache_device import CacheSSD, simulate_on_ssd
 from repro.trace.records import Trace
 
@@ -117,8 +116,6 @@ class StagingComparison:
     n_requests: int
     flashiness_threshold: int
     dram_fraction: float
-    learned_flashiness: bool
-    warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -127,8 +124,6 @@ class StagingComparison:
             "n_requests": self.n_requests,
             "flashiness_threshold": self.flashiness_threshold,
             "dram_fraction": self.dram_fraction,
-            "learned_flashiness": self.learned_flashiness,
-            "warnings": list(self.warnings),
         }
 
 
@@ -160,7 +155,6 @@ def run_staging_comparison(
     dram_fraction: float = 0.05,
     flashiness_threshold: int = 1,
     redemption_delta: int = 1,
-    use_learned_flashiness: bool = False,
     training_rng: int = 0,
     cmt_fraction: float = 0.25,
 ) -> StagingComparison:
@@ -168,10 +162,7 @@ def run_staging_comparison(
 
     The classifier is trained once per capacity point through the same
     chain the grid runner uses (criteria fixed point → one-time labels →
-    daily cost-sensitive training).  With ``use_learned_flashiness`` the
-    staging bar additionally consults the trained model through
-    :class:`repro.ml.flashiness.LearnedFlashiness` (falling back to the
-    counter bar if no day produced a trained model).
+    daily cost-sensitive training).  Every fraction must be positive.
 
     In the composed scheme a classifier denial raises the staged object's
     bar to ``flashiness_threshold + redemption_delta`` instead of blocking
@@ -181,11 +172,15 @@ def run_staging_comparison(
     """
     from repro.core.features import extract_features
 
+    for fraction in fractions:
+        if fraction <= 0:
+            raise ValueError(
+                f"capacity fraction must be positive, got {fraction!r}"
+            )
     footprint = trace.footprint_bytes
     mean_size = trace.mean_object_size()
     distances = reaccess_distances(trace.object_ids)
     features = extract_features(trace)
-    warnings: list[str] = []
     points: list[StagingPoint] = []
 
     for fraction in fractions:
@@ -204,22 +199,6 @@ def run_staging_comparison(
                 training.predictions, criteria
             )
 
-        model = next(
-            (m for m in reversed(training.models) if m is not None), None
-        )
-        if use_learned_flashiness and model is None:
-            warnings.append(
-                f"fraction {fraction}: no trained daily model — "
-                "falling back to the counter bar"
-            )
-
-        def flashiness_bar():
-            if use_learned_flashiness and model is not None:
-                return learned_flashiness_for_trace(
-                    trace, model, min_dram_hits=max(1, flashiness_threshold)
-                )
-            return CounterFlashiness(flashiness_threshold)
-
         runs = {
             "no-admission": (
                 HierarchicalCache.for_capacity(cap, dram_fraction=dram_fraction),
@@ -233,7 +212,7 @@ def run_staging_comparison(
                 StagingCache.for_capacity(
                     cap,
                     dram_fraction=dram_fraction,
-                    flashiness=flashiness_bar(),
+                    threshold=flashiness_threshold,
                 ),
                 None,
             ),
@@ -241,7 +220,7 @@ def run_staging_comparison(
                 StagingCache.for_capacity(
                     cap,
                     dram_fraction=dram_fraction,
-                    flashiness=flashiness_bar(),
+                    threshold=flashiness_threshold,
                     redemption_threshold=flashiness_threshold
                     + redemption_delta,
                 ),
@@ -279,8 +258,6 @@ def run_staging_comparison(
         n_requests=len(trace.object_ids),
         flashiness_threshold=flashiness_threshold,
         dram_fraction=dram_fraction,
-        learned_flashiness=use_learned_flashiness,
-        warnings=warnings,
     )
 
 

@@ -61,11 +61,8 @@ from repro.ml.preprocessing import (
     StandardScaler,
     UniformDiscretizer,
 )
-from repro.ml.flashiness import LearnedFlashiness, learned_flashiness_for_trace
 
 __all__ = [
-    "LearnedFlashiness",
-    "learned_flashiness_for_trace",
     "BaseEstimator",
     "check_X_y",
     "check_array",

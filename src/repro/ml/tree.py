@@ -362,11 +362,6 @@ class _FlatTree(BaseEstimator):
         self._check_fitted()
         return int(self.node_depth_.max())
 
-    def get_n_leaves(self) -> int:
-        self._check_fitted()
-        return int(np.sum(self.feature_ == _LEAF))
-
-
 class DecisionTreeClassifier(_FlatTree):
     """CART classifier with a best-first split budget.
 

@@ -198,9 +198,6 @@ class Tracer:
     def new_track(self) -> int:
         return self._next_track()
 
-    def current_track(self) -> int | None:
-        return _CURRENT_TRACK.get()
-
     def _record(self, name, cat, track, start_ns, end_ns, args) -> None:
         self._spans.append(
             {

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.obs.structlog import json_line
-
 __all__ = ["EVENT_FIELDS", "DecisionTrace"]
 
 EVENT_FIELDS = (
@@ -110,8 +108,3 @@ class DecisionTrace:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    @staticmethod
-    def to_jsonl(events: list[dict]) -> str:
-        """Render events as JSON lines (one object per line)."""
-        return "\n".join(json_line(e) for e in events)

@@ -33,7 +33,6 @@ from repro.server.loadgen import (
     run_loadgen,
 )
 from repro.server.metrics import (
-    admission_timing,
     format_metrics,
     metrics_snapshot,
     timing_stats,
@@ -63,7 +62,6 @@ __all__ = [
     "fetch_stats",
     "replay",
     "run_loadgen",
-    "admission_timing",
     "format_metrics",
     "metrics_snapshot",
     "timing_stats",

@@ -17,16 +17,7 @@ from __future__ import annotations
 
 import asyncio
 
-__all__ = ["install_uvloop", "reset_loop_policy", "uvloop_available", "loop_label"]
-
-
-def uvloop_available() -> bool:
-    """Whether the uvloop wheel is importable in this environment."""
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
+__all__ = ["install_uvloop", "loop_label"]
 
 
 def install_uvloop(enable: bool = True) -> bool:
@@ -44,15 +35,6 @@ def install_uvloop(enable: bool = True) -> bool:
         return False
     asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     return True
-
-
-def reset_loop_policy() -> None:
-    """Restore the default asyncio policy (undo :func:`install_uvloop`).
-
-    Lets one process run on both loops in turn (the parity tests do);
-    the policy only affects loops created afterwards.
-    """
-    asyncio.set_event_loop_policy(None)
 
 
 def loop_label(installed: bool) -> str:

@@ -27,7 +27,6 @@ from repro.reporting import format_table
 
 __all__ = [
     "timing_stats",
-    "admission_timing",
     "metrics_snapshot",
     "format_metrics",
 ]
@@ -51,11 +50,6 @@ def timing_stats(seconds) -> dict:
         "p99": float(p99),
         "max": float(arr.max()),
     }
-
-
-def admission_timing(admission) -> dict:
-    """Per-decision timing of an :class:`OnlineClassifierAdmission`."""
-    return timing_stats(admission.decision_times)
 
 
 def metrics_snapshot(node, server=None) -> dict:

@@ -462,17 +462,6 @@ class CacheNode:
         """The object id the loaded trace holds at ``index`` (validation)."""
         return self._oid_list[index]
 
-    def classify_times(self) -> np.ndarray:
-        """Retained per-decision classification seconds (misses only).
-
-        Each micro-batch contributes one entry per decision it made, all
-        at the batch's mean gather + tree-walk time (the served analogue of
-        :attr:`repro.core.online.OnlineClassifierAdmission.decision_times`).
-        Bounded by ``cfg.timing_capacity``; exact totals live on
-        :attr:`classify_timing`.
-        """
-        return self.classify_timing.values()
-
     # ------------------------------------------------------------- mutation
 
     def install_model(self, model) -> int:

@@ -190,10 +190,6 @@ class CacheSSD(CacheObserver):
     def wear(self) -> WearStats:
         return WearStats.from_erase_counts(self.ftl.erase_counts)
 
-    @property
-    def resident_objects(self) -> int:
-        return len(self._owned)
-
     def lifetime(
         self, host_bytes_per_day: float
     ) -> LifetimeEstimate:

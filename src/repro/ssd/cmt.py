@@ -95,11 +95,6 @@ class MappingTableCache:
         """Total translation-fetch latency this run paid on CMT misses."""
         return self.stats.misses * self.miss_penalty_us
 
-    @property
-    def occupancy(self) -> float:
-        """Resident fraction of the translation cache."""
-        return len(self._entries) / self.capacity_entries
-
     def __contains__(self, lpn: int) -> bool:
         return lpn in self._entries
 

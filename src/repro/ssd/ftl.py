@@ -291,19 +291,10 @@ class PageMappedFTL:
             self._l2p[lpn] = _UNMAPPED
             stats.trims += 1
 
-    def is_mapped(self, lpn: int) -> bool:
-        if not 0 <= lpn < self._user_pages:
-            raise ValueError(f"lpn {lpn} out of range")
-        return self._l2p[lpn] != _UNMAPPED
-
     @property
     def erase_counts(self) -> np.ndarray:
         """Per-block erase counts (copy)."""
         return self._erases.copy()
-
-    @property
-    def valid_pages(self) -> int:
-        return sum(self._valid)
 
     def check_invariants(self) -> None:
         """Internal consistency (used by tests)."""

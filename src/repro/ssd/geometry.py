@@ -58,10 +58,6 @@ class SSDGeometry:
         return -(-self.user_bytes // self.page_bytes)  # ceil division
 
     @property
-    def physical_bytes(self) -> int:
-        return int(self.user_bytes * (1.0 + self.overprovision))
-
-    @property
     def n_blocks(self) -> int:
         """Physical blocks, always enough to hold every logical page + 2
         spare blocks so GC can always make progress."""

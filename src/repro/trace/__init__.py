@@ -26,7 +26,7 @@ from repro.trace.popularity import DiurnalModel
 from repro.trace.generator import WorkloadConfig, generate_trace
 from repro.trace.sampler import sample_objects
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.mixer import concat_traces, interleave_traces, scale_rate
+from repro.trace.mixer import interleave_traces, scale_rate
 from repro.trace.analysis import (
     ZipfFit,
     one_time_share_by_hour,
@@ -50,7 +50,6 @@ __all__ = [
     "sample_objects",
     "TraceStats",
     "compute_stats",
-    "concat_traces",
     "interleave_traces",
     "scale_rate",
     "ZipfFit",

@@ -1,20 +1,15 @@
-"""Trace persistence: compressed NPZ (native) and CSV (interchange).
-
-NPZ keeps the structured arrays intact and round-trips exactly; CSV exports
-one row per access joined with its catalog columns, for inspection or reuse
-by external tools.
-"""
+"""Trace persistence: compressed NPZ that keeps the structured arrays
+intact and round-trips exactly."""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from repro.trace.records import ACCESS_DTYPE, CATALOG_DTYPE, Trace
 
-__all__ = ["save_trace", "load_trace", "export_csv"]
+__all__ = ["save_trace", "load_trace"]
 
 _FORMAT_VERSION = 1
 
@@ -50,40 +45,3 @@ def load_trace(path: str | Path) -> Trace:
             duration=float(data["duration"]),
             viral_mask=data["viral_mask"] if "viral_mask" in data else None,
         )
-
-
-def export_csv(trace: Trace, path: str | Path, *, limit: int | None = None) -> int:
-    """Export accesses (joined with catalog columns) as CSV.
-
-    Returns the number of rows written.  ``limit`` truncates the export for
-    quick inspection of huge traces.
-    """
-    n = trace.n_accesses if limit is None else min(limit, trace.n_accesses)
-    acc = trace.accesses[:n]
-    cat = trace.catalog[acc["object_id"]]
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "timestamp",
-                "object_id",
-                "terminal",
-                "size",
-                "photo_type",
-                "owner_id",
-                "upload_time",
-            ]
-        )
-        for i in range(n):
-            writer.writerow(
-                [
-                    f"{acc['timestamp'][i]:.3f}",
-                    int(acc["object_id"][i]),
-                    int(acc["terminal"][i]),
-                    int(cat["size"][i]),
-                    int(cat["photo_type"][i]),
-                    int(cat["owner_id"][i]),
-                    f"{cat['upload_time'][i]:.3f}",
-                ]
-            )
-    return n

@@ -1,8 +1,7 @@
-"""Trace composition: interleave, concatenate, and rate-scale workloads.
+"""Trace composition: interleave and rate-scale workloads.
 
 Downstream what-if studies need composite traces — e.g. two tenants
-sharing one cache tier, a workload doubling in rate, or day-over-day
-splicing.  These utilities operate purely on the
+sharing one cache tier, or a workload doubling in rate.  These utilities operate purely on the
 :class:`~repro.trace.records.Trace` schema, so composed traces run through
 every simulator, labeller and classifier unchanged.
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from repro.trace.records import ACCESS_DTYPE, CATALOG_DTYPE, Trace
 
-__all__ = ["interleave_traces", "concat_traces", "scale_rate"]
+__all__ = ["interleave_traces", "scale_rate"]
 
 
 def _merge_catalogs(a: Trace, b: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -54,37 +53,6 @@ def interleave_traces(a: Trace, b: Trace) -> Trace:
         owner_active_friends=friends,
         owner_avg_views=views,
         duration=max(a.duration, b.duration),
-        viral_mask=viral,
-    )
-
-
-def concat_traces(a: Trace, b: Trace) -> Trace:
-    """Play ``b`` after ``a`` (time-shifted by ``a.duration``).
-
-    Useful for splicing regimes, e.g. a normal week followed by a
-    flash-crowd week, to study how the daily retraining reacts.
-    """
-    catalog, views, friends, id_offset, _ = _merge_catalogs(a, b)
-
-    b_acc = b.accesses.copy()
-    b_acc["object_id"] += id_offset
-    b_acc["timestamp"] += a.duration
-    merged = np.concatenate([a.accesses, b_acc]).view(ACCESS_DTYPE)
-    # b's upload times shift with its accesses so ages stay consistent.
-    catalog["upload_time"][a.catalog.shape[0]:] += a.duration
-
-    viral = None
-    if a.viral_mask is not None or b.viral_mask is not None:
-        va = a.viral_mask if a.viral_mask is not None else np.zeros(a.n_objects, bool)
-        vb = b.viral_mask if b.viral_mask is not None else np.zeros(b.n_objects, bool)
-        viral = np.concatenate([va, vb])
-
-    return Trace(
-        accesses=np.ascontiguousarray(merged),
-        catalog=catalog,
-        owner_active_friends=friends,
-        owner_avg_views=views,
-        duration=a.duration + b.duration,
         viral_mask=viral,
     )
 

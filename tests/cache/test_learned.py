@@ -284,13 +284,12 @@ class TestTrainerLifecycle:
 
 
 class _HashingTrainer(OnlineReuseTrainer):
-    """Folds every refit's tree arrays into one sha256.
+    """Folds every refit's tree arrays into one sha256, bit for bit.
 
-    Split features, thresholds and children are hashed bit for bit.  Leaf
-    values are rounded to 1e-6 first: they come from a BLAS ``ddot``,
-    whose summation order follows the CPU kernel and thread count
-    (observed: ``OPENBLAS_NUM_THREADS=1`` moves the last bits of 13k-row
-    leaf means), and a pinned constant must not depend on the host.
+    Leaf values included: the regressor's leaf mean is a NumPy ``sum``
+    over the leaf's rows, not a BLAS ``ddot``, so its bits do not follow
+    the BLAS kernel or thread count (the same digest under
+    ``OPENBLAS_NUM_THREADS=1`` and ``=2``).
     """
 
     def __init__(self, **kwargs):
@@ -301,7 +300,7 @@ class _HashingTrainer(OnlineReuseTrainer):
         super()._fit()
         m = self.model
         for a in (m.feature_, m.threshold_, m.children_left_,
-                  m.children_right_, np.round(m.value_, 6)):
+                  m.children_right_, m.value_):
             self.sha.update(np.ascontiguousarray(a).tobytes())
 
 
@@ -312,7 +311,9 @@ class TestPinnedReplay:
         # eleven refits (two buffer trims) on a metadata trace, every tree
         # array of every refit and every decision counter.  A change that
         # moves this fingerprint changes eviction decisions — it is not a
-        # refactor of the trainer.
+        # refactor of the trainer.  The digest was re-recorded at 002b407
+        # when the leaf values went in unrounded (the 1e-6-rounded digest
+        # recorded at fc8dfdb, 574526bc…, still held there).
         trace = generate_trace(WorkloadConfig(n_objects=1500, seed=3))
         cap = int(0.03 * trace.catalog["size"].sum())
         trainer = _HashingTrainer(
@@ -333,7 +334,7 @@ class TestPinnedReplay:
         ) == (3851, 1320, 716, 2702, 341, 11)
         assert d["train_mae"] == pytest.approx(5.0056229203297775, rel=1e-12)
         assert trainer.sha.hexdigest() == (
-            "574526bcd8f77be41c0fbb81d7d98625d707fc7a66c9ea93ae47997aff01430b"
+            "80df7bab60304161f680adb21a6e74d6ac9213091287343aa9a5e492af7b54e5"
         )
         assert d["matured_samples"] == 4788
         # Refit attribution: always on, two clock reads per refit.

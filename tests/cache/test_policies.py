@@ -17,7 +17,7 @@ from repro.cache import (
     compute_next_use,
 )
 from repro.cache.hierarchy import HierarchicalCache
-from repro.cache.staging import CounterFlashiness, StagingCache
+from repro.cache.staging import StagingCache
 
 
 def _staging_bar0(capacity):
@@ -25,7 +25,7 @@ def _staging_bar0(capacity):
     # inserts match the common miss-time contract (a non-zero bar defers
     # the SSD write to the hit path by design; tests/cache/test_staging.py
     # owns those semantics).
-    return StagingCache.for_capacity(capacity, flashiness=CounterFlashiness(0))
+    return StagingCache.for_capacity(capacity, threshold=0)
 
 
 ONLINE_POLICIES = [
@@ -224,11 +224,11 @@ class TestARC:
         c.access(2, 100)  # 2 → T2
         c.access(3, 100)
         c.access(4, 100)  # T1 = {3, 4}
-        p0 = c.p_target
+        p0 = c._p
         c.access(5, 100)  # evicts 3 (T1 LRU) → B1 ghost
         assert 3 not in c
         c.access(3, 100)  # B1 ghost hit: p must grow
-        assert c.p_target > p0
+        assert c._p > p0
         assert 3 in c and 3 in c._t2  # re-admitted into T2
 
     def test_two_touches_reach_t2(self):

@@ -20,7 +20,7 @@ from repro.cache import LRUCache, simulate
 from repro.cache.base import AccessResult
 from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.simulator import POLICY_REGISTRY, make_policy
-from repro.cache.staging import CounterFlashiness, StagingCache
+from repro.cache.staging import StagingCache
 from repro.trace import WorkloadConfig, generate_trace
 
 request_streams = st.lists(
@@ -45,7 +45,7 @@ def make(dram_cap=500, ssd_cap=5000, threshold=1, **kwargs):
     return StagingCache(
         LRUCache(dram_cap),
         LRUCache(ssd_cap),
-        CounterFlashiness(threshold),
+        threshold,
         **kwargs,
     )
 
@@ -56,7 +56,7 @@ class TestStagingSemantics:
         r = c.access(1, 100)
         assert r == AccessResult(hit=False)
         assert 1 in c.dram and 1 not in c.ssd
-        assert c.staged_count == 1
+        assert len(c._staged) == 1
 
     def test_second_access_promotes(self):
         c = make()
@@ -64,7 +64,7 @@ class TestStagingSemantics:
         r = c.access(1, 100)
         assert r.hit and r.inserted  # the only hit+insert in the codebase
         assert 1 in c.ssd
-        assert c.promotions == 1 and c.staged_count == 0
+        assert c.promotions == 1 and len(c._staged) == 0
 
     def test_threshold_two_needs_two_reaccesses(self):
         c = make(threshold=2)
@@ -114,7 +114,7 @@ class TestStagingSemantics:
     def test_oversized_for_dram_not_staged(self):
         c = make(dram_cap=200, ssd_cap=5000)
         c.access(1, 400)  # cannot enter the staging area
-        assert c.staged_count == 0
+        assert len(c._staged) == 0
         assert not c.access(1, 400).hit
 
     def test_bar_zero_writes_at_miss(self):
@@ -137,6 +137,14 @@ class TestStagingSemantics:
     def test_can_batch_hits_declined(self):
         assert make().can_batch_hits() is False
 
+    def test_staging_stats_shape(self):
+        c = make()
+        c.access(1, 100)
+        c.access(1, 100)
+        assert c.promotions == 1
+        assert c.l1_hits == 1
+        assert len(c._staged) == 0
+
     def test_contains_and_len_span_tiers(self):
         c = make()
         c.access(1, 100)          # DRAM only (staged)
@@ -144,15 +152,6 @@ class TestStagingSemantics:
         c.access(2, 100)          # promoted: DRAM + SSD
         assert 1 in c and 2 in c
         assert len(c) == 3        # 1 in DRAM, 2 in both tiers
-
-    def test_staging_stats_shape(self):
-        c = make()
-        c.access(1, 100)
-        c.access(1, 100)
-        s = c.staging_stats()
-        assert s["promotions"] == 1
-        assert s["l1_hits"] == 1
-        assert s["staged_resident"] == 0
 
     def test_for_capacity_validates_fraction(self):
         with pytest.raises(ValueError):
@@ -218,7 +217,7 @@ class TestDifferentialIdentities:
     def test_bar_zero_is_bit_identical_to_hierarchy(self, stream, dram_cap):
         """Threshold 0 == always-admit == plain ``HierarchicalCache``."""
         staged = StagingCache(
-            LRUCache(dram_cap), LRUCache(3000), CounterFlashiness(0)
+            LRUCache(dram_cap), LRUCache(3000), 0
         )
         hier = HierarchicalCache(LRUCache(dram_cap), LRUCache(3000))
         for oid, size, admit in _stable_sizes(stream):
@@ -226,7 +225,7 @@ class TestDifferentialIdentities:
                 oid, size, admit=admit
             )
         assert staged.used_bytes == hier.used_bytes
-        assert staged.dram_used_bytes == hier.dram_used_bytes
+        assert staged.dram.used_bytes == hier.dram.used_bytes
 
     @given(stream=request_streams)
     @settings(max_examples=40, deadline=None)

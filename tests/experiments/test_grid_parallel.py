@@ -171,8 +171,8 @@ class TestWorkerPayload:
         rebuilt = SegmentPlan.for_trace(clone)
         assert rebuilt is not plan
         np.testing.assert_array_equal(
-            rebuilt.export_arrays()["demand"],
-            plan.export_arrays()["demand"],
+            rebuilt._demand,
+            plan._demand,
         )
 
     def test_initargs_pickle_to_the_arrays_and_no_more(self, trace):

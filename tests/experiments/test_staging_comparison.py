@@ -71,10 +71,22 @@ class TestRunStagingComparison:
             assert o["composed"].ssd_writes <= o["flashiness"].ssd_writes
         assert check_write_ordering(comparison, hit_rate_slack=0.05) == []
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5])
+    def test_non_positive_fraction_rejected_before_any_work(
+        self, trace, fraction, monkeypatch
+    ):
+        import repro.experiments.staging as staging
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the fractions were checked")
+
+        monkeypatch.setattr(staging, "reaccess_distances", no_work)
+        with pytest.raises(ValueError, match=repr(fraction)):
+            run_staging_comparison(trace, fractions=(0.02, fraction))
+
     def test_to_dict_round_trips_schemes(self, comparison):
         d = comparison.to_dict()
         assert d["flashiness_threshold"] == 1
-        assert d["learned_flashiness"] is False
         for point, pd in zip(comparison.points, d["points"]):
             assert pd["fraction"] == point.fraction
             for scheme in SCHEMES:
@@ -113,7 +125,6 @@ class TestCheckWriteOrdering:
         return StagingComparison(
             points=[point], footprint_bytes=50_000, n_requests=1_000,
             flashiness_threshold=1, dram_fraction=0.05,
-            learned_flashiness=False,
         )
 
     def test_clean_comparison_passes(self):

@@ -77,7 +77,7 @@ class TestBudgets:
         assert tree.n_splits_ <= 30
         internal = np.sum(tree.feature_ >= 0)
         assert internal == tree.n_splits_
-        assert tree.get_n_leaves() == tree.n_splits_ + 1
+        assert (tree.feature_ < 0).sum() == tree.n_splits_ + 1
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(3)

@@ -245,7 +245,9 @@ def test_no_registry_writes_per_cluster_request(tiny_trace, registry_writes):
     oc = ClusterNode("oc0", LRUCache(50_000))
     cluster = TwoTierCluster({"oc0": oc}, ClusterNode("dc", LRUCache(500_000)))
     cluster.instrument(registry)
-    cluster.attach_ledger(WriteLedger(registry=registry))
+    ledger = WriteLedger(registry=registry)
+    for node in (oc, cluster.dc):
+        node.bind_ledger(ledger)
     oids = tiny_trace.object_ids.tolist()
     sizes = tiny_trace.catalog["size"][tiny_trace.object_ids].tolist()
     for i in range(500):

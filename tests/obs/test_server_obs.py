@@ -386,7 +386,7 @@ class TestBoundedTiming:
         assert 0 < decisions < n
         assert node.classify_timing.count == decisions
         assert node.classify_timing.retained <= cap
-        assert node.classify_times().shape[0] <= cap
+        assert node.classify_timing.values().shape[0] <= cap
         # Exact aggregates survive the bound.
         assert node.classify_timing.max_value > 0
         snap_count = node.classify_timing.summary()["count"]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs.spans import (
+    _CURRENT_TRACK,
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
@@ -65,7 +66,7 @@ class TestRecording:
             with tr.span("boom", "test"):
                 raise RuntimeError("x")
         assert len(tr) == 1
-        assert tr.current_track() is None  # token was reset
+        assert _CURRENT_TRACK.get() is None  # token was reset
 
 
 class TestTracks:

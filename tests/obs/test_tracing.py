@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.structlog import json_line
 from repro.obs.tracing import EVENT_FIELDS, DecisionTrace
 
 
@@ -100,7 +101,7 @@ class TestEncoding:
         t = DecisionTrace(capacity=4)
         for i in range(3):
             t.record(event(i))
-        lines = DecisionTrace.to_jsonl(t.events()).splitlines()
+        lines = [json_line(e) for e in t.events()]
         assert [json.loads(line)["index"] for line in lines] == [0, 1, 2]
 
     def test_event_fields_documented(self):

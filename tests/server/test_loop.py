@@ -3,8 +3,7 @@
 The wheel may or may not exist in any given environment, so these tests
 fake both worlds through ``sys.modules`` and assert the contract the
 serving stack relies on: a missing wheel (or an explicit opt-out) leaves
-the stdlib policy untouched, an available wheel installs its policy, and
-``reset_loop_policy`` always restores the default.
+the stdlib policy untouched and an available wheel installs its policy.
 """
 
 import asyncio
@@ -13,12 +12,7 @@ import types
 
 import pytest
 
-from repro.server.loop import (
-    install_uvloop,
-    loop_label,
-    reset_loop_policy,
-    uvloop_available,
-)
+from repro.server.loop import install_uvloop, loop_label
 
 
 class FakePolicy(asyncio.DefaultEventLoopPolicy):
@@ -43,12 +37,10 @@ def no_uvloop(monkeypatch):
 
 class TestInstall:
     def test_installs_policy_when_wheel_present(self, fake_uvloop):
-        assert uvloop_available()
         assert install_uvloop() is True
         assert isinstance(asyncio.get_event_loop_policy(), FakePolicy)
 
     def test_missing_wheel_falls_back_silently(self, no_uvloop):
-        assert not uvloop_available()
         before = asyncio.get_event_loop_policy()
         assert install_uvloop() is False
         assert asyncio.get_event_loop_policy() is before
@@ -57,12 +49,6 @@ class TestInstall:
         before = asyncio.get_event_loop_policy()
         assert install_uvloop(False) is False
         assert asyncio.get_event_loop_policy() is before
-
-    def test_reset_restores_default_policy(self, fake_uvloop):
-        install_uvloop()
-        reset_loop_policy()
-        policy = asyncio.get_event_loop_policy()
-        assert not isinstance(policy, FakePolicy)
 
     def test_asyncio_run_still_works_after_fallback(self, no_uvloop):
         install_uvloop()

@@ -94,7 +94,7 @@ class TestTelemetry:
         """Every request that *needed* a decision — each miss, no hit."""
         node = CacheNode(tiny_trace, CFG)
         drive(node, batch_sizes=(64,))
-        times = node.classify_times()
+        times = node.classify_timing.values()
         assert 0 < node.stats.hits < tiny_trace.n_accesses
         assert times.shape[0] == tiny_trace.n_accesses - node.stats.hits
         assert (times > 0).all()

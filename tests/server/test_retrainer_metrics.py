@@ -11,7 +11,6 @@ from repro.core.history_table import HistoryTable
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
 from repro.ml.tree import DecisionTreeClassifier
 from repro.server.metrics import (
-    admission_timing,
     format_metrics,
     metrics_snapshot,
     timing_stats,
@@ -164,7 +163,7 @@ class TestTimingStats:
         )
         assert len(adm.decision_times) == adm.decisions > 0
         assert sum(adm.decision_times) == pytest.approx(adm.decision_seconds)
-        stats = admission_timing(adm)
+        stats = timing_stats(adm.decision_times)
         assert stats["count"] == adm.decisions
         assert stats["mean"] == pytest.approx(adm.mean_decision_seconds)
 

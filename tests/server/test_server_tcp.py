@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.server.loadgen import LoadgenConfig, fetch_stats, run_loadgen
-from repro.server.loop import install_uvloop, reset_loop_policy
+from repro.server.loop import install_uvloop
 from repro.server.node import CacheNode, CacheNodeServer, NodeConfig, replay_offline
 from repro.server.protocol import BIN_GET_ERR, BIN_GET_OK
 from repro.server.retrainer import Retrainer, RetrainerConfig
@@ -38,7 +38,7 @@ class TestReplayParity:
         try:
             self.check_replay_matches_offline(tiny_trace)
         finally:
-            reset_loop_policy()
+            asyncio.set_event_loop_policy(None)
 
     @staticmethod
     def check_replay_matches_offline(tiny_trace):

@@ -24,15 +24,15 @@ class TestCacheSSD:
         dev = self._device()
         dev.on_insert(1, 10_000)  # 3 pages at 4 KiB
         assert dev.ftl.stats.host_pages_written == 3
-        assert dev.resident_objects == 1
+        assert len(dev._owned) == 1
 
     def test_evict_trims_pages(self):
         dev = self._device()
         dev.on_insert(1, 10_000)
         dev.on_evict(1)
         assert dev.ftl.stats.trims == 3
-        assert dev.resident_objects == 0
-        assert dev.ftl.valid_pages == 0
+        assert len(dev._owned) == 0
+        assert sum(dev.ftl._valid) == 0
 
     def test_pages_recycled(self):
         dev = self._device()
@@ -100,7 +100,7 @@ class TestCacheSSD:
         with pytest.raises(ValueError, match="stream 2 out of range"):
             dev.on_insert(7, 16384)
         assert len(dev._free_lpns) == free
-        assert dev.resident_objects == 0
+        assert len(dev._owned) == 0
         assert dev.ftl.stats.host_pages_written == 0
 
     def test_temperature_needs_streams(self):
@@ -120,11 +120,11 @@ class TestCacheSSD:
         for dev in (trimmed, lazy):
             dev.on_insert(1, 4096 * 4)
             dev.on_evict(1)
-        assert trimmed.ftl.valid_pages == 0
-        assert lazy.ftl.valid_pages == 4  # pages stay valid until reuse
+        assert sum(trimmed.ftl._valid) == 0
+        assert sum(lazy.ftl._valid) == 4  # pages stay valid until reuse
         # Reuse of the lpns finally invalidates the old copies.
         lazy.on_insert(2, 4096 * 4)
-        assert lazy.ftl.valid_pages == 4
+        assert sum(lazy.ftl._valid) == 4
         lazy.ftl.check_invariants()
 
 

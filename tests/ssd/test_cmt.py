@@ -68,7 +68,7 @@ class TestMappingTableCache:
         cmt = MappingTableCache(4)
         cmt.lookup(1)
         cmt.lookup(2)
-        assert cmt.occupancy == 0.5
+        assert len(cmt) == 2
         cmt.reset()
         assert len(cmt) == 0
         assert cmt.stats.lookups == 0

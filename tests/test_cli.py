@@ -38,7 +38,7 @@ class TestParser:
             ["scenario", "--requests", "500", "--no-oracle"],
             ["staging", "--fractions", "0.02", "0.05", "--redemption-delta",
              "2", "--no-check"],
-            ["staging", "--learned-flashiness", "--cmt-fraction", "0.5"],
+            ["staging", "--cmt-fraction", "0.5"],
             ["serve", "--port", "0", "--spans", "--spans-capacity", "4096"],
             ["loadgen", "--chrome-trace", "lg.json"],
             ["scenario", "--requests", "500", "--chrome-trace", "sc.json"],

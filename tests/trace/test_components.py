@@ -13,7 +13,7 @@ from repro.trace import (
     sample_objects,
 )
 from repro.trace.catalog import generate_catalog, type_request_share_array
-from repro.trace.io import export_csv, load_trace, save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.trace.popularity import DAY, age_decay
 
 
@@ -202,19 +202,6 @@ class TestIO:
         np.testing.assert_array_equal(loaded.accesses, tiny_trace.accesses)
         np.testing.assert_array_equal(loaded.catalog, tiny_trace.catalog)
         assert loaded.duration == tiny_trace.duration
-
-    def test_csv_export(self, tmp_path, tiny_trace):
-        p = tmp_path / "trace.csv"
-        n = export_csv(tiny_trace, p, limit=100)
-        assert n == 100
-        lines = p.read_text().strip().splitlines()
-        assert len(lines) == 101  # header + rows
-        assert lines[0].startswith("timestamp,object_id")
-
-    def test_csv_full(self, tmp_path, tiny_trace):
-        p = tmp_path / "full.csv"
-        n = export_csv(tiny_trace, p)
-        assert n == tiny_trace.n_accesses
 
     def test_viral_mask_roundtrip(self, tmp_path):
         tr = generate_trace(

@@ -1,10 +1,10 @@
-"""Tests for trace composition (interleave / concat / rate-scale)."""
+"""Tests for trace composition (interleave / rate-scale)."""
 
 import numpy as np
 import pytest
 
 from repro.trace import WorkloadConfig, compute_stats, generate_trace
-from repro.trace.mixer import concat_traces, interleave_traces, scale_rate
+from repro.trace.mixer import interleave_traces, scale_rate
 
 
 @pytest.fixture(scope="module")
@@ -63,28 +63,6 @@ class TestInterleave:
         m = interleave_traces(a, b)
         assert m.viral_mask is not None
         assert m.viral_mask.sum() == a.viral_mask.sum()
-
-
-class TestConcat:
-    def test_b_follows_a(self, pair):
-        a, b = pair
-        m = concat_traces(a, b)
-        assert m.duration == a.duration + b.duration
-        # The first a.n_accesses entries are exactly a's.
-        np.testing.assert_array_equal(
-            m.timestamps[: a.n_accesses], a.timestamps
-        )
-        assert m.timestamps[a.n_accesses] >= a.duration
-
-    def test_ages_consistent_after_shift(self, pair):
-        a, b = pair
-        m = concat_traces(a, b)
-        # For b's first access, age (t − upload) must equal the original.
-        i = a.n_accesses
-        oid = m.object_ids[i]
-        age_m = m.timestamps[i] - m.catalog["upload_time"][oid]
-        age_b = b.timestamps[0] - b.catalog["upload_time"][b.object_ids[0]]
-        assert age_m == pytest.approx(age_b)
 
 
 class TestInterleaveProperties:

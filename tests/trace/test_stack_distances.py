@@ -265,10 +265,9 @@ def check_plan_against_oracle(trace):
     distances = fenwick_distances(trace.object_ids, sizes)
     demand = np.where(distances == COLD_MISS, COLD_MISS, distances + sizes)
     np.testing.assert_array_equal(plan._demand, demand)
-    exported = plan.export_arrays()
     next_occ = next_occurrence(trace.object_ids.tolist())
-    np.testing.assert_array_equal(exported["next_occ"], next_occ)
-    assert exported["next_occ"].dtype == np.int64
+    np.testing.assert_array_equal(plan._next_occ, next_occ)
+    assert plan._next_occ.dtype == np.int64
     reference = SegmentPlan.from_arrays(
         {
             "oids": np.ascontiguousarray(trace.object_ids),
