@@ -10,13 +10,17 @@ Dual-mode module, like ``bench_staging.py``:
   Exits non-zero if the pristine phases diverge from the failure-free
   baseline (exact counter equality) — that equality is the scenario
   engine's correctness gate, the analogue of the served == offline
-  parity checks.  ``--quick`` shrinks the trace for the CI smoke job (< 30 s);
-  the default run uses the full ISSUE-6 scale (200 k base requests).
+  parity checks — if the write ledger is not exact, or if the
+  ``--chrome-trace`` export fails :func:`validate_chrome_trace` (checked
+  before the file is written).  ``--quick`` shrinks the trace for CI's
+  ``e2e-smoke`` job (< 30 s); the default run uses the full reference
+  scale (200 k base requests).
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs quick mode and persists the table under ``results/``.
 
 The JSON report is tagged ``"kind": "cluster_scenario"`` and carries the
-per-phase oracle gaps that ``bench_trend.py`` tracks across CI runs.
+per-phase oracle gaps.  Tier-1 pins every phase counter of a smaller run
+(``tests/scenario/test_engine.py::TestPinnedReport``).
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ Dual-mode module:
   plus the SSD file-write rates, the timed per-eviction decision cost
   and the refit cost (``fit_seconds``, its share of the replay, ms per
   fit), writes ``BENCH_learned_eviction.json`` (``"kind":
-  "learned_eviction"`` for ``bench_trend.py`` dispatch) and exits
-  non-zero when a floor is missed.  Full-mode floors: mean closure
+  "learned_eviction"``) and exits non-zero when a floor is missed.  Full-mode floors: mean closure
   ≥ 25 % of the LRU→Belady gap and a compiled single prediction in the
   ns range (< 1 µs).  The policy's *time* is not gated here: it is
   judged by ``replay_learned``'s ``cpu_us_per_req`` bound in
@@ -23,7 +22,9 @@ Dual-mode module:
   and refit timings in this report are information.  Both modes always
   verify that every pre-existing registry policy stays bit-identical
   under segmented replay — the learned policy must not disturb the
-  nine incumbents.
+  nine incumbents.  Tier-1 pins the hits of the default policy, LRU and
+  Belady at one paper capacity point
+  (``tests/cache/test_learned.py::TestPinnedReplay``).
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs quick mode and persists the table under ``results/``.
 

@@ -9,12 +9,12 @@ Dual-mode module:
   (:class:`repro.cache.staging.StagingCache`) and their composition —
   each against its own :class:`~repro.ssd.cache_device.CacheSSD` with a
   DFTL-style cached mapping table, then writes ``BENCH_staging.json``
-  (``"kind": "staging"`` for ``bench_trend.py`` dispatch).  Both modes
-  gate the composition contract (:func:`check_write_ordering`): composed
-  must write no more than either mechanism alone while holding the
-  ``min(classifier, flashiness)`` hit-rate floor within the documented
-  slack.  The trend gate in CI then protects every scheme's hit rate and
-  write count against silent drift between runs.
+  (``"kind": "staging"``).  Both modes gate the composition contract
+  (:func:`check_write_ordering`): composed must write no more than either
+  mechanism alone while holding the ``min(classifier, flashiness)``
+  hit-rate floor within the documented slack.  Tier-1 pins every
+  scheme's hit rate and write count on a smaller trace
+  (``tests/experiments/test_staging_comparison.py::TestPinnedComparison``).
 * **pytest-benchmark suite**: collected like the other ``bench_*``
   modules; runs quick mode and persists the table under ``results/``.
 
@@ -73,7 +73,7 @@ def run_staging_bench(
     objects: int | None = None,
     seed: int = SEED,
 ) -> dict:
-    """Run the four-scheme sweep and shape the trend-gate report."""
+    """Run the four-scheme sweep and shape the JSON report."""
     n_objects = objects if objects is not None else (
         QUICK_OBJECTS if quick else FULL_OBJECTS
     )

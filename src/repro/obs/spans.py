@@ -312,7 +312,8 @@ def validate_chrome_trace(obj) -> int:
     list whose entries have a string ``name``/``ph``, and whose complete
     (``"X"``) events carry numeric non-negative ``ts``/``dur`` plus
     integer ``pid``/``tid``.  Raises :class:`ValueError` on the first
-    violation; the CI scenario-smoke artifact is gated on this.
+    violation; ``benchmarks/bench_cluster_scenario.py`` checks its
+    ``--chrome-trace`` export with this before writing it.
     """
     if not isinstance(obj, dict):
         raise ValueError("trace document must be a JSON object")

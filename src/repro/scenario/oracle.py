@@ -10,9 +10,8 @@ per-phase hit and write rates on the same phase boundaries.
 
 The per-phase **gap** (cluster − oracle) is then the cost of distribution
 plus faults: near zero in healthy steady state (sharding splits a
-uniform workload almost losslessly), dipping when a fault is active.  CI
-tracks the gap over time (``benchmarks/bench_trend.py``): a commit that
-widens it regressed failover behaviour, not the workload.
+uniform workload almost losslessly), dipping when a fault is active.  A
+commit that widens it regressed failover behaviour, not the workload.
 
 The replay *is* :func:`repro.cache.simulator.replay_range` — the loop
 behind :func:`~repro.cache.simulator.simulate` — called once per phase

@@ -8,10 +8,10 @@ attribution (primary vs replica), seeded latency percentiles from a
 ran — the hit/write-rate gap against an idealised single cache of the same
 aggregate capacity.
 
-``ScenarioReport.to_dict()`` is the JSON contract consumed by
-``benchmarks/bench_cluster_scenario.py`` and the ``bench_trend`` CI gate;
-it is tagged ``"kind": "cluster_scenario"`` so the gate can tell scenario
-reports from component micro-benchmarks.
+``ScenarioReport.to_dict()`` is the JSON written by
+``benchmarks/bench_cluster_scenario.py`` and ``repro scenario --json``;
+it is tagged ``"kind": "cluster_scenario"`` so a reader can tell scenario
+reports from the other benchmark reports.
 """
 
 from __future__ import annotations

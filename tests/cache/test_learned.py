@@ -26,6 +26,7 @@ from repro.cache import (
     eviction_metadata,
 )
 from repro.cache.simulator import POLICY_REGISTRY, make_policy, simulate
+from repro.config import paper_capacity_fractions
 from repro.ml.tree import DecisionTreeRegressor
 from repro.trace import WorkloadConfig, generate_trace
 
@@ -340,3 +341,21 @@ class TestPinnedReplay:
         # Refit attribution: always on, two clock reads per refit.
         assert d["fit_rows"] == 400 + 800 + 9 * 1000
         assert d["fit_seconds"] > 0
+
+    def test_default_policy_against_lru_and_belady_is_unchanged(self):
+        # The configuration bench_learned_eviction.py measures (default
+        # trainer, catalog metadata) at a paper capacity point, recorded
+        # at dff9871 (the same under OPENBLAS_NUM_THREADS=1 and =2).
+        trace = generate_trace(WorkloadConfig(n_objects=1500, seed=3))
+        fraction = paper_capacity_fractions()[5]
+        cap = int(fraction * trace.catalog["size"].sum())
+        assert cap == 1_694_884
+        policy = LearnedCache(cap, metadata=eviction_metadata(trace))
+        learned = simulate(trace, policy).stats.hits
+        lru = simulate(trace, make_policy("lru", cap)).stats.hits
+        belady = simulate(trace, make_policy("belady", cap, trace)).stats.hits
+        d = policy.decision_stats()
+        assert (
+            learned, lru, belady,
+            d["fits"], d["learned_evictions"], d["fallback_evictions"],
+        ) == (3803, 3788, 4333, 4, 1202, 886)

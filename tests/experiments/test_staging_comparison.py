@@ -102,6 +102,30 @@ class TestRunStagingComparison:
         assert "life(d)" in table
 
 
+class TestPinnedComparison:
+    def test_every_scheme_outcome_is_unchanged(self, comparison):
+        # Recorded at dff9871 (the same under OPENBLAS_NUM_THREADS=1 and
+        # =2): (ssd_writes, erases, denied, promotions, direct_admits)
+        # and the exact hit rate per fraction and scheme.
+        assert {
+            (p.fraction, s): (
+                o.ssd_writes, o.erases, o.denied, o.promotions,
+                o.direct_admits, o.hit_rate,
+            )
+            for p in comparison.points
+            for s, o in p.outcomes.items()
+        } == {
+            (0.02, "no-admission"): (3437, 1301, 0, 0, 0, 0.42020917678812414),
+            (0.02, "classifier"): (2011, 788, 1329, 0, 0, 0.4365721997300945),
+            (0.02, "flashiness"): (157, 25, 0, 157, 0, 0.2909919028340081),
+            (0.02, "composed"): (134, 19, 1307, 134, 0, 0.2741228070175439),
+            (0.05, "no-admission"): (2495, 494, 0, 0, 0, 0.5791160593792173),
+            (0.05, "classifier"): (1597, 333, 865, 0, 0, 0.5846828609986505),
+            (0.05, "flashiness"): (239, 18, 0, 239, 0, 0.39878542510121456),
+            (0.05, "composed"): (221, 16, 898, 221, 0, 0.37365047233468285),
+        }
+
+
 class TestCheckWriteOrdering:
     def _comparison(self, composed, classifier, flashiness):
         def outcome(scheme, hit_rate, writes):

@@ -68,6 +68,26 @@ class TestBaselineEquality:
         assert report.phases[0].oracle_hit_rate is None
 
 
+class TestPinnedReport:
+    def test_every_phase_counter_is_unchanged(self, reference_report):
+        # Recorded at dff9871 (the same under OPENBLAS_NUM_THREADS=1 and
+        # =2).  The replay is seeded, so a moved counter is a behaviour
+        # change in routing, admission, failover or the fault timeline.
+        assert [
+            (p.requests, p.oc_hits, p.dc_hits, p.primary_writes,
+             p.replica_writes, p.dc_writes, p.admissions_denied)
+            for p in reference_report.phases
+        ] == [
+            (1600, 405, 375, 664, 670, 820, 1058),
+            (1600, 754, 340, 472, 483, 506, 759),
+            (1600, 437, 371, 658, 659, 792, 1006),
+            (800, 136, 203, 424, 425, 461, 483),
+            (1200, 252, 263, 558, 559, 685, 779),
+            (800, 211, 154, 367, 369, 435, 439),
+            (1200, 377, 108, 322, 314, 715, 1005),
+        ]
+
+
 class TestPhaseAccounting:
     def test_phases_partition_the_merged_trace(self, reference_report):
         phases = reference_report.phases

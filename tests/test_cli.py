@@ -142,9 +142,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "byte_write_rate" in out and "belady" in out
 
-    def test_grid_rejects_unknown_start_method(self):
-        with pytest.raises(ValueError):
-            main(["grid", "--start-method", "warp-drive", *BASE])
+    def test_grid_rejects_unknown_start_method(self, capsys):
+        assert main(["grid", "--start-method", "warp-drive", *BASE]) == 2
+        assert "warp-drive" in capsys.readouterr().err
 
     def test_analyze(self, capsys):
         assert main(["analyze", *BASE]) == 0
@@ -228,8 +228,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "scenario 'tiny'" in out and "exact match" in out
 
-    def test_scenario_rejects_bad_spec(self, tmp_path):
+    def test_scenario_rejects_bad_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text('{"nodes": 2, "requests": 100, "bogus": 1}')
-        with pytest.raises(ValueError, match="unknown scenario keys"):
-            main(["scenario", "--spec", str(spec_path), *BASE])
+        assert main(["scenario", "--spec", str(spec_path), *BASE]) == 2
+        assert "unknown scenario keys" in capsys.readouterr().err
+
+
+class TestBadInput:
+    def test_value_error_is_one_line_and_exit_2(self, capsys):
+        assert main(["staging", "--fractions", "0", *BASE]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro staging: error: capacity fraction must be positive, "
+            "got 0.0\n"
+        )
+        assert captured.out == ""
+
+    def test_missing_trace_is_one_line_and_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.npz"
+        assert main(["simulate", "--trace", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: error: ")
+        assert str(missing) in err and err.count("\n") == 1
