@@ -173,32 +173,6 @@ class TwoTierCluster:
         # always build a *fresh* CacheNode when re-adding under a name).
         self.retired_stats: list[CacheStats] = []
 
-    def instrument(self, registry) -> None:
-        """Expose the live nodes' :attr:`CacheNode.stats` (OC tier + DC, by
-        node name) as derived ``repro_cluster_*`` families: a node added later
-        appears by itself, a removed one's series ends, a restarted one starts
-        from 0 — cumulative totals are :meth:`oc_tier_totals`."""
-
-        def per_node(*fields):
-            return lambda: [
-                ((n.name, *label), getattr(n.stats, field))
-                for n in (*self.oc_nodes.values(), self.dc)
-                for field, *label in fields
-            ]
-
-        registry.counter(
-            "repro_cluster_requests_total", "Cluster-node requests by node and result.",
-            ("node", "result"), read=per_node(("hits", "hit"), ("misses", "miss")),
-        )
-        registry.counter(
-            "repro_cluster_ssd_writes_total", "Cluster-node cache insertions (SSD writes) by node.",
-            ("node",), read=per_node(("files_written",)),
-        )
-        registry.counter(
-            "repro_cluster_admissions_denied_total", "Cluster-node admission denials by node.",
-            ("node",), read=per_node(("admissions_denied",)),
-        )
-
     def reset(self) -> None:
         for node in self.oc_nodes.values():
             node.reset()

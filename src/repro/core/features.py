@@ -70,7 +70,8 @@ class FeatureMatrix:
     def select(self, names) -> "FeatureMatrix":
         """Project onto a subset of features (e.g. ``PAPER_FEATURE_NAMES``)."""
         idx = [self.names.index(n) for n in names]
-        return FeatureMatrix(X=self.X[:, idx], names=tuple(names))
+        # ``take`` copies row-major, the layout every fit and predict reads.
+        return FeatureMatrix(X=self.X.take(idx, axis=1), names=tuple(names))
 
 
 def _previous_access_times(trace: Trace) -> np.ndarray:

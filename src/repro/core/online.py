@@ -47,7 +47,6 @@ from repro.core.features import FEATURE_NAMES, PAPER_FEATURE_NAMES
 from repro.core.history_table import HistoryTable
 from repro.core.labeling import ONE_TIME
 from repro.ml.fastpath import CompiledPredictor, fast_predictor
-from repro.obs.registry import Reservoir
 from repro.trace.records import Trace
 
 __all__ = ["OnlineFeatureTracker", "OnlineClassifierAdmission"]
@@ -354,8 +353,7 @@ class OnlineClassifierAdmission(AdmissionPolicy):
       generated without a clock read at all) for pure-throughput runs.
       Otherwise each decision reads ``perf_counter_ns`` three times and
       adds the gather and the tree walk to :attr:`feature_ns` /
-      :attr:`inference_ns` — exact totals, nothing else per decision —
-      and the value bounds the :attr:`decision_times` reservoir.
+      :attr:`inference_ns` — exact totals, nothing else per decision.
 
     The timed span covers exactly feature construction + prediction on
     both paths; history-table rectification and the state advance stay
@@ -393,7 +391,6 @@ class OnlineClassifierAdmission(AdmissionPolicy):
         #: over all timed decisions (0 when timing is disabled).
         self.feature_ns = 0
         self.inference_ns = 0
-        self._times = Reservoir(capacity=max(1, timing_capacity))
         #: The bound :class:`~repro.ml.fastpath.CompiledPredictor` (None on
         #: the reference path) and, when a decision trace is attached, the
         #: dict each decision is captured into — see :meth:`bind`.
@@ -528,23 +525,6 @@ class OnlineClassifierAdmission(AdmissionPolicy):
         """Measured per-miss classification time (the Eq.-6 t_classify)."""
         return self.decision_seconds / self.decisions if self.decisions else 0.0
 
-    @property
-    def decision_times(self) -> Reservoir:
-        """Bounded reservoir of per-decision seconds behind the
-        ``t_classify`` percentiles (:func:`repro.server.metrics.timing_stats`).
-
-        Amortised like the serving instruments: the hot path only sums
-        nanoseconds, and each read enters the decisions made since the
-        previous read as that many observations of their mean — count,
-        total and mean exact, O(``timing_capacity``) memory however long
-        the deployment.  Empty when timing is disabled.
-        """
-        times = self._times
-        new = self.decisions - times.count
-        if new and self.timing_enabled:
-            times.add_repeated((self.decision_seconds - times.total) / new, new)
-        return times
-
     def reset(self) -> None:
         self.tracker.reset()
         self.history.clear()
@@ -552,4 +532,3 @@ class OnlineClassifierAdmission(AdmissionPolicy):
         self.rectified_admits = 0
         self.decisions = 0
         self.feature_ns = self.inference_ns = 0
-        self._times.clear()

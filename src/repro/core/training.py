@@ -27,12 +27,26 @@ from repro.trace.records import Trace
 
 __all__ = [
     "DailyTrainingResult",
+    "MAX_SPLITS",
+    "MIN_TRAIN_SAMPLES",
+    "RETRAIN_HOUR",
+    "SAMPLES_PER_MINUTE",
     "paper_classifier",
     "sample_per_minute",
     "train_daily_classifier",
 ]
 
 DAY = 86400.0
+#: Hour of day of the first (and, at a daily cadence, every) retrain:
+#: 05:00 in the paper, the system-load trough (§4.4.3).
+RETRAIN_HOUR = 5.0
+#: Training-set thinning: at most this many log records per minute (§3.1.1).
+SAMPLES_PER_MINUTE = 100
+#: A training window with fewer rows than this trains no model; the
+#: segment (or node) admits everything instead.
+MIN_TRAIN_SAMPLES = 50
+#: The CART's split budget.
+MAX_SPLITS = 30
 
 
 @dataclass
@@ -125,13 +139,9 @@ def train_daily_classifier(
     labels: np.ndarray,
     *,
     cost_v: float = 2.0,
-    retrain_hour: float = 5.0,
     retrain_period: float = DAY,
     train_window: float | None = None,
-    samples_per_minute: int = 100,
-    max_splits: int = 30,
     feature_subset: tuple[str, ...] | None = PAPER_FEATURE_NAMES,
-    min_train_samples: int = 50,
     static_model: bool = False,
     model_factory=None,
     rng: np.random.Generator | int | None = None,
@@ -146,18 +156,15 @@ def train_daily_classifier(
     cost_v:
         The Table-4 false-positive penalty ``v`` (see
         :func:`repro.ml.cost_sensitive.select_cost_v`).
-    retrain_hour:
-        Hour of day of the first (and, with daily cadence, every) retrain —
-        05:00 in the paper, the system-load trough.
     retrain_period:
-        Seconds between retrains.  The paper's offline scheme retrains
-        daily (the default); smaller periods approximate the "incrementally
-        updating … in a real-time manner" alternative of §4.4.3.
+        Seconds between retrains, the first at :data:`RETRAIN_HOUR`.  The
+        paper's offline scheme retrains daily (the default); smaller periods
+        approximate the "incrementally updating … in a real-time manner"
+        alternative of §4.4.3.
     train_window:
         Seconds of history per training set (default: one ``retrain_period``,
-        i.e. the paper's previous-24-hours rule).
-    samples_per_minute:
-        Training-set thinning, 100 records/minute in §3.1.1.
+        i.e. the paper's previous-24-hours rule), thinned to
+        :data:`SAMPLES_PER_MINUTE`.
     feature_subset:
         Feature names to train on (default: the paper's final five);
         ``None`` uses every extracted feature.
@@ -166,18 +173,16 @@ def train_daily_classifier(
         §4.4.3 ablation showing accuracy decay without refresh.
     model_factory:
         ``callable(seed) -> estimator`` building a fresh unfitted model per
-        retrain.  Default: the paper's cost-sensitive CART (30-split budget,
-        Table-4 cost matrix).  Lets the daily loop drive any classifier,
-        e.g. :class:`repro.ml.gbdt.GradientBoostingClassifier`.
-    min_train_samples:
-        Segments whose training window has fewer samples (or a single
-        class) fall back to admit-everything for that segment.
+        retrain.  Default: the paper's cost-sensitive CART
+        (:data:`MAX_SPLITS`-split budget, Table-4 cost matrix).  Lets the
+        daily loop drive any classifier, e.g.
+        :class:`repro.ml.gbdt.GradientBoostingClassifier`.
 
     Returns per-access predictions: the first (model-less) segment predicts
-    "re-accessed" for everything, i.e. classic always-admit behaviour.
+    "re-accessed" for everything, i.e. classic always-admit behaviour, and
+    so does a segment whose training window has fewer than
+    :data:`MIN_TRAIN_SAMPLES` rows or a single class.
     """
-    if not 0.0 <= retrain_hour < 24.0:
-        raise ValueError("retrain_hour must be in [0, 24)")
     if retrain_period <= 0:
         raise ValueError("retrain_period must be positive")
     if train_window is not None and train_window <= 0:
@@ -194,9 +199,9 @@ def train_daily_classifier(
     X = fm.X
     ts = trace.timestamps
 
-    # Segment boundaries: first retrain at retrain_hour o'clock, then every
+    # Segment boundaries: first retrain at RETRAIN_HOUR o'clock, then every
     # retrain_period seconds.
-    first = retrain_hour * 3600.0
+    first = RETRAIN_HOUR * 3600.0
     boundaries = np.arange(first, trace.duration, retrain_period)
     edges = np.r_[0.0, boundaries, trace.duration]
     edges = np.unique(edges)  # guard against first == 0 duplicating an edge
@@ -220,10 +225,10 @@ def train_daily_classifier(
                 w_lo, w_hi = np.searchsorted(
                     ts, [max(0.0, t_train - window), t_train]
                 )
-                if w_hi - w_lo >= min_train_samples:
+                if w_hi - w_lo >= MIN_TRAIN_SAMPLES:
                     window_idx = np.arange(w_lo, w_hi)
                     picked = window_idx[
-                        sample_per_minute(ts[window_idx], samples_per_minute, rng)
+                        sample_per_minute(ts[window_idx], SAMPLES_PER_MINUTE, rng)
                     ]
                     y_train = labels[picked]
                     if np.unique(y_train).shape[0] == 2:
@@ -231,7 +236,7 @@ def train_daily_classifier(
                         if model_factory is not None:
                             model = model_factory(seed)
                         else:
-                            model = paper_classifier(cost_v, max_splits, seed)
+                            model = paper_classifier(cost_v, MAX_SPLITS, seed)
                         model.fit(X[picked], y_train)
                         trained = True
                         if static_model and reusable_model is None:

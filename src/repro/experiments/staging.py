@@ -139,7 +139,7 @@ def _outcome(scheme: str, report, policy, admission) -> SchemeOutcome:
         bytes_written=stats.bytes_written,
         write_amplification=ftl.write_amplification,
         erases=ftl.erases,
-        cmt_miss_rate=cmt.stats.miss_rate if cmt is not None else 0.0,
+        cmt_miss_rate=report.cmt_miss_rate,
         cmt_lookups=cmt.stats.lookups if cmt is not None else 0,
         lifetime_days=report.lifetime.lifetime_days,
         denied=getattr(admission, "denied", 0) if admission is not None else 0,

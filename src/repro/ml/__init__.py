@@ -16,14 +16,17 @@ Public API
 Estimators follow a small sklearn-like protocol: ``fit(X, y[, sample_weight])``,
 ``predict(X)`` and, where meaningful, ``predict_proba(X)``.  All estimators
 accept 2-D float arrays and binary or multiclass integer labels.
+
+The package holds what the reproduction's programs call: the Table-1
+estimators with their metrics and cross-validation, feature selection,
+preprocessing, the cost-sensitive wrapper and the compiled fast path.
+Nothing here exists for tests alone (``tests/test_census.py`` checks).
 """
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array
 from repro.ml.metrics import (
     accuracy_score,
     auc,
-    confusion_matrix,
-    f1_score,
     precision_score,
     recall_score,
     roc_auc_score,
@@ -33,7 +36,7 @@ from repro.ml.metrics import (
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.adaboost import AdaBoostClassifier
-from repro.ml.naive_bayes import GaussianNB, CategoricalNB
+from repro.ml.naive_bayes import GaussianNB
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.ml.neural_net import MLPClassifier
@@ -54,10 +57,8 @@ from repro.ml.model_selection import (
     StratifiedKFold,
     cross_val_score,
     cross_validate_metrics,
-    train_test_split,
 )
 from repro.ml.preprocessing import (
-    LabelEncoder,
     StandardScaler,
     UniformDiscretizer,
 )
@@ -68,8 +69,6 @@ __all__ = [
     "check_array",
     "accuracy_score",
     "auc",
-    "confusion_matrix",
-    "f1_score",
     "precision_score",
     "recall_score",
     "roc_auc_score",
@@ -80,7 +79,6 @@ __all__ = [
     "RandomForestClassifier",
     "AdaBoostClassifier",
     "GaussianNB",
-    "CategoricalNB",
     "KNeighborsClassifier",
     "LogisticRegression",
     "MLPClassifier",
@@ -97,8 +95,6 @@ __all__ = [
     "StratifiedKFold",
     "cross_val_score",
     "cross_validate_metrics",
-    "train_test_split",
-    "LabelEncoder",
     "StandardScaler",
     "UniformDiscretizer",
 ]

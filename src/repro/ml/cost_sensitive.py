@@ -10,9 +10,6 @@ positive, causing future cache misses) costs ``v`` while the opposite error
 by **reweighting**: each training sample's weight is scaled by the cost of
 misclassifying it, so any estimator accepting ``sample_weight`` learns the
 cost rule and its fitted model serves the verdicts unchanged.
-:attr:`CostMatrix.optimal_threshold` (Elkan 2001, Thm. 1) and
-:func:`tune_threshold` are the posterior-side view of the same costs, for
-analysing calibrated scores.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ __all__ = [
     "CostMatrix",
     "CostSensitiveClassifier",
     "select_cost_v",
-    "tune_threshold",
 ]
 
 
@@ -48,16 +44,6 @@ class CostMatrix:
         if self.fn_cost <= 0 or self.fp_cost <= 0:
             raise ValueError("misclassification costs must be positive")
 
-    @property
-    def optimal_threshold(self) -> float:
-        """Posterior threshold p* above which 'one-time' is the cheap call.
-
-        Predicting positive (one-time) risks ``fp_cost`` with probability
-        (1-p); predicting negative risks ``fn_cost`` with probability p.
-        Positive is optimal when p ≥ fp/(fp+fn).
-        """
-        return self.fp_cost / (self.fp_cost + self.fn_cost)
-
     def sample_weights(self, y: np.ndarray, pos_label=1) -> np.ndarray:
         """Per-sample weights proportional to each sample's error cost."""
         y = np.asarray(y)
@@ -76,54 +62,6 @@ def select_cost_v(cache_bytes: float, *, boundary_bytes: float = 12 * 2**30) -> 
     if cache_bytes <= 0:
         raise ValueError("cache_bytes must be positive")
     return 2.0 if cache_bytes < boundary_bytes else 3.0
-
-
-def tune_threshold(
-    y_true,
-    scores,
-    cost_matrix: CostMatrix,
-    *,
-    pos_label=1,
-) -> tuple[float, float]:
-    """Empirical cost-minimising score threshold.
-
-    Elkan's p* = fp/(fp+fn) is optimal for *calibrated* posteriors; raw
-    model scores often are not.  This sweeps every distinct score cut-off
-    and returns ``(threshold, expected_cost_per_sample)`` minimising
-
-        cost = fp_cost · FP + fn_cost · FN.
-
-    Predict positive when ``score >= threshold``.
-    """
-    y_true = np.asarray(y_true)
-    scores = np.asarray(scores, dtype=np.float64)
-    if y_true.shape != scores.shape or y_true.ndim != 1 or y_true.shape[0] == 0:
-        raise ValueError("y_true and scores must be non-empty 1-D of equal length")
-    pos = (y_true == pos_label).astype(np.float64)
-    n = pos.shape[0]
-
-    order = np.argsort(-scores, kind="stable")
-    pos_sorted = pos[order]
-    score_sorted = scores[order]
-
-    # Candidate k = number of samples predicted positive (0..n), cutting
-    # only between distinct scores.
-    tp_cum = np.r_[0.0, np.cumsum(pos_sorted)]
-    k = np.arange(n + 1)
-    fp = k - tp_cum
-    fn = pos.sum() - tp_cum
-    cost = cost_matrix.fp_cost * fp + cost_matrix.fn_cost * fn
-
-    distinct_cut = np.r_[
-        True, score_sorted[1:] != score_sorted[:-1], True
-    ]  # valid k values: 0, boundaries, n
-    valid = np.nonzero(distinct_cut)[0]
-    best_k = valid[np.argmin(cost[valid])]
-    if best_k == 0:
-        threshold = np.inf  # predict nothing positive
-    else:
-        threshold = float(score_sorted[best_k - 1])
-    return threshold, float(cost[best_k] / n)
 
 
 class CostSensitiveClassifier(BaseEstimator):

@@ -2,8 +2,7 @@
 
 The paper reports precision, recall, accuracy and AUC for every classifier
 (Table 1) and defines them via the confusion matrix (Tables 2–3).  All
-functions operate on binary problems with a configurable positive label; the
-confusion matrix additionally supports multiclass input.
+functions operate on binary problems with a configurable positive label.
 """
 
 from __future__ import annotations
@@ -11,16 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "confusion_matrix",
     "precision_score",
     "recall_score",
     "accuracy_score",
-    "f1_score",
     "roc_curve",
     "auc",
     "roc_auc_score",
     "classification_report",
-    "calibration_curve",
 ]
 
 
@@ -35,25 +31,6 @@ def _validate_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     if y_true.shape[0] == 0:
         raise ValueError("empty label arrays")
     return y_true, y_pred
-
-
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Confusion matrix ``C[i, j]``: truth = ``labels[i]``, predicted = ``labels[j]``.
-
-    ``labels`` defaults to the sorted union of labels seen in either array.
-    """
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    else:
-        labels = np.asarray(labels)
-    k = labels.shape[0]
-    lut = {lab: i for i, lab in enumerate(labels.tolist())}
-    ti = np.fromiter((lut[v] for v in y_true.tolist()), dtype=np.int64)
-    pi = np.fromiter((lut[v] for v in y_pred.tolist()), dtype=np.int64)
-    out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (ti, pi), 1)
-    return out
 
 
 def _binary_counts(y_true, y_pred, pos_label) -> tuple[int, int, int, int]:
@@ -81,13 +58,6 @@ def accuracy_score(y_true, y_pred) -> float:
     """Fraction of samples classified correctly."""
     y_true, y_pred = _validate_pair(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
-
-
-def f1_score(y_true, y_pred, pos_label=1) -> float:
-    """Harmonic mean of precision and recall."""
-    p = precision_score(y_true, y_pred, pos_label)
-    r = recall_score(y_true, y_pred, pos_label)
-    return 2 * p * r / (p + r) if p + r else 0.0
 
 
 def roc_curve(y_true, y_score, pos_label=1):
@@ -139,38 +109,6 @@ def roc_auc_score(y_true, y_score, pos_label=1) -> float:
     """Area under the ROC curve (equivalently, the rank statistic)."""
     fpr, tpr, _ = roc_curve(y_true, y_score, pos_label)
     return auc(fpr, tpr)
-
-
-def calibration_curve(
-    y_true, y_prob, *, n_bins: int = 10, pos_label=1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reliability diagram data: (mean predicted, observed rate, bin count).
-
-    Probabilities are bucketed into ``n_bins`` equal-width bins over [0, 1];
-    empty bins are dropped.  A calibrated model tracks the diagonal — the
-    premise behind Elkan's theoretical threshold
-    (:meth:`repro.ml.cost_sensitive.CostMatrix.optimal_threshold`); when it
-    doesn't, use :func:`repro.ml.cost_sensitive.tune_threshold` instead.
-    """
-    y_true = np.asarray(y_true)
-    y_prob = np.asarray(y_prob, dtype=np.float64)
-    if y_true.shape != y_prob.shape or y_true.ndim != 1 or y_true.shape[0] == 0:
-        raise ValueError("y_true and y_prob must be non-empty 1-D of equal length")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    if (y_prob < 0).any() or (y_prob > 1).any():
-        raise ValueError("y_prob must lie in [0, 1]")
-    pos = (y_true == pos_label).astype(np.float64)
-    bins = np.minimum((y_prob * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(bins, minlength=n_bins)
-    sum_prob = np.bincount(bins, weights=y_prob, minlength=n_bins)
-    sum_pos = np.bincount(bins, weights=pos, minlength=n_bins)
-    nz = counts > 0
-    return (
-        sum_prob[nz] / counts[nz],
-        sum_pos[nz] / counts[nz],
-        counts[nz],
-    )
 
 
 def classification_report(y_true, y_pred, y_score=None, pos_label=1) -> dict:

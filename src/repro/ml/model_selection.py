@@ -1,4 +1,4 @@
-"""Train/test splitting and cross-validation (used for Table 1).
+"""Cross-validation (used for Table 1).
 
 The paper samples the log (100 records/minute), then "split[s] the sampled
 data set into training data set and testing data set through cross
@@ -14,55 +14,12 @@ import numpy as np
 from repro.ml.metrics import classification_report
 
 __all__ = [
-    "train_test_split",
     "KFold",
     "StratifiedKFold",
     "cross_val_score",
     "cross_validate_metrics",
     "GridSearchCV",
 ]
-
-
-def train_test_split(
-    X,
-    y,
-    *,
-    test_size: float = 0.25,
-    rng: np.random.Generator | int | None = None,
-    stratify: bool = False,
-):
-    """Random split into (X_train, X_test, y_train, y_test).
-
-    With ``stratify=True`` the class proportions of ``y`` are preserved in
-    both halves (to the extent integer counts allow).
-    """
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    X = np.asarray(X)
-    y = np.asarray(y)
-    n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValueError("X and y lengths differ")
-    rng = np.random.default_rng(rng)
-
-    if stratify:
-        test_idx_parts = []
-        for cls in np.unique(y):
-            cls_idx = np.nonzero(y == cls)[0]
-            rng.shuffle(cls_idx)
-            n_test = max(1, int(round(test_size * cls_idx.shape[0])))
-            test_idx_parts.append(cls_idx[:n_test])
-        test_idx = np.concatenate(test_idx_parts)
-        mask = np.zeros(n, dtype=bool)
-        mask[test_idx] = True
-        train_idx = np.nonzero(~mask)[0]
-    else:
-        perm = rng.permutation(n)
-        n_test = max(1, int(round(test_size * n)))
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
-    if train_idx.shape[0] == 0:
-        raise ValueError("split left no training samples")
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
 
 
 class KFold:

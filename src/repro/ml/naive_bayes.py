@@ -1,10 +1,9 @@
-"""Naive Bayes classifiers (Gaussian and categorical likelihoods).
+"""Gaussian Naive Bayes, one of the paper's Table-1 classifiers.
 
 Table 1 shows Naive Bayes with very high recall but poor precision on the
 one-time-access task — the conditional-independence assumption is badly
 violated because the photo features are strongly correlated (e.g. photo age
-and recency).  Both variants are provided so the workload's discretised
-features can also be modelled natively.
+and recency).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, check_X_y, check_array, check_sample_weight
 
-__all__ = ["GaussianNB", "CategoricalNB"]
+__all__ = ["GaussianNB"]
 
 
 class GaussianNB(BaseEstimator):
@@ -70,75 +69,6 @@ class GaussianNB(BaseEstimator):
                 f"expected {self.n_features_in_} features, got {X.shape[1]}"
             )
         jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        p = np.exp(jll)
-        return p / p.sum(axis=1, keepdims=True)
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
-
-class CategoricalNB(BaseEstimator):
-    """Multinomial likelihood over non-negative integer-coded features.
-
-    Suited to the paper's fully discretised feature vectors.  Uses Laplace
-    smoothing ``alpha`` and tolerates unseen categories at predict time
-    (they fall into the smoothed mass).
-    """
-
-    def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
-
-    def fit(self, X, y, sample_weight=None) -> "CategoricalNB":
-        X, y_raw = check_X_y(X, y)
-        Xi = X.astype(np.int64)
-        if (Xi < 0).any() or not np.allclose(X, Xi):
-            raise ValueError("CategoricalNB requires non-negative integer features")
-        y = self._encode_labels(y_raw)
-        w = check_sample_weight(sample_weight, X.shape[0])
-        k = self.classes_.shape[0]
-        d = Xi.shape[1]
-        self.n_features_in_ = d
-        self.n_categories_ = Xi.max(axis=0) + 1
-
-        self.class_log_prior_ = np.zeros(k)
-        self.feature_log_prob_: list[np.ndarray] = []
-        w_total = w.sum()
-        for c in range(k):
-            self.class_log_prior_[c] = np.log(w[y == c].sum() / w_total)
-        for j in range(d):
-            n_cat = int(self.n_categories_[j])
-            counts = np.zeros((k, n_cat))
-            for c in range(k):
-                mask = y == c
-                counts[c] = np.bincount(
-                    Xi[mask, j], weights=w[mask], minlength=n_cat
-                )
-            smoothed = counts + self.alpha
-            self.feature_log_prob_.append(
-                np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
-            )
-        return self
-
-    def _joint_log_likelihood(self, Xi: np.ndarray) -> np.ndarray:
-        n = Xi.shape[0]
-        jll = np.tile(self.class_log_prior_, (n, 1))
-        for j, table in enumerate(self.feature_log_prob_):
-            col = np.minimum(Xi[:, j], table.shape[1] - 1)
-            jll += table[:, col].T
-        return jll
-
-    def predict_proba(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"expected {self.n_features_in_} features, got {X.shape[1]}"
-            )
-        Xi = np.maximum(X.astype(np.int64), 0)
-        jll = self._joint_log_likelihood(Xi)
         jll -= jll.max(axis=1, keepdims=True)
         p = np.exp(jll)
         return p / p.sum(axis=1, keepdims=True)

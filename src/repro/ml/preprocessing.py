@@ -1,8 +1,7 @@
-"""Feature preprocessing: encoders, scaling, and discretisation.
+"""Feature preprocessing: scaling and discretisation.
 
-Section 3.2.3 of the paper discretises photo types and terminal types to
-small integers and buckets time values at 10-minute granularity; KNN and the
-neural network additionally need standardised inputs.
+Section 3.2.3 of the paper buckets time values at 10-minute granularity;
+KNN and the neural network additionally need standardised inputs.
 """
 
 from __future__ import annotations
@@ -11,36 +10,7 @@ import numpy as np
 
 from repro.ml.base import check_array
 
-__all__ = ["LabelEncoder", "StandardScaler", "UniformDiscretizer"]
-
-
-class LabelEncoder:
-    """Map arbitrary hashable labels to contiguous integers ``0..k-1``."""
-
-    def fit(self, values) -> "LabelEncoder":
-        self.classes_ = np.unique(np.asarray(values))
-        self._lut = {v: i for i, v in enumerate(self.classes_.tolist())}
-        return self
-
-    def transform(self, values) -> np.ndarray:
-        values = np.asarray(values)
-        try:
-            return np.fromiter(
-                (self._lut[v] for v in values.tolist()),
-                dtype=np.int64,
-                count=values.shape[0],
-            )
-        except KeyError as exc:  # surface *which* label was unseen
-            raise ValueError(f"unseen label: {exc.args[0]!r}") from exc
-
-    def fit_transform(self, values) -> np.ndarray:
-        return self.fit(values).transform(values)
-
-    def inverse_transform(self, indices) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.min(initial=0) < 0 or indices.max(initial=0) >= len(self.classes_):
-            raise ValueError("index out of range for inverse_transform")
-        return self.classes_[indices]
+__all__ = ["StandardScaler", "UniformDiscretizer"]
 
 
 class StandardScaler:
@@ -62,9 +32,6 @@ class StandardScaler:
                 f"expected {self.mean_.shape[0]} features, got {X.shape[1]}"
             )
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
 
 
 class UniformDiscretizer:

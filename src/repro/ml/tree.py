@@ -527,50 +527,6 @@ class DecisionTreeClassifier(_FlatTree):
         leaf = self._leaf_ids(X)
         return self.node_depth_[leaf]
 
-    def export_text(
-        self, feature_names=None, *, max_depth: int | None = None
-    ) -> str:
-        """Human-readable dump of the fitted tree.
-
-        One line per node, indented by depth; leaves show the class
-        distribution.  Handy for sanity-checking what the admission
-        classifier actually keys on.
-        """
-        self._check_fitted()
-        if feature_names is not None and len(feature_names) < self.n_features_in_:
-            raise ValueError("feature_names shorter than the feature count")
-
-        def name(j: int) -> str:
-            return feature_names[j] if feature_names is not None else f"x[{j}]"
-
-        lines: list[str] = []
-
-        def render(node: int, depth: int) -> None:
-            indent = "|   " * depth
-            if max_depth is not None and depth > max_depth:
-                lines.append(f"{indent}…")
-                return
-            feat = self.feature_[node]
-            if feat == _LEAF:
-                dist = self.value_[node]
-                total = dist.sum()
-                shares = ", ".join(
-                    f"{cls}: {v / total:.2f}"
-                    for cls, v in zip(self.classes_, dist)
-                    if total > 0
-                )
-                winner = self.classes_[int(np.argmax(dist))]
-                lines.append(f"{indent}class {winner}  ({shares})")
-                return
-            thr = self.threshold_[node]
-            lines.append(f"{indent}{name(int(feat))} <= {thr:.4g}")
-            render(int(self.children_left_[node]), depth + 1)
-            lines.append(f"{indent}{name(int(feat))} > {thr:.4g}")
-            render(int(self.children_right_[node]), depth + 1)
-
-        render(0, 0)
-        return "\n".join(lines)
-
 
 class DecisionTreeRegressor(_FlatTree):
     """CART regression tree with the same best-first split budget.

@@ -355,9 +355,6 @@ class MetricsRegistry:
     def get(self, name: str) -> MetricFamily | None:
         return self._families.get(name)
 
-    def __iter__(self):
-        return iter(self._families.values())
-
     def reset(self) -> None:
         """Zero every stored child (registrations are kept; derived families untouched)."""
         for family in self._families.values():

@@ -225,7 +225,6 @@ def _replay(
     prep: _Prepared,
     *,
     with_actions: bool,
-    registry=None,
     ledger: WriteLedger | None = None,
     tracer=None,
 ) -> tuple[list[_PhaseCounters], TwoTierCluster]:
@@ -272,8 +271,6 @@ def _replay(
         # The DC tier has no admission model; its writes are labelled by
         # tier so per-model breakdowns stay about the OC classifiers.
         cluster.dc.bind_ledger(ledger, model_label="dc")
-    if registry is not None:
-        cluster.instrument(registry)
     lat = cluster.latency
     dc = cluster.dc
 
@@ -445,7 +442,6 @@ def run_scenario(
     spec: ScenarioSpec,
     base_trace: Trace,
     *,
-    registry=None,
     with_baseline: bool = True,
     with_oracle: bool = True,
     tracer=None,
@@ -464,10 +460,9 @@ def run_scenario(
     write counters (retired incarnations included).
     """
     prep = _prepare(spec, base_trace)
-    ledger = WriteLedger(registry=registry)
+    ledger = WriteLedger()
     phases_raw, _cluster = _replay(
-        spec, prep, with_actions=True, registry=registry,
-        ledger=ledger, tracer=tracer,
+        spec, prep, with_actions=True, ledger=ledger, tracer=tracer
     )
 
     baseline_equal = True

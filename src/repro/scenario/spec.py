@@ -27,8 +27,7 @@ Event kinds
     Staggered admission-model swap: across ``[at, at+length)`` each OC
     node in name order atomically swaps its admission filter to the
     ``admission`` target — the simulation analogue of pushing a new model
-    through :meth:`repro.server.retrainer.Retrainer.deploy_model` one node
-    at a time.
+    to a fleet one node at a time.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.server.loadgen import (
     LoadgenConfig,
     LoadgenResult,
     fetch_stats,
-    replay,
     run_loadgen,
 )
 from repro.server.metrics import (
@@ -60,7 +59,6 @@ __all__ = [
     "LoadgenConfig",
     "LoadgenResult",
     "fetch_stats",
-    "replay",
     "run_loadgen",
     "format_metrics",
     "metrics_snapshot",

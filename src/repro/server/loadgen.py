@@ -33,42 +33,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.registry import latency_buckets
 from repro.obs.spans import NULL_TRACER
 from repro.server.metrics import timing_stats
 from repro.server.protocol import (
-    BIN_GET,
     BIN_GET_ERR,
     BIN_GET_OK,
-    BIN_MAGIC,
     FLAG_HIT,
+    GET_FRAME_DTYPE,
     FrameDecoder,
     ProtocolError,
+    pack_get_request,
     read_message,
     write_message,
 )
 from repro.trace.records import Trace
 
-__all__ = ["LoadgenConfig", "LoadgenResult", "ask", "run_loadgen", "replay"]
+__all__ = ["LoadgenConfig", "LoadgenResult", "ask", "run_loadgen"]
 
 #: Flush the sender's request buffer at this size even without a
 #: schedule gap — bounds client memory at unsustainable offered rates.
 _SEND_FLUSH_BYTES = 256 * 1024
-
-#: One BIN_GET frame as a numpy record — big-endian fields matching
-#: :func:`repro.server.protocol.pack_get_request` byte for byte, so a
-#: connection's whole request stream packs in one vectorised ``tobytes``.
-_GET_WIRE_DTYPE = np.dtype(
-    [
-        ("magic", "u1"),
-        ("op", "u1"),
-        ("length", ">u2"),
-        ("index", ">u4"),
-        ("oid", ">u4"),
-        ("size", ">u4"),
-    ]
-)
-_GET_BODY_BYTES = 12  # index + oid + size, three u32
 
 
 @dataclass(frozen=True)
@@ -209,15 +193,14 @@ async def _replay_connection(
         # Flushes happen when the schedule says sleep (the socket would
         # sit idle anyway) or at the size bound — one write+drain per
         # burst instead of per request.
-        frames = np.empty(expected, dtype=_GET_WIRE_DTYPE)
-        frames["magic"] = BIN_MAGIC
-        frames["op"] = BIN_GET
-        frames["length"] = _GET_BODY_BYTES
+        frames = np.empty(expected, dtype=GET_FRAME_DTYPE)
+        # The header from the one packer, then the three payload columns.
+        frames[:] = np.frombuffer(pack_get_request(0, 0, 0), GET_FRAME_DTYPE)
         frames["index"] = positions
         frames["oid"] = oids[positions]
         frames["size"] = sizes[positions]
         wire = memoryview(frames.tobytes())
-        stride = _GET_WIRE_DTYPE.itemsize
+        stride = GET_FRAME_DTYPE.itemsize
         start = 0  # byte offset of the first unflushed frame
         stamp = time.perf_counter
         sent = 0
@@ -289,40 +272,11 @@ async def fetch_stats(host: str, port: int) -> dict:
     return (await ask(host, port, {"op": "STATS"}))["stats"]
 
 
-def _publish(result: LoadgenResult, latencies: list[float], registry) -> None:
-    """Mirror a finished replay into a client-side metrics registry."""
-    sent = registry.counter(
-        "repro_loadgen_requests_total",
-        "Loadgen requests by outcome.",
-        ("outcome",),
-    )
-    sent.labels(outcome="completed").inc(result.completed)
-    sent.labels(outcome="error").inc(result.errors)
-    registry.counter(
-        "repro_loadgen_hits_total", "Client-observed cache hits."
-    ).inc(result.hits)
-    registry.gauge(
-        "repro_loadgen_achieved_rate",
-        "Achieved request rate of the last replay (req/s).",
-    ).set(result.achieved_rate)
-    hist = registry.histogram(
-        "repro_loadgen_latency_seconds",
-        "Client-observed service latency.",
-        buckets=latency_buckets(),
-    )
-    for lat in latencies:
-        hist.observe(lat)
-
-
 async def run_loadgen(
-    trace: Trace, cfg: LoadgenConfig, *, registry=None, tracer=None
+    trace: Trace, cfg: LoadgenConfig, *, tracer=None
 ) -> LoadgenResult:
     """Replay ``trace`` positions ``[start, start+limit)`` open-loop.
 
-    When ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`) is
-    given, the finished replay is published into it as
-    ``repro_loadgen_*`` metrics — useful when the loadgen itself is being
-    scraped or its numbers belong next to the node's in one exposition.
     When ``tracer`` (a :class:`~repro.obs.spans.Tracer`) is given, each
     connection records coarse ``send``/``recv`` spans plus one overall
     ``replay`` span (per connection, not per request — the open-loop
@@ -368,16 +322,9 @@ async def run_loadgen(
             args={"sent": result.sent, "connections": cfg.connections},
         )
     result.latency = timing_stats(latencies)
-    if registry is not None:
-        _publish(result, latencies, registry)
     if cfg.fetch_stats:
         try:
             result.server_stats = await fetch_stats(cfg.host, cfg.port)
         except (ConnectionError, OSError):
             result.server_stats = None  # server already gone
     return result
-
-
-def replay(trace: Trace, **kwargs) -> LoadgenResult:
-    """Synchronous convenience wrapper: ``replay(trace, port=..., rate=...)``."""
-    return asyncio.run(run_loadgen(trace, LoadgenConfig(**kwargs)))

@@ -61,9 +61,8 @@ from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.history_table import HistoryTable
 from repro.core.labeling import ONE_TIME, labels_from_distances, reaccess_distances
 from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
-from repro.core.training import paper_classifier
+from repro.core.training import MAX_SPLITS, MIN_TRAIN_SAMPLES, paper_classifier
 from repro.ml.fastpath import fast_predictor
-from repro.obs.drift import DriftMonitor
 from repro.obs.exporter import MetricsExporter
 from repro.obs.ledger import WriteLedger, write_cause
 from repro.obs.registry import MetricsRegistry, Reservoir, latency_buckets
@@ -127,8 +126,7 @@ class NodeConfig:
     classifier: bool = True
     cost_v: float = 2.0
     train_seconds: float = 86400.0  # seed model trains on this trace prefix
-    max_splits: int = 30
-    min_train_samples: int = 50
+    max_splits: int = MAX_SPLITS
     seed: int = 0
     max_batch: int = 256
     #: Bound on every timing structure (t_classify / decision / service
@@ -199,7 +197,7 @@ def train_seed_model(
     prefix's (computed here when not given); only the prefix is labelled.
     """
     n = _train_rows(trace, cfg)
-    if n < cfg.min_train_samples:
+    if n < MIN_TRAIN_SAMPLES:
         return None
     if distances is None:
         distances = reaccess_distances(trace.object_ids)
@@ -208,10 +206,9 @@ def train_seed_model(
     if y.min() == y.max():  # single-class prefix
         return None
     # Every feature looks only backwards, so the prefix's own matrix equals
-    # the whole trace's first n rows.  The projection is feature-major and
-    # the fit copies it row-major; copying here drops the projection first.
+    # the whole trace's first n rows.
     prefix = trace.slice_time(-np.inf, cfg.train_seconds)
-    X = np.ascontiguousarray(extract_features(prefix).select(PAPER_FEATURE_NAMES).X)
+    X = extract_features(prefix).select(PAPER_FEATURE_NAMES).X
     model = paper_classifier(cfg.cost_v, cfg.max_splits, cfg.seed)
     return model.fit(X, y)
 
@@ -280,9 +277,9 @@ class CacheNode:
     *read* :attr:`stats`, the cursor, the model version and the samplers
     when rendered — ``STATS`` and ``/metrics`` are the same numbers — and
     whose timing histograms are observed once per batch.  An optional
-    :class:`~repro.obs.tracing.DecisionTrace` samples per-request events
-    and an optional :class:`~repro.obs.drift.DriftMonitor` scores matured
-    verdicts live.
+    :class:`~repro.obs.tracing.DecisionTrace` samples per-request events,
+    and a :class:`~repro.obs.drift.DriftMonitor` assigned to :attr:`drift`
+    after construction scores matured verdicts live.
     """
 
     def __init__(
@@ -292,7 +289,6 @@ class CacheNode:
         *,
         registry: MetricsRegistry | None = None,
         tracer: DecisionTrace | None = None,
-        drift: DriftMonitor | None = None,
         spans: Tracer | None = None,
     ):
         self.trace = trace
@@ -334,7 +330,7 @@ class CacheNode:
 
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-        self.drift = drift
+        self.drift = None  # a DriftMonitor, when one is assigned
         #: Optional span tracer shared with the serving layer/retrainer;
         #: ``None`` (the default) keeps the hot path span-free.
         self.spans = spans
@@ -1212,7 +1208,6 @@ async def run_server(
     metrics_host: str = "127.0.0.1",
     metrics_port: int | None = None,
     retrain_on_drift: bool = False,
-    ready: asyncio.Event | None = None,
 ) -> CacheNodeServer:
     """Start a node server, wire SIGINT/SIGTERM to a graceful drain, and
     serve until shut down.  Returns the (closed) server for inspection."""
@@ -1251,8 +1246,6 @@ async def run_server(
         ),
         extra={"port": server.port, "trace_requests": node.trace.n_accesses},
     )
-    if ready is not None:
-        ready.set()
     try:
         await server.wait_closed()
     finally:

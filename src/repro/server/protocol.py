@@ -72,6 +72,7 @@ __all__ = [
     "BIN_GET_OK",
     "BIN_GET_ERR",
     "BIN_NO_OID",
+    "GET_FRAME_DTYPE",
     "ProtocolError",
     "FrameDecoder",
     "encode_message",
@@ -117,10 +118,12 @@ _BIN_INDEX = struct.Struct(">I")
 _FRAME_GET = struct.Struct(">BBHIII")
 _FRAME_GET_OK = struct.Struct(">BBHIB")
 
-# Whole-frame numpy records mirroring the structs above: the decoder
-# validates a homogeneous run of fixed-size frames with three vectorised
-# column compares, then tuples it in one C pass via ``iter_unpack``.
-_RUN_GET_DTYPE = np.dtype(
+#: One BIN_GET frame as a numpy record, field for field
+#: :func:`pack_get_request`'s bytes: the decoder validates a homogeneous run
+#: of them with three vectorised column compares (then tuples it in one C
+#: pass via ``iter_unpack``), and the load generator packs a connection's
+#: whole request stream with one ``tobytes``.
+GET_FRAME_DTYPE = np.dtype(
     [
         ("magic", "u1"),
         ("op", "u1"),
@@ -130,6 +133,7 @@ _RUN_GET_DTYPE = np.dtype(
         ("size", ">u4"),
     ]
 )
+# BIN_GET_OK's twin, for the client's run parser.
 _RUN_GET_OK_DTYPE = np.dtype(
     [
         ("magic", "u1"),
@@ -263,7 +267,7 @@ def _parse_get_run(buf, pos: int, avail: int, frames: list) -> int:
     size = _FRAME_GET.size
     n = avail // size
     raw = bytes(memoryview(buf)[pos : pos + n * size])
-    run = np.frombuffer(raw, dtype=_RUN_GET_DTYPE)
+    run = np.frombuffer(raw, dtype=GET_FRAME_DTYPE)
     ok = (
         (run["magic"] == BIN_MAGIC)
         & (run["op"] == BIN_GET)

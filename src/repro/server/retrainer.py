@@ -35,7 +35,13 @@ import numpy as np
 from repro.core.features import PAPER_FEATURE_NAMES, extract_features
 from repro.core.labeling import one_time_labels
 from repro.core.monitoring import evaluate_admission_decisions
-from repro.core.training import paper_classifier, sample_per_minute
+from repro.core.training import (
+    MIN_TRAIN_SAMPLES,
+    RETRAIN_HOUR,
+    SAMPLES_PER_MINUTE,
+    paper_classifier,
+    sample_per_minute,
+)
 from repro.obs.spans import NULL_TRACER
 from repro.obs.structlog import get_logger
 
@@ -48,30 +54,23 @@ DAY = 86400.0
 
 def _outcome(record: dict) -> str:
     """The ``trained`` label of one :attr:`Retrainer.history` record."""
-    if record.get("deployed"):
-        return "deploy"
     return "yes" if record["trained"] else "no"
 
 
 @dataclass(frozen=True)
 class RetrainerConfig:
-    """Retraining schedule and training-set construction knobs."""
+    """Retraining schedule.  Each retrain trains on the last ``period`` of
+    history, thinned to :data:`~repro.core.training.SAMPLES_PER_MINUTE`."""
 
     period: float = DAY          # trace seconds between retrains
-    retrain_hour: float = 5.0    # first boundary: retrain_hour o'clock
-    train_window: float | None = None   # seconds of history (default: period)
-    samples_per_minute: int = 100       # §3.1.1 log thinning
-    min_train_samples: int = 50
+    retrain_hour: float = RETRAIN_HOUR  # first boundary: retrain_hour o'clock
     poll_seconds: float = 0.05   # wall-clock cadence of the boundary check
-    monitor_window: int = 10_000
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
         if not 0.0 <= self.retrain_hour < 24.0:
             raise ValueError("retrain_hour must be in [0, 24)")
-        if self.train_window is not None and self.train_window <= 0:
-            raise ValueError("train_window must be positive")
 
 
 class Retrainer:
@@ -106,16 +105,16 @@ class Retrainer:
         )
 
     def _last(self, field: str) -> float:
-        """``field`` of the latest local retrain that reported one (else 0)."""
+        """``field`` of the latest retrain that reported one (else 0)."""
         for rec in reversed(self.history):
-            if not rec.get("deployed") and rec[field] is not None:
+            if rec[field] is not None:
                 return rec[field]
         return 0.0
 
     @property
     def retrains(self) -> int:
-        """Locally trained swaps (external :meth:`deploy_model` excluded)."""
-        return sum(_outcome(rec) == "yes" for rec in self.history)
+        """Retrains that swapped a model in."""
+        return sum(rec["trained"] for rec in self.history)
 
     async def run(self) -> None:
         """Poll the node's trace clock and retrain at each boundary."""
@@ -132,39 +131,6 @@ class Retrainer:
         """Immediate retrain on everything observed so far (RELOAD op)."""
         return await self._retrain_at(self.node.trace_clock)
 
-    def deploy_model(self, model) -> dict:
-        """Install a pre-fitted model through the atomic-swap path.
-
-        The rolling-deploy hook: an operator (or the ``repro.scenario``
-        orchestrator driving live nodes) pushes an externally trained model
-        to this node without a local retrain.  The swap itself is
-        :meth:`CacheNode.install_model` — a single reference assignment
-        read once per micro-batch — so in a staggered fleet roll-out each
-        node flips between batches, never inside one.  Recorded in
-        :attr:`history` with ``deployed=True`` and counted under its own
-        ``trained="deploy"`` outcome label.
-        """
-        record = {
-            "t_cut": float(self.node.trace_clock),
-            "trained": True,
-            "deployed": True,
-            "n_train": 0,
-            "model_version": self.node.install_model(model),
-            "worst_window_accuracy": None,
-        }
-        logger.info(
-            "deploy at t=%.0f: version=%d",
-            record["t_cut"],
-            record["model_version"],
-            extra={
-                "t_cut": record["t_cut"],
-                "model_version": record["model_version"],
-                "deployed": True,
-            },
-        )
-        self.history.append(record)
-        return record
-
     # ---------------------------------------------------------------- inner
 
     def _select_training_rows(self, t_cut: float) -> np.ndarray:
@@ -174,17 +140,16 @@ class Retrainer:
         matured_end = node.processed - horizon
         if matured_end <= 0:
             return np.empty(0, dtype=np.int64)
-        window = cfg.train_window if cfg.train_window is not None else cfg.period
-        lo, hi = np.searchsorted(ts, [max(0.0, t_cut - window), t_cut])
+        lo, hi = np.searchsorted(ts, [max(0.0, t_cut - cfg.period), t_cut])
         hi = min(hi, matured_end)
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
         rows = np.arange(lo, hi)
-        picked = sample_per_minute(ts[rows], cfg.samples_per_minute, self._rng)
+        picked = sample_per_minute(ts[rows], SAMPLES_PER_MINUTE, self._rng)
         return rows[picked]
 
     async def _retrain_at(self, t_cut: float) -> dict:
-        node, cfg = self.node, self.cfg
+        node = self.node
         record = {
             "t_cut": float(t_cut),
             "trained": False,
@@ -204,7 +169,7 @@ class Retrainer:
                 n_obs = node.processed
                 m = node.criteria.m_threshold
                 X = y = None
-                if rows.shape[0] >= cfg.min_train_samples:
+                if rows.shape[0] >= MIN_TRAIN_SAMPLES:
                     prefix_oids = node.trace.object_ids[:n_obs]
                     labels = one_time_labels(prefix_oids, m)
                     y = labels[rows]
@@ -232,7 +197,6 @@ class Retrainer:
                 node.trace.object_ids[:n_obs],
                 node.denied_mask[:n_obs],
                 m,
-                window_size=cfg.monitor_window,
             )
             worst = quality.worst_window()
             acc = quality.accuracy[worst]

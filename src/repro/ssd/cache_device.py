@@ -230,7 +230,7 @@ class SSDRunReport:
         cmt = self.device.cmt
         if cmt is not None:
             lines.append(
-                f"cmt: miss={cmt.stats.miss_rate:.3f} "
+                f"cmt: miss={self.cmt_miss_rate:.3f} "
                 f"lookups={cmt.stats.lookups:,} "
                 f"evictions={cmt.stats.evictions:,} "
                 f"added latency={cmt.added_latency_us / 1e3:.1f} ms"

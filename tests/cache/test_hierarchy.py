@@ -20,6 +20,16 @@ class TestBasicSemantics:
         assert not r.hit and r.inserted
         assert 1 in c.dram and 1 in c.ssd
 
+    def test_len_counts_each_tier_copy(self):
+        c = make()
+        c.access(1, 100)
+        assert len(c) == 2  # resident in DRAM and on the SSD
+        c.access(2, 100, admit=False)
+        assert len(c) == 3  # a denied object is DRAM-only
+        ssd_only = HierarchicalCache.with_lru_dram(LRUCache(5000), dram_fraction=0.0)
+        ssd_only.access(1, 100)
+        assert len(ssd_only) == 1
+
     def test_l1_hit_counted(self):
         c = make()
         c.access(1, 100)

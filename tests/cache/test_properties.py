@@ -111,6 +111,31 @@ class TestBeladyProperties:
             l_hits += lru.access(oid, 1).hit
         assert b_hits >= l_hits
 
+    @given(
+        stream=request_streams,
+        capacity=st.integers(100, 3000),
+        bypass_dead=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_residency_accounting(self, stream, capacity, bypass_dead):
+        """The universal invariants, for the oracle that needs the stream's
+        future: bytes within capacity and equal to the residents' sizes,
+        ``len`` the resident count."""
+        sizes: dict[int, int] = {}
+        stream = [(oid, sizes.setdefault(oid, size), a) for oid, size, a in stream]
+        ids = np.asarray([oid for oid, _, _ in stream], dtype=np.int64)
+        policy = BeladyCache(capacity, compute_next_use(ids), bypass_dead=bypass_dead)
+        resident: set[int] = set()
+        for oid, size, admit in stream:
+            r = policy.access(oid, size, admit=admit)
+            assert r.hit == (oid in resident)
+            if r.inserted:
+                resident.add(oid)
+            resident.difference_update(r.evicted)
+            assert policy.used_bytes <= capacity
+            assert policy.used_bytes == sum(sizes[o] for o in resident)
+            assert len(policy) == len(resident)
+
     @given(ids=st.lists(st.integers(0, 10), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_next_use_is_strictly_forward(self, ids):

@@ -8,6 +8,7 @@ from repro.core.features import (
     PAPER_FEATURE_NAMES,
     extract_features,
 )
+from repro.ml.base import check_array
 from repro.trace import WorkloadConfig, generate_trace
 
 
@@ -45,6 +46,13 @@ class TestShapeAndNames:
         np.testing.assert_array_equal(
             sub.column("photo_type"), fm.column("photo_type")
         )
+
+    def test_selection_is_what_fit_and_predict_read(self, fm):
+        """One copy per selection: ``check_array`` (every fit's and
+        predict's first step) hands the selected matrix back as is."""
+        sub = fm.select(PAPER_FEATURE_NAMES)
+        assert sub.X.flags["C_CONTIGUOUS"]
+        assert check_array(sub.X) is sub.X
 
 
 class TestSemantics:

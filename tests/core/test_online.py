@@ -327,7 +327,7 @@ class TestFastPath:
                 adm.should_admit(i, int(trace.object_ids[i]), 100)
             assert adm.decisions == 50
             assert adm.decision_seconds == 0.0
-            assert len(adm.decision_times) == 0
+            assert adm.feature_ns == adm.inference_ns == 0
 
     def test_timed_fast_path_still_identical(self, trace, fitted_model):
         """Timing on/off must not change verdicts."""

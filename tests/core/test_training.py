@@ -129,7 +129,6 @@ class TestDailyTraining:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(retrain_hour=24.0),
             dict(cost_v=0.0),
             dict(retrain_period=0.0),
             dict(train_window=0.0),

@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.ml import CostMatrix, CostSensitiveClassifier, DecisionTreeClassifier
-from repro.ml.cost_sensitive import select_cost_v, tune_threshold
+from repro.ml.cost_sensitive import select_cost_v
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import precision_score, recall_score
 
@@ -21,15 +19,6 @@ def _imbalanced_noisy_dataset(seed=0, n=4000):
 
 
 class TestCostMatrix:
-    def test_threshold_formula(self):
-        cm = CostMatrix(fn_cost=1.0, fp_cost=2.0)
-        assert cm.optimal_threshold == pytest.approx(2 / 3)
-        cm = CostMatrix(fn_cost=1.0, fp_cost=3.0)
-        assert cm.optimal_threshold == pytest.approx(3 / 4)
-
-    def test_symmetric_costs_threshold_half(self):
-        assert CostMatrix(1.0, 1.0).optimal_threshold == pytest.approx(0.5)
-
     def test_sample_weights_direction(self):
         cm = CostMatrix(fn_cost=1.0, fp_cost=2.0)
         w = cm.sample_weights(np.array([1, 0, 1, 0]))
@@ -41,10 +30,6 @@ class TestCostMatrix:
             CostMatrix(fn_cost=0.0)
         with pytest.raises(ValueError):
             CostMatrix(fp_cost=-1.0)
-
-    @given(st.floats(0.1, 10), st.floats(0.1, 10))
-    def test_threshold_in_unit_interval(self, fn, fp):
-        assert 0.0 < CostMatrix(fn, fp).optimal_threshold < 1.0
 
 
 class TestSelectCostV:
@@ -62,51 +47,6 @@ class TestSelectCostV:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             select_cost_v(0)
-
-
-class TestTuneThreshold:
-    def test_perfect_separation(self):
-        y = np.array([0, 0, 1, 1])
-        s = np.array([0.1, 0.2, 0.8, 0.9])
-        thr, cost = tune_threshold(y, s, CostMatrix(1.0, 1.0))
-        assert 0.2 < thr <= 0.8
-        assert cost == 0.0
-
-    def test_matches_elkan_on_calibrated_scores(self):
-        """On calibrated posteriors the tuned cut ≈ the theoretical p*."""
-        rng = np.random.default_rng(0)
-        p = rng.random(60_000)
-        y = (rng.random(60_000) < p).astype(int)
-        cm = CostMatrix(fn_cost=1.0, fp_cost=3.0)
-        thr, _ = tune_threshold(y, p, cm)
-        assert thr == pytest.approx(cm.optimal_threshold, abs=0.05)
-
-    def test_high_fp_cost_raises_threshold(self):
-        rng = np.random.default_rng(1)
-        p = rng.random(20_000)
-        y = (rng.random(20_000) < p).astype(int)
-        thr_lo, _ = tune_threshold(y, p, CostMatrix(1.0, 1.0))
-        thr_hi, _ = tune_threshold(y, p, CostMatrix(1.0, 5.0))
-        assert thr_hi > thr_lo
-
-    def test_all_negative_predicts_nothing(self):
-        y = np.zeros(10, dtype=int)
-        s = np.linspace(0, 1, 10)
-        thr, cost = tune_threshold(y, s, CostMatrix(1.0, 2.0))
-        assert thr == np.inf
-        assert cost == 0.0
-
-    def test_cost_is_per_sample(self):
-        y = np.array([1, 0])
-        s = np.array([0.0, 1.0])  # anti-correlated: one error either way
-        _, cost = tune_threshold(y, s, CostMatrix(1.0, 1.0))
-        assert cost == pytest.approx(0.5)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            tune_threshold([], [], CostMatrix())
-        with pytest.raises(ValueError):
-            tune_threshold([1, 0], [0.5], CostMatrix())
 
 
 class TestCostSensitiveClassifier:
@@ -145,6 +85,20 @@ class TestCostSensitiveClassifier:
                 getattr(wrapped.model_, name), getattr(direct, name)
             )
         assert wrapped.compile_predictor().source == direct.compile_predictor().source
+
+    def test_predict_proba_is_the_fitted_base_posterior(self):
+        """The adaptive-threshold bench scores segments with it: the
+        reweighted base's own posterior, columns in ``classes_`` order."""
+        X, y = _imbalanced_noisy_dataset(seed=4, n=600)
+        cs = CostSensitiveClassifier(
+            DecisionTreeClassifier(max_splits=8, rng=0), CostMatrix(1.0, 3.0)
+        ).fit(X, y)
+        proba = cs.predict_proba(X)
+        np.testing.assert_array_equal(proba, cs.model_.predict_proba(X))
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(
+            cs.classes_[np.argmax(proba, axis=1)], cs.predict(X)
+        )
 
     def test_logistic_base_is_reweighted_too(self):
         """A base without a tree still gets the weights and a predictor."""

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ml import (
     AdaBoostClassifier,
-    CategoricalNB,
     DecisionTreeClassifier,
     GaussianNB,
     KNeighborsClassifier,
@@ -92,30 +91,6 @@ class TestGaussianNB:
         y = np.array([0, 0, 1, 1])
         model = GaussianNB().fit(X, y)
         assert np.isfinite(model.predict_proba(X)).all()
-
-
-class TestCategoricalNB:
-    def test_learns_category_association(self):
-        rng = np.random.default_rng(1)
-        x = rng.integers(0, 4, 2000)
-        y = (x >= 2).astype(int)
-        flip = rng.random(2000) < 0.1
-        y = y ^ flip
-        model = CategoricalNB().fit(x.reshape(-1, 1), y)
-        assert model.score(x.reshape(-1, 1), y) > 0.85
-
-    def test_unseen_category_is_tolerated(self):
-        model = CategoricalNB().fit(np.array([[0.0], [1.0]]), [0, 1])
-        # Category 7 was never seen: prediction must not crash.
-        assert model.predict(np.array([[7.0]])).shape == (1,)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            CategoricalNB().fit(np.array([[0.5], [1.0]]), [0, 1])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CategoricalNB().fit(np.array([[-1.0], [1.0]]), [0, 1])
 
 
 class TestKNN:

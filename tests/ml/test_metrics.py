@@ -1,4 +1,4 @@
-"""Tests for repro.ml.metrics — confusion matrix, P/R/acc, ROC/AUC."""
+"""Tests for repro.ml.metrics — P/R/acc, ROC/AUC."""
 
 import numpy as np
 import pytest
@@ -8,50 +8,12 @@ from hypothesis import strategies as st
 from repro.ml.metrics import (
     accuracy_score,
     auc,
-    calibration_curve,
     classification_report,
-    confusion_matrix,
-    f1_score,
     precision_score,
     recall_score,
     roc_auc_score,
     roc_curve,
 )
-
-
-class TestConfusionMatrix:
-    def test_binary_counts(self):
-        y_true = [1, 1, 0, 0, 1]
-        y_pred = [1, 0, 0, 1, 1]
-        cm = confusion_matrix(y_true, y_pred)
-        # rows = truth (0, 1), cols = prediction
-        assert cm[0, 0] == 1  # TN
-        assert cm[0, 1] == 1  # FP
-        assert cm[1, 0] == 1  # FN
-        assert cm[1, 1] == 2  # TP
-
-    def test_sum_equals_n(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 3, 100)
-        y_pred = rng.integers(0, 3, 100)
-        assert confusion_matrix(y_true, y_pred).sum() == 100
-
-    def test_explicit_labels_order(self):
-        cm = confusion_matrix([2, 1], [1, 2], labels=[2, 1])
-        assert cm[0, 1] == 1 and cm[1, 0] == 1
-
-    def test_perfect_prediction_is_diagonal(self):
-        y = np.array([0, 1, 2, 1, 0])
-        cm = confusion_matrix(y, y)
-        assert (cm == np.diag(np.diag(cm))).all()
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([1, 0], [1])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([], [])
 
 
 class TestPrecisionRecall:
@@ -74,11 +36,15 @@ class TestPrecisionRecall:
         assert recall_score(y_true, y_pred, pos_label="a") == 1.0
         assert precision_score(y_true, y_pred, pos_label="a") == pytest.approx(2 / 3)
 
-    def test_f1_harmonic_mean(self):
-        y_true = [1, 1, 1, 0, 0]
-        y_pred = [1, 1, 0, 1, 0]
-        p, r = 2 / 3, 2 / 3
-        assert f1_score(y_true, y_pred) == pytest.approx(2 * p * r / (p + r))
+    def test_rejects_mismatched_lengths(self):
+        for fn in (precision_score, recall_score, accuracy_score):
+            with pytest.raises(ValueError, match="equal length"):
+                fn([1, 0], [1])
+
+    def test_rejects_empty(self):
+        for fn in (precision_score, recall_score, accuracy_score):
+            with pytest.raises(ValueError, match="empty"):
+                fn([], [])
 
     @given(
         st.lists(st.integers(0, 1), min_size=2, max_size=60),
@@ -87,7 +53,7 @@ class TestPrecisionRecall:
     def test_metrics_bounded(self, a, b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
-        for fn in (precision_score, recall_score, accuracy_score, f1_score):
+        for fn in (precision_score, recall_score, accuracy_score):
             assert 0.0 <= fn(a, b) <= 1.0
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
@@ -154,44 +120,6 @@ class TestROC:
     def test_auc_rejects_nonmonotonic_x(self):
         with pytest.raises(ValueError):
             auc([0, 1, 0.5], [0, 1, 0])
-
-
-class TestCalibrationCurve:
-    def test_calibrated_scores_track_diagonal(self):
-        rng = np.random.default_rng(0)
-        p = rng.random(50_000)
-        y = (rng.random(50_000) < p).astype(int)
-        mean_pred, observed, counts = calibration_curve(y, p, n_bins=10)
-        np.testing.assert_allclose(mean_pred, observed, atol=0.03)
-        assert counts.sum() == 50_000
-
-    def test_overconfident_scores_diverge(self):
-        rng = np.random.default_rng(1)
-        p_true = rng.random(20_000)
-        y = (rng.random(20_000) < p_true).astype(int)
-        # Push scores toward the extremes: overconfidence.
-        p_over = np.clip(p_true * 1.8 - 0.4, 0.0, 1.0)
-        mean_pred, observed, _ = calibration_curve(y, p_over, n_bins=10)
-        assert np.abs(mean_pred - observed).max() > 0.05
-
-    def test_empty_bins_dropped(self):
-        y = [0, 1, 0, 1]
-        p = [0.05, 0.07, 0.93, 0.95]  # only the extreme bins are populated
-        mean_pred, observed, counts = calibration_curve(y, p, n_bins=10)
-        assert mean_pred.shape[0] == 2
-        assert counts.tolist() == [2, 2]
-
-    def test_prob_one_lands_in_last_bin(self):
-        mean_pred, _, counts = calibration_curve([1], [1.0], n_bins=5)
-        assert mean_pred[0] == 1.0 and counts[0] == 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            calibration_curve([], [])
-        with pytest.raises(ValueError):
-            calibration_curve([1], [1.5])
-        with pytest.raises(ValueError):
-            calibration_curve([1], [0.5], n_bins=0)
 
 
 class TestClassificationReport:

@@ -1,4 +1,4 @@
-"""Tests for train/test splitting and cross-validation."""
+"""Tests for cross-validation."""
 
 import numpy as np
 import pytest
@@ -10,47 +10,7 @@ from repro.ml import (
     StratifiedKFold,
     cross_val_score,
     cross_validate_metrics,
-    train_test_split,
 )
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(-1, 1)
-        y = np.arange(100) % 2
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_size=0.25, rng=0)
-        assert Xte.shape[0] == 25
-        assert Xtr.shape[0] == 75
-        assert ytr.shape[0] == 75 and yte.shape[0] == 25
-
-    def test_disjoint_and_complete(self):
-        X = np.arange(50).reshape(-1, 1)
-        y = np.zeros(50)
-        Xtr, Xte, _, _ = train_test_split(X, y, test_size=0.3, rng=1)
-        seen = np.concatenate([Xtr[:, 0], Xte[:, 0]])
-        assert sorted(seen.tolist()) == list(range(50))
-
-    def test_stratified_preserves_balance(self):
-        rng = np.random.default_rng(2)
-        y = (rng.random(1000) < 0.2).astype(int)
-        X = np.zeros((1000, 1))
-        _, _, ytr, yte = train_test_split(X, y, test_size=0.5, rng=3, stratify=True)
-        assert abs(ytr.mean() - yte.mean()) < 0.02
-
-    def test_deterministic_with_seed(self):
-        X = np.arange(30).reshape(-1, 1)
-        y = np.arange(30) % 2
-        a = train_test_split(X, y, rng=7)[1]
-        b = train_test_split(X, y, rng=7)[1]
-        np.testing.assert_array_equal(a, b)
-
-    def test_invalid_test_size(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(4), test_size=1.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(5))
 
 
 class TestKFold:

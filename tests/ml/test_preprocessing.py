@@ -1,48 +1,24 @@
-"""Tests for encoders, scaling, and discretisation."""
+"""Tests for scaling and discretisation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import LabelEncoder, StandardScaler, UniformDiscretizer
-
-
-class TestLabelEncoder:
-    def test_roundtrip(self):
-        vals = np.array(["l5", "a0", "m5", "a0", "l5"])
-        enc = LabelEncoder().fit(vals)
-        codes = enc.transform(vals)
-        assert codes.dtype == np.int64
-        np.testing.assert_array_equal(enc.inverse_transform(codes), vals)
-
-    def test_codes_are_contiguous(self):
-        enc = LabelEncoder()
-        codes = enc.fit_transform([10, 30, 20, 10])
-        assert set(codes.tolist()) == {0, 1, 2}
-
-    def test_unseen_label_raises(self):
-        enc = LabelEncoder().fit(["a", "b"])
-        with pytest.raises(ValueError, match="unseen"):
-            enc.transform(["c"])
-
-    def test_inverse_out_of_range(self):
-        enc = LabelEncoder().fit(["a", "b"])
-        with pytest.raises(ValueError):
-            enc.inverse_transform([5])
+from repro.ml import StandardScaler, UniformDiscretizer
 
 
 class TestStandardScaler:
     def test_zero_mean_unit_var(self):
         rng = np.random.default_rng(0)
         X = rng.normal(5.0, 3.0, size=(500, 3))
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_column_not_nan(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         assert np.isfinite(Z).all()
         np.testing.assert_allclose(Z[:, 0], 0.0)
 

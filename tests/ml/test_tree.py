@@ -207,42 +207,6 @@ class TestProbaAndInspection:
         assert tree.score(X, y) > 0.9
 
 
-class TestExportText:
-    def test_simple_tree_rendering(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([0, 0, 1, 1])
-        tree = DecisionTreeClassifier().fit(X, y)
-        text = tree.export_text(["age"])
-        assert "age <=" in text and "age >" in text
-        assert "class 0" in text and "class 1" in text
-
-    def test_default_feature_names(self, binary_dataset):
-        X, y = binary_dataset
-        tree = DecisionTreeClassifier(max_splits=3).fit(X, y)
-        assert "x[" in tree.export_text()
-
-    def test_max_depth_truncation(self, binary_dataset):
-        X, y = binary_dataset
-        tree = DecisionTreeClassifier(max_splits=20).fit(X, y)
-        short = tree.export_text(max_depth=1)
-        full = tree.export_text()
-        assert len(short) < len(full)
-        assert "…" in short
-
-    def test_short_names_rejected(self, binary_dataset):
-        X, y = binary_dataset
-        tree = DecisionTreeClassifier(max_splits=3).fit(X, y)
-        with pytest.raises(ValueError):
-            tree.export_text(["only_one"])
-
-    def test_line_count_matches_nodes(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([0, 0, 1, 1])
-        tree = DecisionTreeClassifier().fit(X, y)
-        # 1 split: 2 branch lines + 2 leaf lines.
-        assert len(tree.export_text().splitlines()) == 4
-
-
 class TestPropertyBased:
     @given(
         hnp.arrays(

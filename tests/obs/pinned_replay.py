@@ -61,7 +61,7 @@ def pinned_stack(trace):
         lo = 0
         while lo < REQUESTS:
             if lo >= REQUESTS // 2 and node.model_version == 1:
-                retrainer.deploy_model(node.model)
+                node.install_model(node.model)
             hi = min(lo + next(sizes), REQUESTS)
             drive(server, lo, hi)
             lo = hi

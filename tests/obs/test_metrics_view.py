@@ -112,16 +112,15 @@ def assert_view_matches_owners(node, server, retrainer) -> None:
         drift.worst_accuracy or 0.0
     )
     outcomes = Tally(
-        "deploy" if rec.get("deployed") else "yes" if rec["trained"] else "no"
-        for rec in retrainer.history
+        "yes" if rec["trained"] else "no" for rec in retrainer.history
     )
     assert samples(reg, "repro_retrains_total") == {
         (outcome,): n for outcome, n in outcomes.items()
     }
-    local = [rec for rec in retrainer.history if not rec.get("deployed")]
-    scored = [r for r in local if r["worst_window_accuracy"] is not None]
+    history = retrainer.history
+    scored = [r for r in history if r["worst_window_accuracy"] is not None]
     assert reg.get("repro_retrain_train_samples").value == (
-        local[-1]["n_train"] if local else 0
+        history[-1]["n_train"] if history else 0
     )
     assert reg.get("repro_retrain_worst_window_accuracy").value == (
         scored[-1]["worst_window_accuracy"] if scored else 0
@@ -158,7 +157,7 @@ def test_every_derived_sample_equals_its_owner(tiny_trace, steps):
             asyncio.run(server._dispatch({"op": "RESET"}, sink))
             assert node.processed == 0
         elif step == "install":
-            retrainer.deploy_model(node.model)
+            node.install_model(node.model)
         else:
             lo = node.processed
             drive(server, lo, min(lo + step, tiny_trace.n_accesses), sink)
@@ -244,7 +243,6 @@ def test_no_registry_writes_per_cluster_request(tiny_trace, registry_writes):
     registry = MetricsRegistry()
     oc = ClusterNode("oc0", LRUCache(50_000))
     cluster = TwoTierCluster({"oc0": oc}, ClusterNode("dc", LRUCache(500_000)))
-    cluster.instrument(registry)
     ledger = WriteLedger(registry=registry)
     for node in (oc, cluster.dc):
         node.bind_ledger(ledger)
@@ -254,9 +252,10 @@ def test_no_registry_writes_per_cluster_request(tiny_trace, registry_writes):
         oc.request(i, oids[i], sizes[i]) or cluster.dc.fill(i, oids[i], sizes[i])
     assert oc.stats.files_written and cluster.dc.stats.files_written
     assert not registry_writes
-    assert registry.get("repro_cluster_ssd_writes_total").labels(
-        node="oc0"
-    ).value == oc.stats.files_written
+    written = registry.get("repro_ledger_writes_total").children()
+    assert sum(child.value for _, child in written) == (
+        oc.stats.files_written + cluster.dc.stats.files_written
+    )
 
 
 # -- RESET cannot desynchronise the surfaces ---------------------------------------

@@ -415,27 +415,3 @@ class TestBoundedTiming:
         assert server.service_latencies.count == n
         assert server.service_latencies.retained <= cap
 
-    def test_online_admission_decision_times_bounded(self, tiny_trace):
-        from repro.core.history_table import HistoryTable
-        from repro.core.online import (
-            OnlineClassifierAdmission,
-            OnlineFeatureTracker,
-        )
-
-        node = CacheNode(tiny_trace, CFG)  # borrow its trained model
-        assert node.model is not None
-        adm = OnlineClassifierAdmission(
-            node.model,
-            OnlineFeatureTracker(tiny_trace),
-            node.criteria.m_threshold,
-            HistoryTable(1024),
-            timing_capacity=64,
-        )
-        oids = tiny_trace.object_ids
-        sizes = tiny_trace.catalog["size"][oids]
-        for i in range(2000):
-            adm.should_admit(i, int(oids[i]), int(sizes[i]))
-        assert adm.decisions == 2000
-        assert len(adm.decision_times) == 2000  # exact total, bounded memory
-        assert adm.decision_times.retained <= 64
-        assert sum(adm.decision_times) <= adm.decision_seconds * 1.001

@@ -5,11 +5,6 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.cache.lru import LRUCache
-from repro.cache.simulator import simulate
-from repro.core.history_table import HistoryTable
-from repro.core.online import OnlineClassifierAdmission, OnlineFeatureTracker
-from repro.ml.tree import DecisionTreeClassifier
 from repro.server.metrics import (
     format_metrics,
     metrics_snapshot,
@@ -68,34 +63,6 @@ class TestRetrainer:
         prefix = one_time_labels(tiny_trace.object_ids[: node.processed], m)
         assert (prefix[rows] == full[rows]).all()
 
-    def test_deploy_model_swaps_without_counting_as_retrain(self, tiny_trace):
-        """The rolling-deploy hook: an externally trained model installs
-        through the same atomic-swap path as a local retrain, is recorded
-        in history with deployed=True, and stays out of ``retrains``."""
-        from repro.core.features import PAPER_FEATURE_NAMES, extract_features
-        from repro.core.labeling import one_time_labels
-
-        node = make_node(tiny_trace, 2000)
-        retrainer = Retrainer(node)
-        seed_model = node.model
-        fm = extract_features(tiny_trace).select(PAPER_FEATURE_NAMES)
-        labels = one_time_labels(tiny_trace.object_ids, 100.0)
-        fresh = DecisionTreeClassifier(max_splits=8, rng=1).fit(fm.X, labels)
-
-        record = retrainer.deploy_model(fresh)
-        assert node.model is fresh and node.model is not seed_model
-        assert record["deployed"] and record["trained"]
-        assert record["n_train"] == 0
-        assert node.model_version == record["model_version"] == 2
-        assert retrainer.history[-1] is record
-        assert retrainer.retrains == 0  # external deploys excluded
-
-        # A local retrain afterwards still counts — and bumps the version.
-        trained = asyncio.run(retrainer.retrain_now())
-        assert trained["trained"] and not trained.get("deployed")
-        assert retrainer.retrains == 1
-        assert node.model_version == 3
-
     def test_periodic_run_fires_at_boundaries(self, tiny_trace):
         async def run():
             node = make_node(tiny_trace, tiny_trace.n_accesses)
@@ -143,29 +110,6 @@ class TestTimingStats:
         assert stats["mean"] == pytest.approx(arr.mean())
         assert stats["p50"] == pytest.approx(np.percentile(arr, 50))
         assert stats["max"] == pytest.approx(arr.max())
-
-    def test_admission_decision_times_array(self, tiny_trace):
-        """Satellite: OnlineClassifierAdmission records every decision's
-        perf_counter duration, and the snapshot helper summarises it."""
-        from repro.core.features import PAPER_FEATURE_NAMES, extract_features
-        from repro.core.labeling import one_time_labels
-
-        fm = extract_features(tiny_trace).select(PAPER_FEATURE_NAMES)
-        labels = one_time_labels(tiny_trace.object_ids, 100.0)
-        model = DecisionTreeClassifier(max_splits=10, rng=0).fit(fm.X, labels)
-        adm = OnlineClassifierAdmission(
-            model, OnlineFeatureTracker(tiny_trace), 100.0, HistoryTable(64)
-        )
-        simulate(
-            tiny_trace,
-            LRUCache(max(1, tiny_trace.footprint_bytes // 50)),
-            admission=adm,
-        )
-        assert len(adm.decision_times) == adm.decisions > 0
-        assert sum(adm.decision_times) == pytest.approx(adm.decision_seconds)
-        stats = timing_stats(adm.decision_times)
-        assert stats["count"] == adm.decisions
-        assert stats["mean"] == pytest.approx(adm.mean_decision_seconds)
 
 
 class TestSnapshot:

@@ -21,11 +21,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "benchmarks", "examples")
 
-_ML_API = (
-    "repro.ml's sklearn-like substrate API, tested as a library; removing "
-    "it and its tests is its own change"
-)
-
 #: qualified name -> why it stays although only tests call it
 ALLOWLIST = {
     "repro.cache.learned.LearnedCache.is_protected": (
@@ -43,29 +38,9 @@ ALLOWLIST = {
     "repro.core.features.FeatureMatrix.column": (
         "the feature-semantics tests read named columns through it"
     ),
-    "repro.core.online.OnlineClassifierAdmission.decision_times": (
-        "the offline admission's bounded t_classify reservoir; removing it "
-        "edits core.online, which the replay_proposal benchmark times"
-    ),
-    "repro.ml.cost_sensitive.CostMatrix.optimal_threshold": _ML_API,
-    "repro.ml.cost_sensitive.tune_threshold": _ML_API,
-    "repro.ml.metrics.calibration_curve": _ML_API,
-    "repro.ml.metrics.confusion_matrix": _ML_API,
-    "repro.ml.metrics.f1_score": _ML_API,
-    "repro.ml.model_selection.train_test_split": _ML_API,
-    "repro.ml.naive_bayes.CategoricalNB": _ML_API,
-    "repro.ml.preprocessing.LabelEncoder": _ML_API,
-    "repro.ml.preprocessing.LabelEncoder.fit_transform": _ML_API,
-    "repro.ml.preprocessing.LabelEncoder.inverse_transform": _ML_API,
-    "repro.ml.preprocessing.StandardScaler.fit_transform": _ML_API,
-    "repro.ml.tree.DecisionTreeClassifier.export_text": _ML_API,
     "repro.obs.spans.Tracer.use_track": (
         "pins one Perfetto track for a hand-instrumented block; the span "
         "tests pin its nesting contract"
-    ),
-    "repro.server.retrainer.Retrainer.deploy_model": (
-        "the golden /metrics exposition (tests/obs/pinned_replay.py) pins "
-        'its trained="deploy" row'
     ),
 }
 
