@@ -10,7 +10,7 @@ The package is organised as three substrates plus the paper's contribution:
     From-scratch NumPy machine-learning library (CART and the six Table-1
     comparison classifiers, metrics, cost-sensitive learning).
 ``repro.cache``
-    Byte-accurate cache simulator (LRU, FIFO, S3LRU, ARC, LIRS, LFU,
+    Byte-accurate cache simulator (LRU, FIFO, S3LRU, ARC, LIRS,
     Belady) with a pluggable admission policy.
 ``repro.core``
     The one-time-access-exclusion system: reaccess-distance criteria,

@@ -1,7 +1,7 @@
 """Byte-accurate cache simulator substrate.
 
 Implements every replacement policy the paper evaluates — LRU, FIFO, S3LRU,
-ARC, LIRS — plus the offline-optimal Belady bound, LFU, and the wider
+ARC, LIRS — plus the offline-optimal Belady bound and the wider
 scan-resistance lineage (2Q, GDSF, SIEVE) for comparison, all behind one
 :class:`~repro.cache.base.CachePolicy` interface.  A trace-driven
 :func:`~repro.cache.simulator.simulate` loop provides the pluggable
@@ -17,7 +17,6 @@ tracked in both files and bytes, matching the paper's Figures 6–9.
 from repro.cache.base import AccessResult, AdmissionPolicy, CachePolicy, CacheStats
 from repro.cache.lru import LRUCache
 from repro.cache.fifo import FIFOCache
-from repro.cache.lfu import LFUCache
 from repro.cache.slru import S3LRUCache
 from repro.cache.arc import ARCCache
 from repro.cache.twoq import TwoQCache
@@ -38,7 +37,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "FIFOCache",
-    "LFUCache",
     "S3LRUCache",
     "ARCCache",
     "TwoQCache",

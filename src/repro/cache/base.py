@@ -95,7 +95,7 @@ class CachePolicy(ABC):
         is purely a *performance* capability: correctness never depends on
         it, because :meth:`access_batch` stops at the first non-hit.  The
         conservative default is ``False``; policies whose hits cannot evict
-        (LRU, FIFO, LFU, SIEVE) or are loop-equivalent (S3LRU) opt in.
+        (LRU, FIFO, SIEVE) or are loop-equivalent (S3LRU) opt in.
         """
         return False
 

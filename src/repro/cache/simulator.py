@@ -45,7 +45,6 @@ from repro.cache.fifo import FIFOCache
 from repro.cache.gdsf import GDSFCache
 from repro.cache.hierarchy import HierarchicalCache
 from repro.cache.learned import LearnedCache, eviction_metadata
-from repro.cache.lfu import LFUCache
 from repro.cache.lirs import LIRSCache
 from repro.cache.lru import LRUCache
 from repro.cache.segments import SegmentPlan
@@ -81,7 +80,6 @@ MIN_SEGMENT_COVERAGE = 0.10
 POLICY_REGISTRY: dict[str, Callable[[int], CachePolicy]] = {
     "lru": LRUCache,
     "fifo": FIFOCache,
-    "lfu": LFUCache,
     "s3lru": S3LRUCache,
     "arc": ARCCache,
     "lirs": LIRSCache,

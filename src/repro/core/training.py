@@ -76,17 +76,13 @@ class DailyTrainingResult:
 
         Answers "what does the deployed classifier actually key on" —
         the interpretability view behind the paper's §3.2.2 selection.
-        Returns an empty dict when no trained model exposes importances
-        (e.g. a custom ``model_factory`` without them).
+        Returns an empty dict when no segment trained a model.
         """
-        stacks = []
-        for model in self.models:
-            if model is None:
-                continue
-            inner = getattr(model, "model_", model)
-            imp = getattr(inner, "feature_importances_", None)
-            if imp is not None and len(imp) == len(self.feature_names):
-                stacks.append(np.asarray(imp))
+        stacks = [
+            model.model_.feature_importances_
+            for model in self.models
+            if model is not None
+        ]
         if not stacks:
             return {}
         mean = np.mean(stacks, axis=0)
@@ -141,9 +137,7 @@ def train_daily_classifier(
     cost_v: float = 2.0,
     retrain_period: float = DAY,
     train_window: float | None = None,
-    feature_subset: tuple[str, ...] | None = PAPER_FEATURE_NAMES,
     static_model: bool = False,
-    model_factory=None,
     rng: np.random.Generator | int | None = None,
 ) -> DailyTrainingResult:
     """Run the §4.4.3 daily training loop over a full trace.
@@ -165,18 +159,13 @@ def train_daily_classifier(
         Seconds of history per training set (default: one ``retrain_period``,
         i.e. the paper's previous-24-hours rule), thinned to
         :data:`SAMPLES_PER_MINUTE`.
-    feature_subset:
-        Feature names to train on (default: the paper's final five);
-        ``None`` uses every extracted feature.
     static_model:
         Train only the first model and reuse it for all later days — the
         §4.4.3 ablation showing accuracy decay without refresh.
-    model_factory:
-        ``callable(seed) -> estimator`` building a fresh unfitted model per
-        retrain.  Default: the paper's cost-sensitive CART
-        (:data:`MAX_SPLITS`-split budget, Table-4 cost matrix).  Lets the
-        daily loop drive any classifier, e.g.
-        :class:`repro.ml.gbdt.GradientBoostingClassifier`.
+
+    Every retrain fits the paper's cost-sensitive CART
+    (:func:`paper_classifier`: :data:`MAX_SPLITS` splits, Table-4 cost
+    matrix) on the paper's final five features (:data:`PAPER_FEATURE_NAMES`).
 
     Returns per-access predictions: the first (model-less) segment predicts
     "re-accessed" for everything, i.e. classic always-admit behaviour, and
@@ -195,7 +184,7 @@ def train_daily_classifier(
         raise ValueError("features/labels must cover every access")
     rng = np.random.default_rng(rng)
 
-    fm = features.select(feature_subset) if feature_subset else features
+    fm = features.select(PAPER_FEATURE_NAMES)
     X = fm.X
     ts = trace.timestamps
 
@@ -233,10 +222,7 @@ def train_daily_classifier(
                     y_train = labels[picked]
                     if np.unique(y_train).shape[0] == 2:
                         seed = int(rng.integers(0, 2**63 - 1))
-                        if model_factory is not None:
-                            model = model_factory(seed)
-                        else:
-                            model = paper_classifier(cost_v, MAX_SPLITS, seed)
+                        model = paper_classifier(cost_v, MAX_SPLITS, seed)
                         model.fit(X[picked], y_train)
                         trained = True
                         if static_model and reusable_model is None:

@@ -6,10 +6,8 @@ dependency of this reproduction: every estimator here is implemented directly
 on NumPy, following the textbook formulations the paper cites (Alpaydin,
 *Introduction to Machine Learning*; Breiman et al., *Classification and
 Regression Trees*; Elkan, *The Foundations of Cost-Sensitive Learning*).
-A from-scratch gradient-boosting classifier (:mod:`repro.ml.gbdt`) is
-included as the post-2018 baseline the learned-cache literature moved to.
-Every tree-built model here — CART, regressor, forest, AdaBoost, the GBDT's
-rounds — is :mod:`repro.ml.tree`'s one grower with one of two split searches.
+Every tree-built model here — CART, regressor, forest, AdaBoost — is
+:mod:`repro.ml.tree`'s one grower with one of two split searches.
 
 Public API
 ----------
@@ -40,7 +38,6 @@ from repro.ml.naive_bayes import GaussianNB
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.ml.neural_net import MLPClassifier
-from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.cost_sensitive import CostMatrix, CostSensitiveClassifier
 from repro.ml.fastpath import (
     CompiledPredictor,
@@ -82,7 +79,6 @@ __all__ = [
     "KNeighborsClassifier",
     "LogisticRegression",
     "MLPClassifier",
-    "GradientBoostingClassifier",
     "CompiledPredictor",
     "compile_tree_arrays",
     "fast_predictor",

@@ -122,7 +122,7 @@ class CostSensitiveClassifier(BaseEstimator):
         """The fitted base's fastest exact-parity predictor.
 
         The cost rule lives in the training weights, so the base's own
-        compiled tree (or GBDT walkers) already serves the wrapper's verdicts.
+        compiled tree already serves the wrapper's verdicts.
         """
         from repro.ml.fastpath import fast_predictor
 

@@ -67,7 +67,6 @@ class CompiledPredictor:
     predict_one: Callable
     predict: Callable
     compiled: bool = False
-    n_nodes: int = 0
     source: str = field(default="", repr=False)
 
 
@@ -144,9 +143,7 @@ def compile_tree_arrays(
             return labels[walk(x, feat, thr, left, right)]
 
         batch = _mask_batch(feat, thr, left, right, labels, out_dtype)
-        return CompiledPredictor(
-            predict_one=one, predict=batch, compiled=False, n_nodes=n_nodes
-        )
+        return CompiledPredictor(predict_one=one, predict=batch, compiled=False)
 
     # ---- single-row source: nested if/else on plain float comparisons.
     one_lines = ["def _predict_one(x):"]
@@ -200,7 +197,6 @@ def compile_tree_arrays(
         predict_one=one,
         predict=batch,
         compiled=True,
-        n_nodes=n_nodes,
         source=source,
     )
 

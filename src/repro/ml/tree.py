@@ -12,8 +12,8 @@ Design notes
 * **One tree.**  :class:`_FlatTree` owns the growth limits, the best-first
   loop, the fitted arrays, the batch descent, the scalar walk and the
   compile step; :class:`DecisionTreeClassifier` (admission; the forest's and
-  AdaBoost's base) and :class:`DecisionTreeRegressor` (the eviction head;
-  the GBDT's rounds) add only their split search and their leaf value.
+  AdaBoost's base) and :class:`DecisionTreeRegressor` (the eviction head)
+  add only their split search and their leaf value.
 * **Sample weights** feed directly into the impurity computation, which is
   how :class:`repro.ml.cost_sensitive.CostSensitiveClassifier` implements the
   paper's cost matrix (Table 4).
@@ -532,8 +532,7 @@ class DecisionTreeRegressor(_FlatTree):
     """CART regression tree with the same best-first split budget.
 
     :class:`DecisionTreeClassifier`'s tree with a variance split search:
-    the learned-eviction head (:mod:`repro.cache.learned`) and every round
-    of the GBDT (:mod:`repro.ml.gbdt`).  The eviction head is trained on
+    the learned-eviction head (:mod:`repro.cache.learned`).  It is trained on
     log-forward-reuse-distance targets and compiled through the same
     :mod:`repro.ml.fastpath` code generator, so a per-eviction prediction
     costs one nested-``if`` walk over float literals — the same ns-range

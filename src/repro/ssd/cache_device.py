@@ -44,32 +44,13 @@ class CacheSSD(CacheObserver):
         geometry: SSDGeometry,
         *,
         wear_leveling: str = "dynamic",
-        n_streams: int = 1,
-        temperature=None,
-        trim_on_evict: bool = True,
         cmt: MappingTableCache | None = None,
     ):
-        """``temperature(oid, size) -> stream`` routes objects to write
-        streams (multi-stream separation); e.g. the admission classifier's
-        confidence can steer likely-short-lived objects away from
-        long-lived ones, cutting GC write amplification.
-
-        ``trim_on_evict=False`` models cache stacks that do not issue TRIM:
-        an evicted object's pages stay valid until their logical pages are
-        reallocated — the regime where lifetime-aware placement matters
-        most.
-
-        ``cmt`` attaches a DFTL-style cached mapping table: host-issued
+        """``cmt`` attaches a DFTL-style cached mapping table: host-issued
         translations (writes and TRIMs) are accounted through it, so the
         report can expose translation-cache pressure per admission scheme."""
-        if temperature is not None and n_streams < 2:
-            raise ValueError("temperature routing needs n_streams >= 2")
         self.geometry = geometry
-        self.ftl = PageMappedFTL(
-            geometry, wear_leveling=wear_leveling, n_streams=n_streams, cmt=cmt
-        )
-        self.temperature = temperature
-        self.trim_on_evict = trim_on_evict
+        self.ftl = PageMappedFTL(geometry, wear_leveling=wear_leveling, cmt=cmt)
         # Free logical pages as a stack; object -> list of owned lpns.
         self._free_lpns: list[int] = list(range(geometry.user_pages - 1, -1, -1))
         self._owned: dict[int, list[int]] = {}
@@ -83,9 +64,6 @@ class CacheSSD(CacheObserver):
         page_bytes: int = 16 * 1024,
         slack: float = 0.25,
         wear_leveling: str = "dynamic",
-        n_streams: int = 1,
-        temperature=None,
-        trim_on_evict: bool = True,
         cmt_fraction: float | None = 0.25,
         cmt_miss_penalty_us: float = 25.0,
         **geometry_kwargs,
@@ -110,7 +88,6 @@ class CacheSSD(CacheObserver):
         # block until the device has enough blocks for its append points
         # (plus sensible GC headroom) at the realistic page size.
         ppb = int(geometry_kwargs.pop("pages_per_block", 256))
-        min_blocks = max(16, n_streams + 3)
         while ppb > 4:
             geometry = SSDGeometry(
                 user_bytes=user_bytes,
@@ -118,7 +95,7 @@ class CacheSSD(CacheObserver):
                 pages_per_block=ppb,
                 **geometry_kwargs,
             )
-            if geometry.n_blocks >= min_blocks:
+            if geometry.n_blocks >= 16:
                 break
             ppb //= 2
         else:  # pragma: no cover - ppb floor reached
@@ -136,14 +113,7 @@ class CacheSSD(CacheObserver):
                 max(1, int(geometry.user_pages * cmt_fraction)),
                 miss_penalty_us=cmt_miss_penalty_us,
             )
-        return cls(
-            geometry,
-            wear_leveling=wear_leveling,
-            n_streams=n_streams,
-            temperature=temperature,
-            trim_on_evict=trim_on_evict,
-            cmt=cmt,
-        )
+        return cls(geometry, wear_leveling=wear_leveling, cmt=cmt)
 
     @property
     def cmt(self) -> MappingTableCache | None:
@@ -161,27 +131,20 @@ class CacheSSD(CacheObserver):
                 "logical page pool exhausted: increase the device slack "
                 f"(object needs {n} pages, {len(free)} free)"
             )
-        # Resolve the stream before taking pages, so a bad one leaks none.
-        stream = self.temperature(oid, size) if self.temperature else 0
-        if not 0 <= stream < self.ftl.n_streams:
-            raise ValueError(f"stream {stream} out of range")
         lpns = free[:-n - 1:-1]  # the top n of the stack, in pop order
         del free[-n:]
         write = self.ftl.write
         for lpn in lpns:
-            write(lpn, stream)
+            write(lpn)
         self._owned[oid] = lpns
 
     def on_evict(self, oid: int) -> None:
         lpns = self._owned.pop(oid, None)
         if lpns is None:
             raise RuntimeError(f"eviction of unknown object {oid}")
-        if self.trim_on_evict:
-            trim = self.ftl.trim
-            for lpn in lpns:
-                trim(lpn)
-        # Without TRIM the pages stay valid until the lpns are reused —
-        # the FTL sees the death only at overwrite time.
+        trim = self.ftl.trim
+        for lpn in lpns:
+            trim(lpn)
         self._free_lpns.extend(lpns)
 
     # -------------------------------------------------------------- report

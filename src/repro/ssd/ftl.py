@@ -11,6 +11,8 @@ Models the device behaviour the paper's lifetime argument rests on:
   GC-optimisation citations ([5], [33]) improve upon;
 * TRIM — the cache layer invalidates evicted objects, which is what keeps
   a cache SSD's GC cheap;
+* one host append point, as in the paper's single-stream deployment, plus
+  a dedicated append point for GC relocations;
 * wear accounting per block, feeding :mod:`repro.ssd.endurance`.
 
 The mapping tables are stdlib typed arrays (``array("q")`` per page,
@@ -95,26 +97,21 @@ class PageMappedFTL:
         *,
         wear_leveling: str = "dynamic",
         static_wl_spread: int = 64,
-        n_streams: int = 1,
         cmt=None,
     ):
         if wear_leveling not in ("none", "dynamic", "static"):
             raise ValueError(f"unknown wear_leveling: {wear_leveling!r}")
         if static_wl_spread < 1:
             raise ValueError("static_wl_spread must be >= 1")
-        if n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
-        # Streams + the dedicated GC append point each pin one open block,
-        # and GC needs at least one spare to make progress.
-        if geometry.n_blocks < n_streams + 3:
+        # The host and GC append points each pin one open block, and GC
+        # keeps two blocks free (one is its spare) to make progress.
+        if geometry.n_blocks < 4:
             raise ValueError(
-                f"geometry too small for {n_streams} streams: "
-                f"{geometry.n_blocks} blocks < {n_streams + 3}"
+                f"geometry too small: {geometry.n_blocks} blocks < 4"
             )
         self.geometry = geometry
         self.wear_leveling = wear_leveling
         self.static_wl_spread = static_wl_spread
-        self.n_streams = n_streams
         self.cmt = cmt
         g = geometry
 
@@ -127,11 +124,10 @@ class PageMappedFTL:
         self._is_free = np.ones(g.n_blocks, dtype=bool)
         self._free: deque[int] = deque(range(g.n_blocks))
 
-        # Append points: one per host stream, plus [-1] reserved for GC
-        # relocations (mixing relocated-cold with fresh-hot data is what
-        # multi-stream separation exists to avoid).
-        self._active = [self._take_free_block() for _ in range(n_streams + 1)]
-        self._ptr = [0] * (n_streams + 1)
+        # Append points: [0] takes host writes, [1] GC relocations, so
+        # relocated (long-lived) pages never share a block with fresh ones.
+        self._active = [self._take_free_block() for _ in range(2)]
+        self._ptr = [0, 0]
         self.stats = FTLStats()
 
     # ------------------------------------------------------------ plumbing
@@ -148,12 +144,12 @@ class PageMappedFTL:
         self._is_free[block] = False
         return block
 
-    def _advance_active(self, stream: int) -> None:
-        """Open a fresh active block when the stream's block is full."""
-        if self._ptr[stream] < self._ppb:
+    def _advance_active(self, point: int) -> None:
+        """Open a fresh block when the append point's block is full."""
+        if self._ptr[point] < self._ppb:
             return
-        self._active[stream] = self._take_free_block()
-        self._ptr[stream] = 0
+        self._active[point] = self._take_free_block()
+        self._ptr[point] = 0
 
     def _ensure_free_headroom(self) -> None:
         """GC until ≥2 free blocks remain (one is the GC spare)."""
@@ -199,25 +195,24 @@ class PageMappedFTL:
         live = np.flatnonzero(
             np.frombuffer(p2l, dtype=np.int64)[base : base + ppb] != _UNMAPPED
         )
-        # Relocations always land on the dedicated GC stream.
-        gc_stream = self.n_streams
+        # Relocations always land on the dedicated GC append point.
         for old in (base + live).tolist():
             # A victim has < ppb valid pages, so at most one fresh
             # destination block (the GC spare) is ever needed per run.
-            self._advance_active(gc_stream)
+            self._advance_active(1)
             # Relocate: invalidate the old location, program at the GC
             # append point.
             lpn = p2l[old]
             p2l[old] = _UNMAPPED
             valid[victim] -= 1
             stats.gc_pages_relocated += 1
-            block = self._active[gc_stream]
-            ppn = block * ppb + ptr[gc_stream]
+            block = self._active[1]
+            ppn = block * ppb + ptr[1]
             l2p[lpn] = ppn
             p2l[ppn] = lpn
             valid[block] += 1
             stats.nand_pages_written += 1
-            ptr[gc_stream] += 1
+            ptr[1] += 1
         # Erase and return to the free pool.
         assert valid[victim] == 0
         self._erases[victim] += 1
@@ -228,13 +223,8 @@ class PageMappedFTL:
 
     # -------------------------------------------------------------- public
 
-    def write(self, lpn: int, stream: int = 0) -> None:
-        """Host write of one logical page to the given stream.
-
-        Streams separate data by expected lifetime (e.g. the admission
-        classifier's temperature verdict): data that dies together stays
-        in the same blocks, so GC finds mostly-invalid victims and write
-        amplification falls.
+    def write(self, lpn: int) -> None:
+        """Host write of one logical page at the host append point.
 
         The whole per-page step is this one frame (plus the CMT lookup):
         it runs once per host page, so translation, invalidation and the
@@ -242,8 +232,6 @@ class PageMappedFTL:
         """
         if not 0 <= lpn < self._user_pages:
             raise ValueError(f"lpn {lpn} out of range")
-        if not 0 <= stream < self.n_streams:
-            raise ValueError(f"stream {stream} out of range")
         stats = self.stats
         # Host-side L2P consultation: counted, routed through the CMT.
         stats.translation_lookups += 1
@@ -257,22 +245,22 @@ class PageMappedFTL:
             valid[old // ppb] -= 1
             l2p[lpn] = _UNMAPPED
         stats.host_pages_written += 1
-        if ptr[stream] == ppb:
+        if ptr[0] == ppb:
             self._ensure_free_headroom()
             if not self._free:
                 raise DeviceFullError(
                     "device full: every block is completely valid"
                 )
-            self._advance_active(stream)
-        # Program at the stream's write pointer (GC never runs in between).
-        block = self._active[stream]
-        offset = ptr[stream]
+            self._advance_active(0)
+        # Program at the host write pointer (GC never runs in between).
+        block = self._active[0]
+        offset = ptr[0]
         ppn = block * ppb + offset
         l2p[lpn] = ppn
         p2l[ppn] = lpn
         valid[block] += 1
         stats.nand_pages_written += 1
-        ptr[stream] = offset + 1
+        ptr[0] = offset + 1
 
     def trim(self, lpn: int) -> None:
         """Host TRIM: the logical page no longer holds useful data."""

@@ -16,7 +16,6 @@ from repro.cache import (
     ARCCache,
     FIFOCache,
     GDSFCache,
-    LFUCache,
     LIRSCache,
     LRUCache,
     S3LRUCache,
@@ -27,7 +26,6 @@ from repro.cache import (
 POLICY_FACTORIES = {
     "lru": LRUCache,
     "fifo": FIFOCache,
-    "lfu": LFUCache,
     "s3lru": S3LRUCache,
     "arc": ARCCache,
     "lirs": LIRSCache,

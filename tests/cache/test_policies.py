@@ -8,7 +8,6 @@ from repro.cache import (
     BeladyCache,
     FIFOCache,
     GDSFCache,
-    LFUCache,
     LIRSCache,
     LRUCache,
     S3LRUCache,
@@ -31,7 +30,6 @@ def _staging_bar0(capacity):
 ONLINE_POLICIES = [
     pytest.param(LRUCache, id="lru"),
     pytest.param(FIFOCache, id="fifo"),
-    pytest.param(LFUCache, id="lfu"),
     pytest.param(S3LRUCache, id="s3lru"),
     pytest.param(ARCCache, id="arc"),
     pytest.param(LIRSCache, id="lirs"),
@@ -142,27 +140,6 @@ class TestFIFO:
         c.access(3, 100)
         c.access(1, 100)  # hit, but 1 remains the oldest
         r = c.access(4, 100)
-        assert r.evicted == (1,)
-
-
-class TestLFU:
-    def test_evicts_least_frequent(self):
-        c = LFUCache(300)
-        c.access(1, 100)
-        c.access(2, 100)
-        c.access(3, 100)
-        c.access(1, 100)
-        c.access(1, 100)
-        c.access(3, 100)
-        r = c.access(4, 100)  # 2 has freq 1 → victim
-        assert r.evicted == (2,)
-
-    def test_frequency_tie_breaks_by_age(self):
-        c = LFUCache(300)
-        c.access(1, 100)
-        c.access(2, 100)
-        c.access(3, 100)
-        r = c.access(4, 100)  # all freq 1 → evict the oldest (1)
         assert r.evicted == (1,)
 
 

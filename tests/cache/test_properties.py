@@ -20,7 +20,6 @@ from repro.cache import (
     FIFOCache,
     GDSFCache,
     LearnedCache,
-    LFUCache,
     LIRSCache,
     LRUCache,
     S3LRUCache,
@@ -32,7 +31,6 @@ from repro.cache import (
 POLICY_FACTORIES = {
     "lru": LRUCache,
     "fifo": FIFOCache,
-    "lfu": LFUCache,
     "s3lru": S3LRUCache,
     "arc": ARCCache,
     "lirs": LIRSCache,

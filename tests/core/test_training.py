@@ -88,13 +88,6 @@ class TestDailyTraining:
         assert len(trained_models) >= 2
         assert all(m is trained_models[0] for m in trained_models)
 
-    def test_feature_subset_none_uses_all(self, setup):
-        trace, features, labels = setup
-        r = train_daily_classifier(
-            trace, features, labels, feature_subset=None, rng=0
-        )
-        assert r.feature_names == features.names
-
     def test_higher_cost_v_raises_precision(self, setup):
         trace, features, labels = setup
         lo = train_daily_classifier(trace, features, labels, cost_v=1.0, rng=0)
@@ -150,23 +143,12 @@ class TestDailyTraining:
         assert vals == sorted(vals, reverse=True)
 
     def test_feature_importances_empty_when_untrainable(self, setup):
+        """Single-class labels train no segment: no importances to average."""
         trace, features, labels = setup
-
-        class Opaque:
-            def fit(self, X, y, sample_weight=None):
-                import numpy as _np
-
-                self.classes_ = _np.unique(y)
-                return self
-
-            def predict(self, X):
-                import numpy as _np
-
-                return _np.zeros(X.shape[0], dtype=int)
-
         r = train_daily_classifier(
-            trace, features, labels, model_factory=lambda seed: Opaque(), rng=0
+            trace, features, np.zeros_like(labels), rng=0
         )
+        assert not any(m["trained"] for m in r.daily_metrics)
         assert r.feature_importances() == {}
 
     def test_mismatched_labels_rejected(self, setup):

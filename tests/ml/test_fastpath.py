@@ -26,7 +26,6 @@ from repro.ml.fastpath import (
     compile_tree_arrays,
     fast_predictor,
 )
-from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.trace import WorkloadConfig, generate_trace
 
@@ -56,9 +55,7 @@ _SERVED_MODELS = {
     "cart": DecisionTreeClassifier(),
     "regressor": DecisionTreeRegressor(),
     "regressor-binned": DecisionTreeRegressor(bins=8),
-    "gbdt": GradientBoostingClassifier(3),
     "reweight-cart": CostSensitiveClassifier(DecisionTreeClassifier(), _COSTS),
-    "reweight-gbdt": CostSensitiveClassifier(GradientBoostingClassifier(3), _COSTS),
 }
 
 

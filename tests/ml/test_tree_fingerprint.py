@@ -1,21 +1,19 @@
 """Pinned fingerprints of every tree-built model in :mod:`repro.ml`.
 
-The admission CART, the eviction regressor, the GBDT's rounds, the forest
-and AdaBoost all grow through one best-first loop (``ml/tree.py``
-``_grow``).  The digests below were recorded at ``b7c8d85`` — when the
-classifier and the regressor each carried their own copy of that loop and
-the GBDT a third, depth-first grower — *before* the first edit that
+The admission CART, the eviction regressor, the forest and AdaBoost all
+grow through one best-first loop (``ml/tree.py`` ``_grow``).  The digests
+below were recorded at ``b7c8d85`` — when the classifier and the regressor
+each carried their own copy of that loop — *before* the first edit that
 merged them.  A change that moves one of them changes which trees are
 fitted; it is not a refactor of the grower.
 
 What is hashed: the structure arrays (``feature_``, ``threshold_``,
 ``children_*``, ``node_depth_``) byte for byte; ``value_``,
 ``feature_importances_`` and every predicted float rounded to 1e-9 first,
-because leaf means come from a BLAS ``ddot`` and the GBDT's margins go
-through a SIMD ``exp`` whose last bits follow the host (see
-``tests/cache/test_learned.py::_HashingTrainer``).  The GBDT is hashed by
-its outputs and node count only: best-first and depth-first growth apply
-the same split to the same rows, but number the nodes differently.
+because leaf means come from a BLAS ``ddot`` whose last bits follow the
+host (see ``tests/cache/test_learned.py::_HashingTrainer``).  That is the
+one reason left: the gradient-boosted model, whose margins also went
+through a SIMD ``exp``, has been removed.
 """
 
 import hashlib
@@ -25,7 +23,6 @@ import pytest
 
 from repro.ml.adaboost import AdaBoostClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 N, D, N_SCALAR = 4000, 9, 200
@@ -101,21 +98,6 @@ def _regressor(sample_weight=None, **params):
     return build
 
 
-def _gbdt(sample_weight=None, **params):
-    def build():
-        m = GradientBoostingClassifier(12, **params).fit(X, Y2, sample_weight=sample_weight)
-        margins = m.compile_decision_function()
-        assert margins.compiled
-        d = _Digest()
-        d.exact(np.int64(margins.n_nodes), m.predict(QUERIES),
-                m.compile_predictor().predict(QUERIES))
-        d.rounded(m.init_score_, m.decision_function(QUERIES), m.predict_proba(QUERIES),
-                  margins.predict(QUERIES), _scalar(margins.predict_one))
-        return d
-
-    return build
-
-
 def _ensemble(model):
     def build():
         m = model.fit(X, Y2)
@@ -169,18 +151,6 @@ CASES = {
     "reg_binned_weighted": (
         _regressor(sample_weight=WEIGHT, bins=32),
         "b3caa38ce202545095b28221cb9c42dea9b4a37dcc2deaf3fbf25a9caac0c1e7",
-    ),
-    "gbdt_unit": (
-        _gbdt(),
-        "f03d2221987fba3ec1c21105da9613451c36498b78c3880a5f5d10e2d31604ee",
-    ),
-    "gbdt_weighted": (
-        _gbdt(sample_weight=WEIGHT, max_depth=4, min_samples_leaf=12),
-        "f5f477ce33956fb67c722ef70a1d0ad6a98c42e8369844cd43c2b05ebd564702",
-    ),
-    "gbdt_subsample": (
-        _gbdt(subsample=0.6, rng=3),
-        "3361197b5a01418bc7109f26ce2418ec12aa07b80eedb0186220bca56589ab3c",
     ),
     "forest": (
         _ensemble(RandomForestClassifier(5, rng=1)),

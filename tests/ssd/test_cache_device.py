@@ -67,65 +67,9 @@ class TestCacheSSD:
             CacheSSD.for_capacity(0, mean_object_bytes=1)
 
     def test_for_capacity_shrinks_blocks_for_tiny_devices(self):
-        dev = CacheSSD.for_capacity(
-            2**22, mean_object_bytes=40_000, n_streams=2,
-            temperature=lambda oid, size: 0,
-        )
+        dev = CacheSSD.for_capacity(2**22, mean_object_bytes=40_000)
+        assert dev.geometry.pages_per_block < 256
         assert dev.geometry.n_blocks >= 16
-
-    def test_temperature_routes_streams(self):
-        dev = CacheSSD(
-            SSDGeometry(
-                user_bytes=2**20, page_bytes=4096, pages_per_block=16
-            ),
-            n_streams=2,
-            temperature=lambda oid, size: oid % 2,
-        )
-        dev.on_insert(0, 4096 * 4)  # stream 0
-        dev.on_insert(1, 4096 * 4)  # stream 1
-        ppb = dev.geometry.pages_per_block
-        blocks0 = {int(dev.ftl._l2p[int(l)]) // ppb for l in dev._owned[0]}
-        blocks1 = {int(dev.ftl._l2p[int(l)]) // ppb for l in dev._owned[1]}
-        assert blocks0.isdisjoint(blocks1)
-
-    def test_bad_stream_leaks_no_pages(self):
-        dev = CacheSSD(
-            SSDGeometry(
-                user_bytes=2**22, page_bytes=4096, pages_per_block=32
-            ),
-            n_streams=2,
-            temperature=lambda oid, size: 2,
-        )
-        free = len(dev._free_lpns)
-        with pytest.raises(ValueError, match="stream 2 out of range"):
-            dev.on_insert(7, 16384)
-        assert len(dev._free_lpns) == free
-        assert len(dev._owned) == 0
-        assert dev.ftl.stats.host_pages_written == 0
-
-    def test_temperature_needs_streams(self):
-        with pytest.raises(ValueError, match="n_streams"):
-            CacheSSD(
-                SSDGeometry(user_bytes=2**20, page_bytes=4096,
-                            pages_per_block=16),
-                temperature=lambda oid, size: 0,
-            )
-
-    def test_no_trim_defers_invalidation(self):
-        geom = SSDGeometry(
-            user_bytes=2**20, page_bytes=4096, pages_per_block=16
-        )
-        trimmed = CacheSSD(geom)
-        lazy = CacheSSD(geom, trim_on_evict=False)
-        for dev in (trimmed, lazy):
-            dev.on_insert(1, 4096 * 4)
-            dev.on_evict(1)
-        assert sum(trimmed.ftl._valid) == 0
-        assert sum(lazy.ftl._valid) == 4  # pages stay valid until reuse
-        # Reuse of the lpns finally invalidates the old copies.
-        lazy.on_insert(2, 4096 * 4)
-        assert sum(lazy.ftl._valid) == 4
-        lazy.ftl.check_invariants()
 
 
 class TestSimulateOnSSD:

@@ -25,24 +25,20 @@ from repro.ssd import (
 )
 from repro.trace import WorkloadConfig, generate_trace
 
-#: Five device configurations, each reaching a different part of the FTL:
-#: a second host stream, overwrite-only invalidation, the static
-#: wear-levelling victim rule (its spread lowered so it fires on a short
-#: trace), and FIFO block allocation with no translation cache.
+#: Three device configurations, each reaching a different part of the FTL:
+#: the default, the static wear-levelling victim rule (its spread lowered
+#: so it fires on a short trace), and FIFO block allocation with no
+#: translation cache.
 CONFIGS = {
     "default": {},
-    "streams": {"n_streams": 2, "temperature": lambda oid, size: oid % 2},
-    "no_trim": {"trim_on_evict": False},
     "static_wl": {"wear_leveling": "static"},
     "no_wl_no_cmt": {"wear_leveling": "none", "cmt_fraction": None},
 }
 
 DIGESTS = {
     "default": "a3b8179bdc7b562dd13861f231ccb53b3eeb018003b8232c92b063ae20ad09c0",
-    "no_trim": "da1125fe91b37ab4ee4d60b644c8c663f1c085e2d07011b539926f268fec5fce",
     "no_wl_no_cmt": "4e3997b8d0e74dea554249844e0610c6bfb936d373554abe9a0bf30a9e0998ad",
     "static_wl": "7d7f4c42168749a27d5210342dcc28cf8a7c352086aa448acf2ae8a82cafc875",
-    "streams": "5916bfaf4a596eba2293e7eb1217568ea666d7b897cca2d42da7cd88d43e790e",
 }
 
 

@@ -71,6 +71,13 @@ class TestBasicMapping:
         with pytest.raises(ValueError):
             PageMappedFTL(tiny_geometry(), static_wl_spread=0)
 
+    def test_geometry_too_small(self):
+        """Two open blocks (host, GC) and two free ones need 4 blocks."""
+        g = tiny_geometry(user_kb=2, ppb=8)
+        assert g.n_blocks == 3
+        with pytest.raises(ValueError, match="too small"):
+            PageMappedFTL(g)
+
 
 class TestGarbageCollection:
     def test_gc_reclaims_overwritten_space(self):
@@ -94,8 +101,8 @@ class TestGarbageCollection:
 
     def test_sequential_overwrite_has_low_wa(self):
         """Whole-device sequential rewrites leave victims fully invalid."""
-        # Big enough that the two pinned append points (host + GC stream)
-        # don't consume the over-provisioning headroom.
+        # Big enough that the two pinned append points (host + GC) don't
+        # consume the over-provisioning headroom.
         g = tiny_geometry(user_kb=64, op=0.5)
         ftl = PageMappedFTL(g)
         for _ in range(6):
@@ -128,6 +135,29 @@ class TestGarbageCollection:
             with_trim.stats.write_amplification
             <= without.stats.write_amplification
         )
+
+    def test_relocations_never_land_in_the_host_block(self):
+        """GC programs relocated pages at its own append point: the host's
+        open block holds only fresh host writes."""
+        g = tiny_geometry(user_kb=64, op=0.25)
+        ppb = g.pages_per_block
+        ftl = PageMappedFTL(g)
+        rng = np.random.default_rng(2)
+        hot = int(g.user_pages * 0.8)
+        moved_total = 0
+        for lpn in rng.integers(0, hot, 4000).tolist():
+            before = ftl._l2p.tolist()
+            ftl.write(lpn)
+            host_block = ftl._active[0]
+            assert ftl._l2p[lpn] // ppb == host_block != ftl._active[1]
+            moved = [
+                ppn for other, (old, ppn) in enumerate(zip(before, ftl._l2p))
+                if old != ppn and other != lpn
+            ]
+            assert all(ppn // ppb != host_block for ppn in moved)
+            moved_total += len(moved)
+        assert 0 < moved_total <= ftl.stats.gc_pages_relocated
+        ftl.check_invariants()
 
     def test_device_never_fills_under_valid_addressing(self):
         """Geometry reserves physical > logical space, so any in-range
@@ -184,74 +214,6 @@ class TestWearLevelling:
     def test_erase_counts_shape(self):
         ftl = self._hammer("dynamic", n=100)
         assert ftl.erase_counts.shape == (ftl.geometry.n_blocks,)
-
-
-class TestMultiStream:
-    def test_streams_use_disjoint_blocks(self):
-        g = tiny_geometry(user_kb=64, op=0.5)
-        ftl = PageMappedFTL(g, n_streams=2)
-        for lpn in range(8):
-            ftl.write(lpn, stream=0)
-        for lpn in range(8, 16):
-            ftl.write(lpn, stream=1)
-        ppb = g.pages_per_block
-        blocks0 = {int(ftl._l2p[lpn]) // ppb for lpn in range(8)}
-        blocks1 = {int(ftl._l2p[lpn]) // ppb for lpn in range(8, 16)}
-        assert blocks0.isdisjoint(blocks1)
-
-    def test_stream_separation_lowers_wa_on_mixed_lifetimes(self):
-        """Short-lived and long-lived data mixed in one stream forces GC to
-        relocate the long-lived pages over and over; separating them lets
-        blocks die whole."""
-        # Classic skewed-update pattern, *temporally interleaved* so hot and
-        # cold pages land in the same blocks when only one stream exists:
-        # 90% of writes hammer a small hot set, 10% trickle over a large
-        # cold set.
-        g = tiny_geometry(user_kb=128, op=0.25)
-        hot_n = 16
-        live = int(g.user_pages * 0.8)
-
-        def run(n_streams, router):
-            ftl = PageMappedFTL(g, n_streams=n_streams)
-            rng = np.random.default_rng(0)
-            for _ in range(10_000):
-                if rng.random() < 0.9:
-                    lpn = int(rng.integers(0, hot_n))
-                else:
-                    lpn = int(rng.integers(hot_n, live))
-                ftl.write(lpn, router(lpn))
-            return ftl.stats.write_amplification
-
-        mixed = run(1, lambda lpn: 0)
-        separated = run(2, lambda lpn: 0 if lpn < hot_n else 1)
-        assert separated < mixed - 0.05
-
-    def test_stream_out_of_range(self):
-        ftl = PageMappedFTL(tiny_geometry(), n_streams=2)
-        with pytest.raises(ValueError):
-            ftl.write(0, stream=2)
-        with pytest.raises(ValueError):
-            ftl.write(0, stream=-1)
-
-    def test_invalid_stream_count(self):
-        with pytest.raises(ValueError):
-            PageMappedFTL(tiny_geometry(), n_streams=0)
-        with pytest.raises(ValueError, match="too small"):
-            PageMappedFTL(tiny_geometry(user_kb=8, ppb=8), n_streams=20)
-
-    def test_invariants_hold_across_streams(self):
-        g = tiny_geometry(user_kb=64, op=0.3)
-        ftl = PageMappedFTL(g, n_streams=3)
-        rng = np.random.default_rng(5)
-        # Touch only ~70% of the logical space: 3 host streams + the GC
-        # stream pin 4 partially-filled blocks, so full logical utilisation
-        # would exceed the physical space (a genuine DeviceFull).
-        hot = int(g.user_pages * 0.7)
-        for lpn, s in zip(
-            rng.integers(0, hot, 4000), rng.integers(0, 3, 4000)
-        ):
-            ftl.write(int(lpn), int(s))
-        ftl.check_invariants()
 
 
 class TestConservationProperties:

@@ -109,7 +109,7 @@ class TestCommands:
         assert "hit rate" in out
 
     def test_simulate_all_policies(self, capsys):
-        for policy in ("lru", "fifo", "s3lru", "arc", "lirs", "belady", "lfu"):
+        for policy in ("lru", "fifo", "s3lru", "arc", "lirs", "belady"):
             assert main(["simulate", "--policy", policy, *BASE]) == 0
         assert "hit rate" in capsys.readouterr().out
 
@@ -244,6 +244,14 @@ class TestBadInput:
             "got 0.0\n"
         )
         assert captured.out == ""
+
+    def test_unknown_policy_is_one_line_and_exit_2(self, capsys):
+        assert main(["simulate", "--policy", "lfu", *BASE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "repro simulate: error: unknown policy 'lfu'; choose from ["
+        )
+        assert err.endswith("]\n") and err.count("\n") == 1
 
     def test_missing_trace_is_one_line_and_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.npz"
